@@ -9,6 +9,12 @@ constructions are provided: the annihilator presentation from a single form
 accepted exactly when the computed Hilbert function matches the expected
 complete-intersection series.
 
+Products read variable tables instead of multiplying polynomials: for each
+degree i below the socle degree and each variable x_j, the coordinates of
+x_j times every basis class of degree i, filled by `reduce` once, when an
+algebra is built.  Indexing by variables, not by degree-1 classes, serves
+cones too, where degree 1 has fewer classes than there are variables.
+
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
 the pinned basis.  This is how fixture conventions for distinguished bases
@@ -73,13 +79,14 @@ class AlgebraElement:
 class _Piece:
     """Reduction data for one graded piece."""
 
-    __slots__ = ("degree", "ambient", "echelon", "basis_monomials",
+    __slots__ = ("degree", "ambient", "index", "echelon", "basis_monomials",
                  "basis_reps", "basis_inverse")
 
     def __init__(self, degree: int, ambient: list[Monomial], ech: Echelon,
                  field: FieldSpec):
         self.degree = degree
         self.ambient = ambient
+        self.index = {m: c for c, m in enumerate(ambient)}
         self.echelon = ech
         self.basis_monomials = [ambient[c] for c in ech.nonpivots]
         self.basis_reps = [Polynomial.from_monomial(m, field)
@@ -94,6 +101,7 @@ class _Piece:
         clone = _Piece.__new__(_Piece)
         clone.degree = self.degree
         clone.ambient = self.ambient
+        clone.index = self.index
         clone.echelon = self.echelon
         clone.basis_monomials = self.basis_monomials
         clone.basis_reps = self.basis_reps
@@ -112,6 +120,13 @@ class GradedAlgebra:
         self.presentation = presentation
         self.socle_degree = len(pieces) - 1
         self.hilbert = tuple(p.dim for p in pieces)
+        # _tables[i][j][c]: coordinates of x_j times basis class c of degree i
+        variables = [Polynomial.variable(j, n_vars, field)
+                     for j in range(n_vars)]
+        self._tables = [[[self.reduce(x * rep, i + 1).coords
+                          for rep in pieces[i].basis_reps]
+                         for x in variables]
+                        for i in range(self.socle_degree)]
 
     # -- basic structure ----------------------------------------------
 
@@ -180,7 +195,9 @@ class GradedAlgebra:
             raise DegreeOverflowError(
                 f"degree {d} above socle degree {self.socle_degree}")
         piece = self._pieces[d]
-        vec = p.coefficient_vector(piece.ambient)
+        vec = [self.field.zero()] * len(piece.ambient)
+        for mon, c in p.terms.items():
+            vec[piece.index[mon]] = c
         canonical = piece.echelon.residual(vec)
         if piece.basis_inverse is not None:
             canonical = piece.basis_inverse.mul_vector(canonical)
@@ -197,17 +214,44 @@ class GradedAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
+    def _step(self, j: int, coords, i: int) -> list:
+        """x_j times the degree-i class with these coordinates."""
+        out = [self.field.zero()] * self.hilbert[i + 1]
+        for v, column in zip(coords, self._tables[i][j]):
+            if v:
+                for r, t in enumerate(column):
+                    if t:
+                        out[r] = out[r] + v * t
+        return out
+
+    def _times(self, p: Polynomial, coords, i: int, target: int) -> list:
+        """p times the degree-i class with these coordinates, p homogeneous of
+        degree target - i; each term of p is a chain of table steps."""
+        out = [self.field.zero()] * self.hilbert[target]
+        for mon, c in p.terms.items():
+            vec, d = [c * v if v else v for v in coords], i
+            for j, e in enumerate(mon.exponents):
+                for _ in range(e):
+                    vec = self._step(j, vec, d)
+                    d += 1
+            for r, v in enumerate(vec):
+                if v:
+                    out[r] = out[r] + v
+        return out
+
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         target = a.degree + b.degree
         if target > self.socle_degree:
             raise DegreeOverflowError(
                 f"product degree {target} above socle degree {self.socle_degree}")
-        if a.is_zero or b.is_zero:
-            return self.zero_element(target)
-        return self.reduce(self.lift(a) * self.lift(b), target)
+        if a.degree > b.degree:
+            a, b = b, a
+        return AlgebraElement(
+            target, tuple(self._times(self.lift(a), b.coords, b.degree, target)))
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
-        """k-th power of a degree-1 element, by repeated reduce-and-multiply."""
+        """k-th power of a degree-1 element: k multiplications by x, each one
+        linear step through the variable tables."""
         if x.degree != 1:
             raise AlgebraError("power expects a degree-1 element")
         if k < 0:
@@ -215,14 +259,11 @@ class GradedAlgebra:
         if k > self.socle_degree:
             raise DegreeOverflowError(
                 f"exponent {k} above socle degree {self.socle_degree}")
-        result = self.unit()
-        if k == 0:
-            return result
         xp = self.lift(x)
-        for _ in range(k):
-            result = self.reduce(self.lift(result) * xp,
-                                 result.degree + 1)
-        return result
+        coords = self.unit().coords
+        for i in range(k):
+            coords = self._times(xp, coords, i, i + 1)
+        return AlgebraElement(k, tuple(coords))
 
     def mul_map(self, alpha: AlgebraElement, i: int) -> Matrix:
         """Matrix of multiplication by alpha from degree i to degree i+deg(alpha)."""
@@ -234,23 +275,11 @@ class GradedAlgebra:
         return self._mul_matrix(alpha, i, target)
 
     def _mul_matrix(self, alpha: AlgebraElement, i: int, target: int) -> Matrix:
-        source = self.piece(i)
-        h_target = self.dim(target)
-        cols = []
         alpha_poly = self.lift(alpha)
-        for rep in source.basis_reps:
-            if alpha_poly.is_zero:
-                cols.append(self.zero_element(target).coords)
-            else:
-                cols.append(self.reduce(alpha_poly * rep, target).coords)
-        entries = [[cols[c][r] for c in range(len(cols))] for r in range(h_target)]
-        tgt_piece = self._pieces[target]
-        row_labels = (tgt_piece.basis_monomials
-                      if tgt_piece.basis_inverse is None else None)
-        col_labels = (source.basis_monomials
-                      if source.basis_inverse is None else None)
-        return Matrix(entries, self.field, row_labels=row_labels,
-                      col_labels=col_labels)
+        cols = [self._times(alpha_poly, e.coords, i, target)
+                for e in self.basis(i)]
+        return Matrix([[col[r] for col in cols]
+                       for r in range(self.dim(target))], self.field)
 
     def _colon_kernel(self, alpha: AlgebraElement, i: int):
         """Kernel of multiplication by alpha on degree i, as coordinate vectors.
@@ -279,17 +308,14 @@ class GradedAlgebra:
             raise AlgebraError(f"degree {s} outside 0..{N}")
         if self.socle_dim() != 1:
             raise AlgebraError("pairing needs a one-dimensional socle")
-        left = self._pieces[s]
-        right = self._pieces[N - s]
-        entries = []
-        for a in left.basis_reps:
-            row = []
-            for b in right.basis_reps:
-                row.append(self.reduce(a * b, N).coords[0])
-            entries.append(row)
-        matrix = Matrix(entries, self.field)
-        square = left.dim == right.dim
-        ok = square and rank_kernel(matrix).rank == left.dim
+        if 2 * s > N:
+            # the pairing is symmetric; lifting the lower degree is cheaper
+            ok, matrix = self.pairing_check(N - s)
+            return ok, matrix.transpose()
+        matrix = Matrix([self._mul_matrix(a, N - s, N).entries[0]
+                         for a in self.basis(s)], self.field)
+        square = self.dim(s) == self.dim(N - s)
+        ok = square and rank_kernel(matrix).rank == self.dim(s)
         return ok, matrix
 
     def hilbert_symmetric(self) -> bool:
@@ -299,13 +325,8 @@ class GradedAlgebra:
         """Every piece is spanned by products of degree-1 classes."""
         for i in range(self.socle_degree):
             h_next = self.dim(i + 1)
-            if h_next == 0:
-                continue
-            stacked = []
-            for b in self.basis(1):
-                m = self._mul_matrix(b, i, i + 1)
-                for c in range(m.cols):
-                    stacked.append([m.entries[r][c] for r in range(m.rows)])
+            # the variables span degree 1, so the table columns suffice
+            stacked = [col for table in self._tables[i] for col in table]
             if echelon_rows(stacked, h_next, self.field).rank < h_next:
                 return False
         return True
@@ -328,10 +349,7 @@ class GradedAlgebra:
             old = self._pieces[i]
             rows = old.echelon.full_rows()
             for kv in self._colon_kernel(alpha, i):
-                lifted = Polynomial.zero(self.n_vars, self.field)
-                for c, rep in zip(kv, old.basis_reps):
-                    if c:
-                        lifted = lifted + rep.scale(c)
+                lifted = self.lift(AlgebraElement(i, tuple(kv)))
                 if not lifted.is_zero:
                     rows.append(lifted.coefficient_vector(old.ambient))
             ech = echelon_rows(rows, len(old.ambient), self.field)

@@ -362,6 +362,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         report, code = _COMMANDS[args.command](args)
     except NotRegularSequence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,11 +67,12 @@ class Matrix:
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise MatrixError(f"vector length {len(vec)} != {self.cols} columns")
+        nonzero = [(c, b) for c, b in enumerate(vec) if b]
         out = []
         for row in self.entries:
             acc = self.field.zero()
-            for a, b in zip(row, vec):
-                acc = acc + a * b
+            for c, b in nonzero:
+                acc = acc + row[c] * b
             out.append(acc)
         return out
 
@@ -128,9 +129,6 @@ class Echelon:
                     if row[j]:
                         out[j] = out[j] - v * row[j]
         return out
-
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
 
     def kernel_basis(self):
         """One kernel vector per non-pivot column (full width, deterministic)."""

@@ -13,8 +13,8 @@ from math import factorial
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
-from .exactla import Matrix, det_ff, rank_kernel
-from .polyring import Monomial, PolyError, Polynomial, monomial_basis
+from .exactla import Matrix, det_ff, echelon_rows
+from .polyring import Monomial, PolyError, Polynomial
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 SLP = "SLP"
@@ -56,12 +56,14 @@ class ProbeReport:
 
 def _probe_rank(algebra: GradedAlgebra, kind: str, k: int,
                 L: AlgebraElement) -> int:
-    if kind == SLP:
-        power = algebra.power(L, algebra.socle_degree - 2 * k)
-        if power.is_zero:
-            return 0
-        return rank_kernel(algebra.mul_map(power, k)).rank
-    return rank_kernel(algebra.mul_map(L, k)).rank
+    """Rank of multiplication by L^m from degree k (m = 1 for WLP), with
+    each basis vector stepped through multiplication by L m times."""
+    m = algebra.socle_degree - 2 * k if kind == SLP else 1
+    columns = [e.coords for e in algebra.basis(k)]
+    for d in range(k, k + m):
+        step = algebra.mul_map(L, d)
+        columns = [step.mul_vector(col) for col in columns]
+    return echelon_rows(columns, algebra.dim(k + m), algebra.field).rank
 
 
 def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
@@ -110,39 +112,35 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
                        certified=certified)
 
 
-def _multinomial(total: int, parts) -> int:
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
 def symbolic_multiplication_matrix(algebra: GradedAlgebra, k: int,
                                    exponent: int) -> list[list[Polynomial]]:
     """Entries of the multiplication map by L^exponent at degree k, as
-    polynomials in the coordinates of L over the degree-1 basis."""
+    polynomials in the coordinates t of L over the degree-1 basis.
+
+    Each basis vector is stepped through L = sum t_c b_c once per degree, as
+    in the numeric probe; a vector with polynomial entries is held as its
+    coefficient vectors on the monomials in t.
+    """
     h1 = algebra.dim(1)
-    rows = algebra.dim(k + exponent)
-    cols = algebra.dim(k)
     field = algebra.field
-    zero = Polynomial.zero(h1, field)
-    entries = [[zero for _ in range(cols)] for _ in range(rows)]
-    deg1 = algebra.basis(1)
-    for mon in monomial_basis(h1, exponent):
-        coeff = _multinomial(exponent, mon.exponents)
-        prod = algebra.unit()
-        for j, e in enumerate(mon.exponents):
-            for _ in range(e):
-                prod = algebra.multiply(prod, deg1[j])
-        if prod.is_zero:
-            continue
-        m = algebra._mul_matrix(prod, k, k + exponent)
-        term = Polynomial.from_monomial(mon, field, coeff)
-        for r in range(rows):
-            for c in range(cols):
-                if m.entries[r][c]:
-                    entries[r][c] = entries[r][c] + term.scale(m.entries[r][c])
-    return entries
+    columns = [{(0,) * h1: e.coords} for e in algebra.basis(k)]
+    for d in range(k, k + exponent):
+        steps = [algebra.mul_map(b, d) for b in algebra.basis(1)]
+        stepped = []
+        for col in columns:
+            nxt = {}
+            for mon, vec in col.items():
+                for c, step in enumerate(steps):
+                    key = mon[:c] + (mon[c] + 1,) + mon[c + 1:]
+                    w = step.mul_vector(vec)
+                    nxt[key] = ([a + b for a, b in zip(nxt[key], w)]
+                                if key in nxt else w)
+            stepped.append(nxt)
+        columns = stepped
+    return [[Polynomial(h1, field, {Monomial(mon): vec[r]
+                                    for mon, vec in col.items()})
+             for col in columns]
+            for r in range(algebra.dim(k + exponent))]
 
 
 def symbolic_probe_determinant(algebra: GradedAlgebra, kind: str,

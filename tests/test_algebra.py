@@ -8,6 +8,7 @@ from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              NotRegularSequence, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
+from sagakit.corpus import get_entry
 from sagakit.exactla import rank_kernel
 from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
@@ -293,3 +294,70 @@ def test_monomial_ci_pairing_structure(monomial_ci):
         for j, entry in enumerate(row):
             expect = i not in deg4[j] and len(deg4[j]) == 4
             assert bool(entry) == expect
+
+
+def _quadric_ci_fp():
+    field = FieldSpec.prime(32003)
+    rng = random.Random(32003)
+    basis = monomial_basis(5, 2)
+    return from_regular_sequence(
+        [Polynomial(5, field, {m: rng.randint(-9, 9) for m in basis})
+         for _ in range(5)])
+
+
+@pytest.fixture(scope="module",
+                params=["monomial_ci", "perazzo", "cube_cone", "quadric_ci_fp"])
+def table_algebra(request, monomial_ci, perazzo_alg):
+    if request.param == "monomial_ci":
+        return monomial_ci
+    if request.param == "perazzo":
+        return perazzo_alg
+    if request.param == "cube_cone":
+        return from_inverse_system(
+            get_entry("coordinate_cube_cone").polynomials())
+    return _quadric_ci_fp()
+
+
+class TestTablesMatchPolynomialProducts:
+    """Table-based products against reduce(lift(a) * lift(b))."""
+
+    def test_multiply(self, table_algebra):
+        alg = table_algebra
+        rng = random.Random(7)
+        N = alg.socle_degree
+        for da in range(N + 1):
+            for db in range(N + 1 - da):
+                a = alg.random_element(da, rng)
+                b = alg.random_element(db, rng)
+                want = alg.reduce(alg.lift(a) * alg.lift(b), da + db)
+                assert alg.multiply(a, b) == want
+
+    def test_power(self, table_algebra):
+        alg = table_algebra
+        rng = random.Random(8)
+        for _ in range(3):
+            x = alg.random_element(1, rng)
+            for m in range(alg.socle_degree + 1):
+                assert alg.power(x, m) == alg.reduce(alg.lift(x) ** m,
+                                                     degree=m)
+
+    def test_mul_map(self, table_algebra):
+        alg = table_algebra
+        rng = random.Random(9)
+        N = alg.socle_degree
+        for e in range(N + 1):
+            alpha = alg.random_element(e, rng)
+            for i in range(N + 1 - e):
+                m = alg.mul_map(alpha, i)
+                for c, b in enumerate(alg.basis(i)):
+                    want = alg.reduce(alg.lift(alpha) * alg.lift(b), e + i)
+                    assert tuple(row[c] for row in m.entries) == want.coords
+
+    def test_cone_has_fewer_classes_than_variables(self):
+        cone = from_inverse_system(
+            get_entry("coordinate_cube_cone").polynomials())
+        assert cone.n_vars == 5 and cone.dim(1) == 1
+        x1 = cone.reduce(poly("x1", 5))
+        assert x1.is_zero
+        x0 = cone.reduce(poly("x0", 5))
+        assert cone.power(x0, 3) == cone.reduce(poly("x0^3", 5))

@@ -1,4 +1,8 @@
+import concurrent.futures
+import hashlib
 import json
+
+import pytest
 
 from sagakit.cli import main
 
@@ -108,6 +112,27 @@ class TestExperiment:
         assert report["family"] == "theorem_c"
         assert report["passes"] == 2
 
+    def test_huge_jobs_runs_serially(self, capsys, monkeypatch):
+        _, serial, _ = run(capsys, "experiment", "--trials", "1",
+                           "--jobs", "1")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        code, out, _ = run(capsys, "experiment", "--trials", "1",
+                           "--jobs", "100000")
+        assert code == 0
+        assert out == serial
+
+    def test_jobs_below_one_exit_two(self, capsys):
+        for command in (["experiment", "--trials", "1"],
+                        ["analyze", PERAZZO]):
+            code, out, err = run(capsys, *command, "--jobs", "0")
+            assert code == 2 and out == ""
+            assert "--jobs" in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "experiment", "--family", "nope")
         assert code == 2
@@ -128,6 +153,13 @@ class TestFixture:
         assert report["fixtures"]["perazzo"]["passed"] is True
         assert report["fixtures"]["gn_map"]["passed"] is True
         assert report["fixtures"]["gn_map"]["notes"]
+
+    @pytest.mark.parametrize("seed", ["22", "30"])
+    def test_gamma_draws_on_the_plane_are_redrawn(self, capsys, seed):
+        # at these seeds a gamma draw of x lands on x3 = x4 = 0
+        code, out, _ = run(capsys, "fixture", "perazzo", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "fixture", "unknown")
@@ -161,3 +193,33 @@ class TestGamma:
     def test_usage_error_on_bad_k(self, capsys):
         code, _, err = run(capsys, "gamma", PERAZZO, "--k", "9")
         assert code == 2
+
+
+class TestGoldenReports:
+    """sha256 of the JSON report bytes of five reference runs.
+
+    Any change to a report's bytes, however it arises, fails here; the
+    digests were taken before the multiplication tables replaced the
+    polynomial products.
+    """
+
+    GOLDEN = [
+        (["analyze", PERAZZO],
+         "251cd0628e994c819bd637e11e2d90da400db04ad024248628f2bab2761842a9"),
+        (["analyze", "--corpus", "monomial_ci_quadrics"],
+         "334f4c9a3dec4d736e5b906009b8aad3d68068fe0b16333dd49df434c1e9b0e3"),
+        (["fixture", "perazzo"],
+         "eb8ad326908f48ba99f3f02121ddb5e18a8aede094d284749d7917a1937e013d"),
+        (["gamma", PERAZZO, "--trials", "8"],
+         "176d51ca01b26ed30de97296cec7f88f07d47efd564764983be07218666449c3"),
+        (["experiment", "--trials", "2"],
+         "f8a1b7b81283ced8bd5a3fc03e8b79f6aeefbbec0ceebc144e4ad8a0141dfc29"),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN,
+                             ids=["analyze_cubic", "analyze_corpus", "fixture",
+                                  "gamma", "experiment"])
+    def test_report_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

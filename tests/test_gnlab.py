@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from itertools import combinations
 
@@ -235,6 +237,37 @@ class TestTheoremC:
         a = theorem_c_experiment(2, seed=11).to_json_dict()
         b = theorem_c_experiment(2, seed=11).to_json_dict()
         assert a == b
+
+    def test_pool_size_clamped(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = theorem_c_experiment(3, seed=42, jobs=1).to_json_dict()
+        assert sizes == []
+        clamped = theorem_c_experiment(3, seed=42, jobs=100000).to_json_dict()
+        assert sizes == [2]
+        assert clamped == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        theorem_c_experiment(2, seed=42, jobs=100000)
+        assert sizes == [2]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(AlgebraError):
+            theorem_c_experiment(1, jobs=0)
 
     def test_parallel_matches_serial(self):
         serial = theorem_c_experiment(3, seed=42, jobs=1).to_json_dict()

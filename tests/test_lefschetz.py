@@ -6,6 +6,7 @@ from sagakit.algebra import from_inverse_system
 from sagakit.exactla import det_ff, rank_kernel
 from sagakit.lefschetz import (SLP, WLP, hessian, hessian_slp_crosscheck,
                                lefschetz_probe, second_partials,
+                               symbolic_multiplication_matrix,
                                symbolic_probe_determinant)
 from sagakit.polyring import (Monomial, PolyError, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
@@ -75,6 +76,20 @@ class TestProbe:
             r_first = rank_kernel(monomial_ci.mul_map(L, 1)).rank
             r_second = rank_kernel(monomial_ci.mul_map(L, 2)).rank
             assert r_composite <= min(r_first, r_second)
+
+    @pytest.mark.parametrize("name,k,m", [("monomial_ci", 1, 3),
+                                          ("monomial_ci", 2, 1),
+                                          ("perazzo_alg", 1, 1),
+                                          ("perazzo_alg", 0, 3)])
+    def test_symbolic_matrix_evaluates_to_mul_map(self, request, name, k, m):
+        algebra = request.getfixturevalue(name)
+        entries = symbolic_multiplication_matrix(algebra, k, m)
+        rng = random.Random(31)
+        for _ in range(3):
+            L = algebra.random_element(1, rng)
+            want = algebra.mul_map(algebra.power(L, m), k)
+            got = [[e.eval_at(L.coords) for e in row] for row in entries]
+            assert got == want.entries
 
 
 class TestHessian:

@@ -7,13 +7,22 @@ the ideal piece, and the quotient basis is the set of non-pivot monomials
 constructions are provided: the annihilator presentation from a single form
 (via catalecticant kernels) and the quotient by a regular sequence, which is
 accepted exactly when the computed Hilbert function matches the expected
-complete-intersection series.
+complete-intersection series and the quotient vanishes one degree above the
+socle.
+
+Over Q a regular sequence is built modular-first.  Its generators are
+reduced mod SHADOW_PRIME and the F_p algebra is built and checked first.
+If it passes, the sequence is regular over Q too (the Macaulay resultant
+reduces mod p), so the Q Hilbert vector is certified without a Q echelon;
+the Q pieces are then built one degree at a time, on first read through
+`piece`, and the F_p algebra is kept as the algebra's `shadow` for the
+probes in `lefschetz`.  Any miss mod p falls back to the eager Q build.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
-x_j times every basis class of degree i, filled by `reduce` once, when an
-algebra is built.  Indexing by variables, not by degree-1 classes, serves
-cones too, where degree 1 has fewer classes than there are variables.
+x_j times every basis class of degree i, filled by `reduce` on first read.
+Indexing by variables, not by degree-1 classes, serves cones too, where
+degree 1 has fewer classes than there are variables.
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
@@ -22,11 +31,17 @@ are honored without touching the underlying reduction data.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .apolarity import catalecticant, contract, rank_kernel
 from .exactla import Echelon, Matrix, echelon_rows, invert
-from .polyring import FieldSpec, Monomial, Polynomial, monomial_basis
+from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
+                       monomial_basis)
+
+# The prime of the modular-first build: below 2^15, so products of residues
+# stay single-limb Python ints.
+SHADOW_PRIME = 32003
 
 
 class AlgebraError(ValueError):
@@ -114,19 +129,34 @@ class GradedAlgebra:
 
     def __init__(self, n_vars: int, field: FieldSpec, pieces: list[_Piece],
                  presentation: dict):
+        self._setup(n_vars, field, list(pieces),
+                    tuple(p.dim for p in pieces), presentation)
+
+    @classmethod
+    def _deferred(cls, n_vars: int, field: FieldSpec, hilbert, build,
+                  presentation: dict, shadow: "GradedAlgebra"):
+        """An algebra whose Hilbert vector is already certified; piece d is
+        build(d), made on first read."""
+        algebra = cls.__new__(cls)
+        algebra._setup(n_vars, field, [None] * len(hilbert), tuple(hilbert),
+                       presentation)
+        algebra._build = build
+        algebra.shadow = shadow
+        return algebra
+
+    def _setup(self, n_vars, field, pieces, hilbert, presentation):
         self.n_vars = n_vars
         self.field = field
         self._pieces = pieces
+        self._build = None
         self.presentation = presentation
-        self.socle_degree = len(pieces) - 1
-        self.hilbert = tuple(p.dim for p in pieces)
-        # _tables[i][j][c]: coordinates of x_j times basis class c of degree i
-        variables = [Polynomial.variable(j, n_vars, field)
-                     for j in range(n_vars)]
-        self._tables = [[[self.reduce(x * rep, i + 1).coords
-                          for rep in pieces[i].basis_reps]
-                         for x in variables]
-                        for i in range(self.socle_degree)]
+        self.socle_degree = len(hilbert) - 1
+        self.hilbert = hilbert
+        # the same algebra mod SHADOW_PRIME, when a modular-first build kept it
+        self.shadow = None
+        # _tables[i][j][c]: coordinates of x_j times basis class c of degree
+        # i, filled by _table(i) on first read
+        self._tables = [None] * self.socle_degree
 
     # -- basic structure ----------------------------------------------
 
@@ -138,7 +168,23 @@ class GradedAlgebra:
         if not 0 <= degree <= self.socle_degree:
             raise DegreeOverflowError(
                 f"degree {degree} outside 0..{self.socle_degree}")
-        return self._pieces[degree]
+        piece = self._pieces[degree]
+        if piece is None:
+            piece = self._build(degree)
+            if piece.dim != self.hilbert[degree]:
+                raise AlgebraError(
+                    f"internal: degree {degree} has dimension {piece.dim}, "
+                    f"certified {self.hilbert[degree]}")
+            self._pieces[degree] = piece
+        return piece
+
+    def shadow_image(self, e: AlgebraElement) -> AlgebraElement | None:
+        """The class of e in the shadow algebra, or None when there is no
+        shadow or a coefficient of e's lift has a denominator divisible by p."""
+        if self.shadow is None:
+            return None
+        poly = _mod_prime(self.lift(e), self.shadow.field)
+        return None if poly is None else self.shadow.reduce(poly, e.degree)
 
     def dim(self, degree: int) -> int:
         """Dimension of the graded piece; zero above the socle degree."""
@@ -194,7 +240,7 @@ class GradedAlgebra:
         if d > self.socle_degree:
             raise DegreeOverflowError(
                 f"degree {d} above socle degree {self.socle_degree}")
-        piece = self._pieces[d]
+        piece = self.piece(d)
         vec = [self.field.zero()] * len(piece.ambient)
         for mon, c in p.terms.items():
             vec[piece.index[mon]] = c
@@ -214,10 +260,21 @@ class GradedAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
+    def _table(self, i: int) -> list:
+        """The variable tables of degree i, built on first read."""
+        table = self._tables[i]
+        if table is None:
+            reps = self.piece(i).basis_reps
+            table = self._tables[i] = [
+                [self.reduce(Polynomial.variable(j, self.n_vars, self.field)
+                             * rep, i + 1).coords for rep in reps]
+                for j in range(self.n_vars)]
+        return table
+
     def _step(self, j: int, coords, i: int) -> list:
         """x_j times the degree-i class with these coordinates."""
         out = [self.field.zero()] * self.hilbert[i + 1]
-        for v, column in zip(coords, self._tables[i][j]):
+        for v, column in zip(coords, self._table(i)[j]):
             if v:
                 for r, t in enumerate(column):
                     if t:
@@ -326,7 +383,7 @@ class GradedAlgebra:
         for i in range(self.socle_degree):
             h_next = self.dim(i + 1)
             # the variables span degree 1, so the table columns suffice
-            stacked = [col for table in self._tables[i] for col in table]
+            stacked = [col for table in self._table(i) for col in table]
             if echelon_rows(stacked, h_next, self.field).rank < h_next:
                 return False
         return True
@@ -346,7 +403,7 @@ class GradedAlgebra:
         top = self.socle_degree - e
         pieces = []
         for i in range(top + 1):
-            old = self._pieces[i]
+            old = self.piece(i)
             rows = old.echelon.full_rows()
             for kv in self._colon_kernel(alpha, i):
                 lifted = self.lift(AlgebraElement(i, tuple(kv)))
@@ -383,7 +440,7 @@ class GradedAlgebra:
         new_piece.basis_reps = list(reps)
         new_piece.basis_monomials = list(piece.basis_monomials)
         new_piece.basis_inverse = invert(b)
-        pieces = list(self._pieces)
+        pieces = [self.piece(d) for d in range(self.socle_degree + 1)]
         pieces[degree] = new_piece
         return GradedAlgebra(self.n_vars, self.field, pieces, self.presentation)
 
@@ -391,9 +448,9 @@ class GradedAlgebra:
 
     def to_json_dict(self) -> dict:
         basis = []
-        for piece in self._pieces:
+        for d in range(self.socle_degree + 1):
             level = []
-            for rep in piece.basis_reps:
+            for rep in self.piece(d).basis_reps:
                 terms = rep.sorted_terms()
                 if len(terms) == 1 and terms[0][1] == self.field.one():
                     level.append(list(terms[0][0].exponents))
@@ -469,8 +526,13 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
     """Quotient by n+1 forms in n+1 variables, validated as a regular sequence.
 
     Acceptance is by exact equality of the computed Hilbert function with the
-    complete-intersection series; a mismatch raises NotRegularSequence at the
-    first failing degree.
+    complete-intersection series, and by the quotient vanishing in degree
+    N+1; a failure raises NotRegularSequence at the first failing degree.
+
+    Over Q the forms are first reduced mod SHADOW_PRIME.  When the F_p
+    algebra passes both checks the forms are regular over Q as well, the Q
+    pieces are built lazily and the F_p algebra is kept as the shadow;
+    otherwise the Q algebra is built eagerly and checked as over any field.
     """
     if not forms:
         raise AlgebraError("empty generator list")
@@ -488,29 +550,97 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
             raise AlgebraError(
                 "generators must be nonzero homogeneous of degree >= 1")
         degrees.append(e)
-    N = sum(e - 1 for e in degrees)
     expected = expected_ci_hilbert(degrees, n)
+    if field.is_rational:
+        shadow = _modular_shadow(forms, degrees, expected)
+        if shadow is not None:
+            return GradedAlgebra._deferred(
+                n, field, expected, partial(_macaulay_piece, forms, degrees),
+                _ci_presentation(forms, degrees), shadow)
+    return _checked_regular_sequence(forms, degrees, expected)
+
+
+def _ci_presentation(forms, degrees) -> dict:
+    return {"kind": "regular_sequence", "generators": list(forms),
+            "generator_degrees": tuple(degrees)}
+
+
+def _macaulay_piece(forms, degrees, i: int) -> _Piece:
+    """Degree-i piece of the quotient: the echelon of the Macaulay rows, the
+    generators times every monomial of the complementary degree."""
+    n = forms[0].n_vars
+    field = forms[0].field
+    ambient = monomial_basis(n, i)
+    index = {m: c for c, m in enumerate(ambient)}
+    rows = []
+    for f, e in zip(forms, degrees):
+        if e > i:
+            continue
+        for mult in monomial_basis(n, i - e):
+            vec = [field.zero()] * len(ambient)
+            for mon, coeff in f.terms.items():
+                vec[index[mon * mult]] = coeff
+            rows.append(vec)
+    return _Piece(i, ambient, echelon_rows(rows, len(ambient), field), field)
+
+
+def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:
+    """The eager build over the forms' own field, with both checks."""
     pieces = []
-    for i in range(N + 1):
-        ambient = monomial_basis(n, i)
-        index = {m: c for c, m in enumerate(ambient)}
-        rows = []
-        for f, e in zip(forms, degrees):
-            if e > i:
-                continue
-            for mult in monomial_basis(n, i - e):
-                vec = [field.zero()] * len(ambient)
-                for mon, coeff in f.terms.items():
-                    vec[index[mon * mult]] = coeff
-                rows.append(vec)
-        ech = echelon_rows(rows, len(ambient), field)
-        piece = _Piece(i, ambient, ech, field)
-        if piece.dim != expected[i]:
-            raise NotRegularSequence(i, expected[i], piece.dim)
+    for i, h in enumerate(expected):
+        piece = _macaulay_piece(forms, degrees, i)
+        if piece.dim != h:
+            raise NotRegularSequence(i, h, piece.dim)
         pieces.append(piece)
-    return GradedAlgebra(n, field, pieces,
-                         {"kind": "regular_sequence", "generators": list(forms),
-                          "generator_degrees": tuple(degrees)})
+    algebra = GradedAlgebra(forms[0].n_vars, forms[0].field, pieces,
+                            _ci_presentation(forms, degrees))
+    _require_artinian(algebra, forms, degrees)
+    return algebra
+
+
+def _require_artinian(algebra: GradedAlgebra, forms, degrees):
+    """Raise NotRegularSequence unless the quotient vanishes in degree N+1.
+
+    The Hilbert function already matches the CI series through N, so
+    h_N = 1.  A point P of V(I) over the algebraic closure would make
+    evaluation at P a nonzero functional on A_N, so the pairing
+    A_1 x A_(N-1) -> A_N would be (a, b) -> a(P) b(P), of rank at most 1.
+    A complete intersection is Gorenstein and its pairing is perfect.  So
+    with h_1 >= 2 a perfect pairing proves V(I) empty; otherwise, and on the
+    error path, the degree-(N+1) piece is built.
+    """
+    N = algebra.socle_degree
+    if algebra.dim(1) >= 2 and algebra.pairing_check(1)[0]:
+        return
+    top = _macaulay_piece(forms, degrees, N + 1)
+    if top.dim:
+        raise NotRegularSequence(N + 1, 0, top.dim)
+
+
+def _mod_prime(p: Polynomial, field: FieldSpec) -> Polynomial | None:
+    """The image of a polynomial over Q in F_p[x], or None when a coefficient
+    has a denominator divisible by p."""
+    try:
+        return Polynomial(p.n_vars, field, p.terms)
+    except FieldMismatchError:
+        return None
+
+
+def _modular_shadow(forms, degrees, expected) -> GradedAlgebra | None:
+    """The forms mod SHADOW_PRIME as a checked F_p algebra, or None on a miss.
+
+    A hit proves the forms regular over Q: their Macaulay resultant reduces
+    mod p, and it is nonzero mod p.  Then the ideal has the same dimension
+    in every degree over Q and over F_p.
+    """
+    field = FieldSpec.prime(SHADOW_PRIME)
+    reduced = [_mod_prime(f, field) for f in forms]
+    if any(g is None or g.is_zero for g in reduced):
+        return None
+    try:
+        return _checked_regular_sequence(reduced, degrees, expected)
+    except NotRegularSequence:
+        return None
 
 
 def socle_contraction_value(algebra: GradedAlgebra, e: AlgebraElement):

@@ -6,6 +6,13 @@ rank, while failure across all trials is (strong) evidence only.  For small
 square cases failure is upgraded to proof by expanding the determinant of
 the multiplication map symbolically in the coordinates of the probing linear
 form and checking that it is the zero polynomial.
+
+An algebra with a shadow (a regular sequence over Q, also built mod a
+prime) is probed mod p first, with the same integer linear form.  The ideal
+has the same dimension in every degree over Q and mod p, so the rank mod p
+is at most the rank over Q: a rank mod p that reaches the largest possible
+rank is the rank over Q.  Only a lower rank is recomputed over Q, so every
+probe returns the Q rank and finds the same first witness.
 """
 
 from dataclasses import dataclass
@@ -56,9 +63,22 @@ class ProbeReport:
 
 def _probe_rank(algebra: GradedAlgebra, kind: str, k: int,
                 L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k (m = 1 for WLP), with
-    each basis vector stepped through multiplication by L m times."""
+    """Rank of multiplication by L^m from degree k (m = 1 for WLP); mod p
+    first when the algebra has a shadow, and over its own field when the
+    rank mod p falls short of min(h_k, h_(k+m))."""
     m = algebra.socle_degree - 2 * k if kind == SLP else 1
+    image = algebra.shadow_image(L)
+    if image is not None:
+        full = min(algebra.dim(k), algebra.dim(k + m))
+        if _map_rank(algebra.shadow, k, m, image) == full:
+            return full
+    return _map_rank(algebra, k, m, L)
+
+
+def _map_rank(algebra: GradedAlgebra, k: int, m: int,
+              L: AlgebraElement) -> int:
+    """Rank of multiplication by L^m from degree k, with each basis vector
+    stepped through multiplication by L m times."""
     columns = [e.coords for e in algebra.basis(k)]
     for d in range(k, k + m):
         step = algebra.mul_map(L, d)

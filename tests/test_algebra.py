@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              NotRegularSequence, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
@@ -361,3 +362,67 @@ class TestTablesMatchPolynomialProducts:
         assert x1.is_zero
         x0 = cone.reduce(poly("x0", 5))
         assert cone.power(x0, 3) == cone.reduce(poly("x0^3", 5))
+
+
+# a quadric CI over Q that is not one modulo 3: (x0^2, x0*x1) is not regular
+MISS_AT_3 = ["x0^2 + x2^2", "x0*x1 + 3*x1^2", "x2^2 - x1*x2"]
+
+
+class TestModularFirst:
+    def test_non_artinian_rejected(self):
+        # Hilbert function (1, 2, 1) matches the CI series, but x1^k survives
+        for field in (RATIONAL, FieldSpec.prime(101)):
+            with pytest.raises(NotRegularSequence) as err:
+                from_regular_sequence(gens(["x0*x1", "x0^2"], 2, field))
+            assert (err.value.degree, err.value.expected,
+                    err.value.found) == (3, 0, 1)
+
+    def test_non_artinian_with_one_dimensional_degree_one(self):
+        # series (1, 1) through N = 1; the quotient is k[x1], so h_2 = 1
+        with pytest.raises(NotRegularSequence) as err:
+            from_regular_sequence(gens(["x0", "x0*x1"], 2))
+        assert (err.value.degree, err.value.expected,
+                err.value.found) == (2, 0, 1)
+        assert from_regular_sequence(gens(["x0", "x1^2"], 2)).hilbert == (1, 1)
+
+    def test_hit_keeps_shadow_and_defers_pieces(self, monkeypatch):
+        built = []
+        real = algebra_module.echelon_rows
+
+        def counting(rows, ncols, field):
+            built.append((ncols, field.is_rational))
+            return real(rows, ncols, field)
+
+        monkeypatch.setattr(algebra_module, "echelon_rows", counting)
+        a = from_regular_sequence(gens(MISS_AT_3, 3))
+        assert a.shadow is not None
+        assert a.shadow.field == FieldSpec.prime(algebra_module.SHADOW_PRIME)
+        assert a.shadow.hilbert == a.hilbert == (1, 3, 3, 1)
+        assert not any(rational for _, rational in built)
+        a.piece(2)
+        assert [n for n, rational in built if rational] == [6]
+
+    def test_miss_builds_eagerly_without_shadow(self, monkeypatch):
+        hit = from_regular_sequence(gens(MISS_AT_3, 3))
+        monkeypatch.setattr(algebra_module, "SHADOW_PRIME", 3)
+        miss = from_regular_sequence(gens(MISS_AT_3, 3))
+        assert miss.shadow is None
+        assert miss.to_json_dict() == hit.to_json_dict()
+        # a generator that vanishes mod p is a miss too
+        assert from_regular_sequence(
+            gens(["3*x0^2", "x1^2"], 2)).shadow is None
+
+    def test_derived_algebras_carry_no_shadow(self):
+        a = from_regular_sequence(gens(MISS_AT_3, 3))
+        x0 = a.reduce(poly("x0", 3))
+        assert a.quotient_by_ann(x0).shadow is None
+        reps = [poly(t, 3) for t in ("x0", "x1", "x2")]
+        assert a.with_degree_basis(1, reps).shadow is None
+
+    def test_shadow_image_of_integral_class(self):
+        a = from_regular_sequence(gens(MISS_AT_3, 3))
+        e = a.element(1, [-3, 32004, Fraction(1, 2)])
+        p = algebra_module.SHADOW_PRIME
+        assert a.shadow_image(e).coords == a.shadow.element(
+            1, [-3, 1, Fraction(1, 2)]).coords
+        assert a.shadow_image(a.element(1, [Fraction(1, p), 0, 0])) is None

@@ -4,9 +4,21 @@ import json
 
 import pytest
 
+import sagakit.algebra as algebra_module
+import sagakit.lefschetz as lefschetz_module
 from sagakit.cli import main
 
 PERAZZO = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
+
+# four quadrics in four variables, coefficients drawn from -3..3 by
+# random.Random(4); a complete intersection over Q
+QUADRIC_CI4 = (
+    "-2*x0^2 - x0*x1 - 3*x0*x2 + 2*x0*x3 - 2*x1*x3 - 3*x2^2 - 3*x2*x3 - 3*x3^2;"
+    "x0*x1 - x0*x2 + 3*x0*x3 + 3*x1^2 - 3*x1*x2 - 2*x1*x3 + x2^2 + x2*x3 - x3^2;"
+    "-x0^2 + 3*x0*x1 - 2*x0*x2 + 3*x0*x3 - 3*x1^2 - x1*x2 - 2*x1*x3 - 3*x2^2"
+    " + 3*x2*x3 + 2*x3^2;"
+    "3*x0^2 - x0*x1 + 3*x0*x2 - x0*x3 - 2*x1^2 - 2*x1*x2 - x1*x3 - x2^2"
+    " + 2*x2*x3 + 3*x3^2")
 
 
 def run(capsys, *argv):
@@ -67,6 +79,33 @@ class TestAnalyze:
                            "x0^2;x0*x1;x1^2;x2^2;x3^2", "--nvars", "5")
         assert code == 1
         assert "degree" in err
+
+    def test_non_artinian_exit_one(self, capsys):
+        # Hilbert function (1, 2, 1) matches the CI series; x1^3 survives
+        code, out, err = run(capsys, "analyze", "x0*x1;x0^2", "--nvars", "2")
+        assert code == 1 and out == ""
+        assert "in degree 3 the quotient has dimension 1, expected 0" in err
+
+    # mod 3 the forms pass both checks but the SLP_1 probe misses; mod 7
+    # they fail the Hilbert check, so every map is built over Q
+    @pytest.mark.parametrize("prime,fields", [(3, {"fp:3", "rational"}),
+                                              (7, {"rational"})])
+    def test_tiny_prime_report_matches_q_build(self, capsys, monkeypatch,
+                                               prime, fields):
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "_modular_shadow", lambda *args: None)
+            want = run(capsys, "analyze", QUADRIC_CI4)
+        monkeypatch.setattr(algebra_module, "SHADOW_PRIME", prime)
+        seen = set()
+        real = lefschetz_module._map_rank
+
+        def rank(algebra, *args):
+            seen.add(str(algebra.field))
+            return real(algebra, *args)
+
+        monkeypatch.setattr(lefschetz_module, "_map_rank", rank)
+        assert run(capsys, "analyze", QUADRIC_CI4) == want
+        assert seen == fields
 
     def test_missing_input_exit_two(self, capsys):
         code, _, err = run(capsys, "analyze")
@@ -196,11 +235,13 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of five reference runs.
+    """sha256 of the JSON report bytes of seven reference runs.
 
-    Any change to a report's bytes, however it arises, fails here; the
-    digests were taken before the multiplication tables replaced the
-    polynomial products.
+    Any change to a report's bytes, however it arises, fails here.  The first
+    five digests were taken before the multiplication tables replaced the
+    polynomial products; the last two (20 theorem_c trials, and a
+    non-monomial quadric CI over Q) before regular-sequence algebras were
+    built and probed modulo a prime first.
     """
 
     GOLDEN = [
@@ -214,11 +255,16 @@ class TestGoldenReports:
          "176d51ca01b26ed30de97296cec7f88f07d47efd564764983be07218666449c3"),
         (["experiment", "--trials", "2"],
          "f8a1b7b81283ced8bd5a3fc03e8b79f6aeefbbec0ceebc144e4ad8a0141dfc29"),
+        (["experiment", "--trials", "20", "--seed", "42"],
+         "3c5186afe9799aa04f1e3cfc86a944c2af355fcb009cb8d6a2d44ab6757ab676"),
+        (["analyze", QUADRIC_CI4],
+         "3f4ba54ebae8fe90b8ea979b913317f5f890692b3b54c7d42f0ffbc2c59af625"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
                              ids=["analyze_cubic", "analyze_corpus", "fixture",
-                                  "gamma", "experiment"])
+                                  "gamma", "experiment", "experiment_20",
+                                  "analyze_ci4"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+import sagakit.algebra as algebra_module
+import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import AlgebraError, from_regular_sequence
 from sagakit.exactla import rank_kernel
 from sagakit.gnlab import (SLPEvidence, check_ggn, check_k1_bound,
@@ -273,3 +275,49 @@ class TestTheoremC:
         serial = theorem_c_experiment(3, seed=42, jobs=1).to_json_dict()
         parallel = theorem_c_experiment(3, seed=42, jobs=2).to_json_dict()
         assert serial == parallel
+
+
+class TestTheoremCModularFirst:
+    def test_tiny_prime_misses_give_identical_reports(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "_modular_shadow", lambda *args: None)
+            want = theorem_c_experiment(6, seed=42).to_json_dict()
+        # mod 3 two draws fail the regular-sequence checks, and L^3 = sum l_i^3 x_i^3
+        # vanishes in the monomial CI, so the trial-0 probe misses too
+        monkeypatch.setattr(algebra_module, "SHADOW_PRIME", 3)
+        shadows, q_probes = [], []
+        real_shadow = algebra_module._modular_shadow
+        real_rank = lefschetz_module._map_rank
+
+        def shadow(*args):
+            result = real_shadow(*args)
+            shadows.append(result is not None)
+            return result
+
+        def rank(algebra, k, m, L):
+            if algebra.field.is_rational:
+                q_probes.append(algebra.presentation["generators"][0])
+            return real_rank(algebra, k, m, L)
+
+        monkeypatch.setattr(algebra_module, "_modular_shadow", shadow)
+        monkeypatch.setattr(lefschetz_module, "_map_rank", rank)
+        got = theorem_c_experiment(6, seed=42).to_json_dict()
+        assert got == want
+        assert False in shadows and True in shadows
+        assert poly("x0^2", 5) in q_probes
+
+    def test_fast_path_builds_no_q_piece_above_degree_one(self, monkeypatch):
+        widths = []
+        real = algebra_module.echelon_rows
+
+        def counting(rows, ncols, field):
+            if field.is_rational:
+                widths.append(ncols)
+            return real(rows, ncols, field)
+
+        monkeypatch.setattr(algebra_module, "echelon_rows", counting)
+        for trial in range(3):
+            entry = _theorem_c_trial(trial, seed=42, coeff_box=(-9, 9))
+            assert entry["status"] == "pass"
+        # degree 0 and degree 1 have 1 and 5 monomials in five variables
+        assert widths and max(widths) <= 5

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from sagakit.algebra import from_inverse_system
+import sagakit.algebra as algebra_module
+import sagakit.lefschetz as lefschetz_module
+from sagakit.algebra import from_inverse_system, from_regular_sequence
 from sagakit.exactla import det_ff, rank_kernel
 from sagakit.lefschetz import (SLP, WLP, hessian, hessian_slp_crosscheck,
                                lefschetz_probe, second_partials,
@@ -90,6 +92,43 @@ class TestProbe:
             want = algebra.mul_map(algebra.power(L, m), k)
             got = [[e.eval_at(L.coords) for e in row] for row in entries]
             assert got == want.entries
+
+
+class TestModularFirstProbe:
+    def test_witness_prints_integer_coordinates(self, monkeypatch):
+        a = from_regular_sequence([poly(f"x{i}^2", 5) for i in range(5)])
+        assert a.shadow is not None
+        q_ranks = []
+        real = lefschetz_module._map_rank
+
+        def recording(algebra, k, m, L):
+            rank = real(algebra, k, m, L)
+            if algebra.field.is_rational:
+                q_ranks.append(rank)
+            return rank
+
+        monkeypatch.setattr(lefschetz_module, "_map_rank", recording)
+        monkeypatch.setattr(lefschetz_module, "random_int_coords",
+                            lambda rng, n: [-3, 1, 2, 5, 7])
+        report = lefschetz_probe(a, SLP, 1, trials=1, seed=0)
+        assert report.holds and q_ranks == []
+        # -3 is 32000 mod p; the report keeps the integer
+        assert report.to_json_dict()["witness"] == ["-3", "1", "2", "5", "7"]
+
+    def test_shadow_probes_match_q_probes(self, monkeypatch):
+        rng = random.Random(5)
+        forms = [Polynomial(4, RATIONAL, {m: rng.randint(-3, 3)
+                                          for m in monomial_basis(4, 2)})
+                 for _ in range(4)]
+        with_shadow = from_regular_sequence(forms)
+        monkeypatch.setattr(algebra_module, "_modular_shadow",
+                            lambda *args: None)
+        without = from_regular_sequence(forms)
+        assert with_shadow.shadow is not None and without.shadow is None
+        for kind, k in ((SLP, 1), (SLP, 2), (WLP, 1), (WLP, 2), (WLP, 3)):
+            for seed in range(3):
+                assert (lefschetz_probe(with_shadow, kind, k, seed=seed)
+                        == lefschetz_probe(without, kind, k, seed=seed))
 
 
 class TestHessian:

@@ -33,6 +33,7 @@ are honored without touching the underlying reduction data.
 from dataclasses import dataclass
 from functools import partial
 from math import comb
+from operator import add
 
 from .apolarity import catalecticant, contract, rank_kernel
 from .exactla import Echelon, Matrix, echelon_rows, invert
@@ -571,15 +572,18 @@ def _macaulay_piece(forms, degrees, i: int) -> _Piece:
     n = forms[0].n_vars
     field = forms[0].field
     ambient = monomial_basis(n, i)
-    index = {m: c for c, m in enumerate(ambient)}
+    index = {m.exponents: c for c, m in enumerate(ambient)}
+    zero = field.zero()
     rows = []
     for f, e in zip(forms, degrees):
         if e > i:
             continue
+        terms = [(mon.exponents, coeff) for mon, coeff in f.terms.items()]
         for mult in monomial_basis(n, i - e):
-            vec = [field.zero()] * len(ambient)
-            for mon, coeff in f.terms.items():
-                vec[index[mon * mult]] = coeff
+            mult_exps = mult.exponents
+            vec = [zero] * len(ambient)
+            for exps, coeff in terms:
+                vec[index[tuple(map(add, exps, mult_exps))]] = coeff
             rows.append(vec)
     return _Piece(i, ambient, echelon_rows(rows, len(ambient), field), field)
 

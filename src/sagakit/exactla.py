@@ -5,11 +5,24 @@ deterministic reduced-row-echelon routine: pivots are chosen leftmost-column
 first, earliest row first, with no randomization, so kernel bases and
 quotient-space bases are reproducible across runs.  Over Q the forward pass
 is fraction-free (Bareiss single-step division on integer rows) to keep
-intermediate entries small; over F_p ordinary field elimination is used.
+intermediate entries small.
+
+Over F_p each row is packed into one Python int, column c in the slot at bit
+offset (ncols - 1 - c) * W, and a row update is one big-int multiply-add
+with the reduction mod p delayed (delayed modular reduction, as in Dumas,
+Giorgi and Pernet, "Dense linear algebra over word-size prime fields: the
+FFLAS and FFPACK packages", ACM TOMS 2008).  A slot starts below p and gains
+at most one product below (p - 1)^2 per pivot row, so W is the least whole
+number of bytes holding p - 1 + nrows * (p - 1)^2 and no carry ever crosses
+a slot.  Once packed, entries are reduced mod p only where they are read:
+a lead, a pivot row when it is normalized, a row after back-substitution.
+The reduced row echelon form is unique, so the result is the one
+cell-by-cell elimination gives.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .polyring import FieldSpec, Fp, Polynomial, RATIONAL
@@ -236,49 +249,83 @@ def _echelon_rational(rows, ncols) -> Echelon:
     return Echelon(ncols, RATIONAL, pivots, nonpivots, coeffs)
 
 
+def _slot_bytes(p: int, nrows: int) -> int:
+    """Bytes per packed slot: room for p - 1 plus one product below (p - 1)^2
+    from each of up to nrows pivot rows, so no carry leaves its slot."""
+    return ((p - 1 + nrows * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def _unpack(row: int, nslots: int, width: int) -> list:
+    data = row.to_bytes(nslots * width, "big")
+    return [int.from_bytes(data[k:k + width], "big")
+            for k in range(0, len(data), width)]
+
+
+def _pack(vals, width: int) -> int:
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, vals, repeat(width), repeat("big"))), "big")
+
+
 def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
     p = field.p
+    width = _slot_bytes(p, len(rows))
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    # column c sits in the slot at bit offset (ncols - 1 - c) * bits
     work = []
     for row in rows:
-        work.append([x.val if isinstance(x, Fp) else int(x) % p for x in row])
+        packed = _pack([x.val if isinstance(x, Fp) else int(x) % p for x in row],
+                       width)
+        if packed:
+            work.append(packed)
     nrows = len(work)
     pivots = []
     piv_r = 0
     for col in range(ncols):
+        shift = (ncols - 1 - col) * bits
         sel = -1
         for r in range(piv_r, nrows):
-            if work[r][col] % p:
+            if ((work[r] >> shift) & mask) % p:
                 sel = r
                 break
         if sel < 0:
             continue
         if sel != piv_r:
             work[piv_r], work[sel] = work[sel], work[piv_r]
-        prow = work[piv_r]
-        inv = pow(prow[col], p - 2, p)
-        for c in range(col, ncols):
-            prow[c] = prow[c] * inv % p
+        vals = _unpack(work[piv_r] & ((1 << (shift + bits)) - 1), ncols - col,
+                       width)
+        inv = pow(vals[0] % p, p - 2, p)
+        vals = [v * inv % p for v in vals]
+        prow = work[piv_r] = _pack(vals, width)
+        # (p - lead) * prow turns the pivot slot into a multiple of p; the
+        # mask drops it with every slot above
+        low = (1 << shift) - 1
         for r in range(piv_r + 1, nrows):
-            lead = work[r][col]
+            lead = ((work[r] >> shift) & mask) % p
             if lead:
-                row = work[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - lead * prow[c]) % p
+                work[r] = (work[r] + (p - lead) * prow) & low
         pivots.append(col)
         piv_r += 1
         if piv_r == nrows:
             break
-    for i in range(len(pivots) - 1, -1, -1):
-        for j in range(i + 1, len(pivots)):
-            lead = work[i][pivots[j]]
-            if lead:
-                rj = work[j]
-                ri = work[i]
-                for c in range(pivots[j], ncols):
-                    ri[c] = (ri[c] - lead * rj[c]) % p
+    # Back-substitution, last pivot row first.  A reduced row is 0 at every
+    # other pivot column, so the leads of row i are its normalized entries.
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
-    coeffs = [[Fp(work[i][c], p) for c in nonpivots] for i in range(len(pivots))]
+    zero = Fp(0, p)
+    coeffs = [None] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        col = pivots[i]
+        acc = work[i]
+        leads = _unpack(acc, ncols - col, width)
+        for j in range(i + 1, len(pivots)):
+            lead = leads[pivots[j] - col]
+            if lead:
+                acc += (p - lead) * work[j]
+        vals = [v % p for v in _unpack(acc, ncols - col, width)]
+        work[i] = _pack(vals, width)
+        coeffs[i] = [Fp(vals[c - col], p) if c > col else zero
+                     for c in nonpivots]
     return Echelon(ncols, field, pivots, nonpivots, coeffs)
 
 

@@ -112,3 +112,53 @@ def det_by_permutations(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over F_p by cell-by-cell elimination.
+
+    rows hold integers; pivots are chosen leftmost column first, earliest
+    row first.  Returns (pivots, nonpivots, coeffs) with coeffs[i] the
+    entries of the i-th reduced pivot row at the non-pivot columns, as
+    integers in [0, p).
+    """
+    work = [[x % p for x in row] for row in rows]
+    nrows = len(work)
+    pivots = []
+    piv_r = 0
+    for col in range(ncols):
+        sel = -1
+        for r in range(piv_r, nrows):
+            if work[r][col]:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        if sel != piv_r:
+            work[piv_r], work[sel] = work[sel], work[piv_r]
+        prow = work[piv_r]
+        inv = pow(prow[col], p - 2, p)
+        for c in range(col, ncols):
+            prow[c] = prow[c] * inv % p
+        for r in range(piv_r + 1, nrows):
+            lead = work[r][col]
+            if lead:
+                row = work[r]
+                for c in range(col, ncols):
+                    row[c] = (row[c] - lead * prow[c]) % p
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    for i in range(len(pivots) - 1, -1, -1):
+        for j in range(i + 1, len(pivots)):
+            lead = work[i][pivots[j]]
+            if lead:
+                rj = work[j]
+                ri = work[i]
+                for c in range(pivots[j], ncols):
+                    ri[c] = (ri[c] - lead * rj[c]) % p
+    pivset = set(pivots)
+    nonpivots = [c for c in range(ncols) if c not in pivset]
+    coeffs = [[work[i][c] for c in nonpivots] for i in range(len(pivots))]
+    return pivots, nonpivots, coeffs

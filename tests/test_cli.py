@@ -20,6 +20,24 @@ QUADRIC_CI4 = (
     "3*x0^2 - x0*x1 + 3*x0*x2 - x0*x3 - 2*x1^2 - 2*x1*x2 - x1*x3 - x2^2"
     " + 2*x2*x3 + 3*x3^2")
 
+# five quadrics in five variables, every coefficient drawn from -9..9 by
+# random.Random(5) in monomial_basis order; a complete intersection over
+# Q, over F_32003 and over F_7
+QUADRIC_CI5 = (
+    "-x0^2 + 2*x0*x1 + 7*x0*x2 - 9*x0*x3 + 5*x0*x4 - 2*x1^2 - 8*x1*x2 -"
+    " 4*x1*x3 - 6*x1*x4 + 2*x2^2 + 6*x2*x3 - 2*x2*x4 + 3*x3^2 + 8*x3*x4"
+    " - 6*x4^2;"
+    "9*x0^2 - 2*x0*x1 - 9*x0*x2 - 3*x0*x3 + 4*x0*x4 - x1^2 - 4*x1*x2 +"
+    " 3*x1*x3 - 4*x1*x4 - 7*x2^2 - 5*x2*x3 + 5*x2*x4 - 5*x3^2 - 5*x3*x4"
+    " - 9*x4^2;"
+    "-9*x0^2 - 3*x0*x1 - 3*x0*x2 - 4*x0*x3 - 4*x0*x4 + x1*x2 - 3*x1*x3"
+    " + 8*x1*x4 - 3*x2^2 - 4*x2*x3 - 3*x2*x4 + 3*x3^2 - 9*x4^2;"
+    "2*x0^2 + 4*x0*x1 - 4*x0*x2 - 5*x0*x3 - x0*x4 - 7*x1^2 + x1*x2 +"
+    " 9*x1*x4 - 9*x2^2 + x2*x3 - 7*x2*x4 + 2*x3*x4;"
+    "6*x0^2 + x0*x1 - 4*x0*x2 + 6*x0*x3 + 6*x0*x4 - 4*x1^2 - 8*x1*x2 -"
+    " x1*x3 - 9*x1*x4 + 2*x2^2 + 3*x2*x3 - 9*x2*x4 + 8*x3^2 + 4*x3*x4 +"
+    " 2*x4^2")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -235,13 +253,15 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of seven reference runs.
+    """sha256 of the JSON report bytes of nine reference runs.
 
     Any change to a report's bytes, however it arises, fails here.  The first
     five digests were taken before the multiplication tables replaced the
-    polynomial products; the last two (20 theorem_c trials, and a
+    polynomial products; the next two (20 theorem_c trials, and a
     non-monomial quadric CI over Q) before regular-sequence algebras were
-    built and probed modulo a prime first.
+    built and probed modulo a prime first; the last two (a five-variable
+    quadric CI over F_32003 and over F_7, where slots are narrow) before F_p
+    elimination moved to packed rows.
     """
 
     GOLDEN = [
@@ -259,12 +279,17 @@ class TestGoldenReports:
          "3c5186afe9799aa04f1e3cfc86a944c2af355fcb009cb8d6a2d44ab6757ab676"),
         (["analyze", QUADRIC_CI4],
          "3f4ba54ebae8fe90b8ea979b913317f5f890692b3b54c7d42f0ffbc2c59af625"),
+        (["analyze", QUADRIC_CI5, "--field", "fp:32003"],
+         "86ec8ff47e1f0311f41b7ef3709008316ce5ba1405f152d8a825eda2a3cea11b"),
+        (["analyze", QUADRIC_CI5, "--field", "fp:7"],
+         "3cc08d7546f75dd0069ff08b7445c0c1b46c3925c85cf8f70514c01c3f42bb1c"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
                              ids=["analyze_cubic", "analyze_corpus", "fixture",
                                   "gamma", "experiment", "experiment_20",
-                                  "analyze_ci4"])
+                                  "analyze_ci4", "analyze_ci5_fp32003",
+                                  "analyze_ci5_fp7"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sagakit.apolarity import catalecticant
 from sagakit.exactla import (Matrix, MatrixError, coords_in_span, det_ff,
                              echelon_rows, invert, rank_kernel)
-from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
+from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               parse_poly)
 
-from oracles import det_by_permutations
+from oracles import det_by_permutations, rref_mod_p
 
 F101 = FieldSpec.prime(101)
 
@@ -184,3 +184,74 @@ def test_kernel_property_random(rows):
     assert result.rank + len(result.kernel_basis) == 4
     for vec in result.kernel_basis:
         assert all(v == 0 for v in m.mul_vector(vec))
+
+
+PRIMES = [2, 3, 7, 101, 32003, 2**31 - 1, 2**61 - 1]
+
+
+def assert_matches_oracle(rows, ncols, p):
+    """echelon_rows over F_p against the cell-by-cell oracle."""
+    ech = echelon_rows([[Fp(x, p) for x in row] for row in rows], ncols,
+                       FieldSpec.prime(p))
+    pivots, nonpivots, coeffs = rref_mod_p(rows, ncols, p)
+    assert ech.pivots == pivots
+    assert ech.nonpivots == nonpivots
+    assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+
+
+@st.composite
+def fp_matrices(draw):
+    """(rows, ncols, p): drawn rows plus copies and combinations of them,
+    shuffled, so duplicate rows and rank deficiency are common."""
+    p = draw(st.sampled_from(PRIMES))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=10))
+    rows = list(base)
+    if base:
+        pick = st.integers(0, len(base) - 1)
+        for a, b, s, t in draw(st.lists(st.tuples(pick, pick, entry, entry),
+                                        max_size=8)):
+            rows.append([(s * x + t * y) % p
+                         for x, y in zip(base[a], base[b])])
+    return draw(st.permutations(rows)), ncols, p
+
+
+@given(fp_matrices())
+@settings(max_examples=300, deadline=None)
+@example(([], 3, 7))
+@example(([[5], [0], [3]], 1, 7))
+@example(([[1, 2], [1, 2], [2, 4]], 2, 3))
+def test_echelon_prime_matches_oracle(case):
+    assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("ncols", [1, 3, 8])
+def test_echelon_prime_slot_bound_worst_case(p, ncols):
+    # every entry p - 1, more than twice as many rows as columns
+    assert_matches_oracle([[p - 1] * ncols for _ in range(2 * ncols + 1)],
+                          ncols, p)
+    # large entries again, but rank ncols - 1 over 2 * ncols rows: every row
+    # takes a product from each pivot row and the reduced rows keep a
+    # nonzero column, so a carry out of a slot would change the result
+    rng = random.Random(p + ncols)
+    big = [p - 1, p - 2, p // 2 + 1]
+    base = [[rng.choice(big) for _ in range(ncols)]
+            for _ in range(max(ncols - 1, 1))]
+    rows = []
+    for _ in range(2 * ncols):
+        mult = [rng.choice(big) for _ in base]
+        rows.append([sum(m * b[c] for m, b in zip(mult, base)) % p
+                     for c in range(ncols)])
+    assert_matches_oracle(base + rows, ncols, p)
+
+
+def test_echelon_prime_integer_rows_reduce_mod_p():
+    # integer entries are read mod p; a row of multiples of p is a zero row
+    f7 = FieldSpec.prime(7)
+    ech = echelon_rows([[7, 14], [8, 3], [-6, 10]], 2, f7)
+    pivots, nonpivots, coeffs = rref_mod_p([[8, 3], [-6, 10]], 2, 7)
+    assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
+    assert [[c.val for c in row] for row in ech.coeffs] == coeffs

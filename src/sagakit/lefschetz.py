@@ -13,9 +13,17 @@ has the same dimension in every degree over Q and mod p, so the rank mod p
 is at most the rank over Q: a rank mod p that reaches the largest possible
 rank is the rank over Q.  Only a lower rank is recomputed over Q, so every
 probe returns the Q rank and finds the same first witness.
+
+The hessian verdict evaluates the second partials at one seeded integer
+point first (mapped into F_p over F_p).  A nonzero determinant there proves
+that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it is 0, the
+determinant is expanded symbolically, so the verdict is exact over every
+field, including a small F_p on whose points a nonzero hessian can vanish.
+The symbolic determinant of a report is otherwise computed on first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
@@ -173,13 +181,29 @@ def symbolic_probe_determinant(algebra: GradedAlgebra, kind: str,
     return det_ff(Matrix(entries, algebra.field))
 
 
-@dataclass
+@dataclass(init=False)
 class HessianReport:
-    """Second-partial matrix of a form and its symbolic determinant."""
+    """Second-partial matrix of a form, whether its determinant vanishes
+    identically, and that determinant, expanded symbolically on first read.
+
+    `HessianReport(matrix, det, vanishes)` keeps a given det as the expanded
+    one; without vanishes, it is read from det.  repr and == show matrix and
+    vanishes only: det is a function of matrix, and printing it would expand it.
+    """
 
     matrix: Matrix
-    det: Polynomial
     vanishes: bool
+
+    def __init__(self, matrix: Matrix, det: Polynomial | None = None,
+                 vanishes: bool | None = None):
+        self.matrix = matrix
+        if det is not None:
+            self.__dict__["det"] = det
+        self.vanishes = self.det.is_zero if vanishes is None else vanishes
+
+    @cached_property
+    def det(self) -> Polynomial:
+        return det_ff(self.matrix)
 
 
 def second_partials(form: Polynomial) -> list[list[Polynomial]]:
@@ -208,8 +232,19 @@ def second_partials(form: Polynomial) -> list[list[Polynomial]]:
     return out
 
 
+def _hessian_at(partials, point, field) -> Matrix:
+    """The second-partial matrix evaluated at a point."""
+    return Matrix([[e.eval_at(point) for e in row] for row in partials], field)
+
+
 def hessian(form: Polynomial) -> HessianReport:
-    """Exact hessian matrix and its symbolic determinant (at most 6 variables)."""
+    """Exact hessian matrix and verdict (at most 6 variables).
+
+    The determinant is taken at one seeded integer point first; a nonzero
+    value there means the hessian does not vanish.  If it is 0, the symbolic
+    determinant settles the verdict.  Otherwise `.det` is expanded on first
+    read.
+    """
     if form.homogeneous_degree() is None:
         raise PolyError("hessian report expects a nonzero homogeneous form")
     if form.n_vars > MAX_HESSIAN_VARS:
@@ -217,8 +252,10 @@ def hessian(form: Polynomial) -> HessianReport:
             f"symbolic hessian determinant limited to {MAX_HESSIAN_VARS} variables")
     entries = second_partials(form)
     matrix = Matrix(entries, form.field)
-    det = det_ff(matrix)
-    return HessianReport(matrix=matrix, det=det, vanishes=det.is_zero)
+    point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)
+    if det_ff(_hessian_at(entries, point, form.field)):
+        return HessianReport(matrix, vanishes=False)
+    return HessianReport(matrix)
 
 
 def hessian_slp_crosscheck(form: Polynomial, L_point, trials: int = 0,
@@ -252,14 +289,13 @@ def _crosscheck_at(algebra, form, partials, point) -> bool:
     L = algebra.reduce(L_poly, 1)
     power = algebra.power(L, d - 2)
     fact = field.from_int(factorial(d - 2))
+    hess = _hessian_at(partials, point, field).entries
     variables = [algebra.reduce(Polynomial.variable(i, n, field), 1)
                  for i in range(n)]
     for i in range(n):
         left_i = algebra.multiply(power, variables[i])
         for j in range(n):
             prod = algebra.multiply(left_i, variables[j])
-            lhs = socle_contraction_value(algebra, prod)
-            rhs = fact * partials[i][j].eval_at(point)
-            if lhs != rhs:
+            if socle_contraction_value(algebra, prod) != fact * hess[i][j]:
                 return False
     return True

@@ -39,6 +39,31 @@ QUADRIC_CI5 = (
     " 2*x4^2")
 
 
+# every degree-4 monomial in five variables, coefficients drawn from
+# {-3, -2, -1, 1, 2, 3} by random.Random(54) in monomial_basis order; not a
+# cone, and its hessian is nonzero
+DENSE_QUARTIC5 = (
+    "-2*x0^4 + x0^3*x1 + 2*x0^3*x2 - x0^3*x3 + x0^3*x4 + x0^2*x1^2 + "
+    "x0^2*x1*x2 - 2*x0^2*x1*x3 + x0^2*x1*x4 - x0^2*x2^2 + 2*x0^2*x2*x3 "
+    "+ 3*x0^2*x2*x4 + x0^2*x3^2 - 2*x0^2*x3*x4 + 3*x0^2*x4^2 - "
+    "2*x0*x1^3 - 3*x0*x1^2*x2 + x0*x1^2*x3 + 2*x0*x1^2*x4 + x0*x1*x2^2 "
+    "+ 2*x0*x1*x2*x3 - 3*x0*x1*x2*x4 + 2*x0*x1*x3^2 - x0*x1*x3*x4 + "
+    "2*x0*x1*x4^2 - x0*x2^3 + x0*x2^2*x3 - x0*x2^2*x4 + 2*x0*x2*x3^2 - "
+    "2*x0*x2*x3*x4 - 3*x0*x2*x4^2 + 3*x0*x3^3 - x0*x3^2*x4 - x0*x3*x4^2 "
+    "+ x0*x4^3 + 2*x1^4 - 3*x1^3*x2 + x1^3*x3 + 3*x1^3*x4 - 3*x1^2*x2^2 "
+    "- x1^2*x2*x3 - x1^2*x2*x4 - 3*x1^2*x3^2 - 2*x1^2*x3*x4 + "
+    "3*x1^2*x4^2 - 3*x1*x2^3 - 2*x1*x2^2*x3 + 3*x1*x2^2*x4 - "
+    "2*x1*x2*x3^2 + x1*x2*x3*x4 - 2*x1*x2*x4^2 - 3*x1*x3^3 + "
+    "3*x1*x3^2*x4 - 2*x1*x3*x4^2 + x1*x4^3 + x2^4 + 2*x2^3*x3 - "
+    "2*x2^3*x4 + x2^2*x3^2 - 2*x2^2*x3*x4 - 2*x2^2*x4^2 + 3*x2*x3^3 + "
+    "2*x2*x3^2*x4 - 3*x2*x3*x4^2 + 3*x2*x4^3 + x3^4 + 2*x3^3*x4 - "
+    "2*x3^2*x4^2 - x3*x4^3 + x4^4")
+
+# a Perazzo-type cubic x0*g0 + x1*g1 + x2*g2 with g0, g1, g2 independent
+# quadrics in x3, x4 (also mod 7): not a cone, and its hessian vanishes
+PERAZZO_TYPE = "x0*x3^2 + 3*x1*x3*x4 + x1*x4^2 + x2*x3^2 + 5*x2*x4^2"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -253,15 +278,18 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of nine reference runs.
+    """sha256 of the JSON report bytes of eleven reference runs.
 
     Any change to a report's bytes, however it arises, fails here.  The first
     five digests were taken before the multiplication tables replaced the
     polynomial products; the next two (20 theorem_c trials, and a
     non-monomial quadric CI over Q) before regular-sequence algebras were
-    built and probed modulo a prime first; the last two (a five-variable
+    built and probed modulo a prime first; the next two (a five-variable
     quadric CI over F_32003 and over F_7, where slots are narrow) before F_p
-    elimination moved to packed rows.
+    elimination moved to packed rows; the last two (a dense quartic over Q,
+    whose hessian is nonzero at a sampled point, and a Perazzo-type cubic
+    over F_7, whose vanishing hessian needs the symbolic determinant) before
+    the hessian verdict moved to point evaluation.
     """
 
     GOLDEN = [
@@ -283,13 +311,18 @@ class TestGoldenReports:
          "86ec8ff47e1f0311f41b7ef3709008316ce5ba1405f152d8a825eda2a3cea11b"),
         (["analyze", QUADRIC_CI5, "--field", "fp:7"],
          "3cc08d7546f75dd0069ff08b7445c0c1b46c3925c85cf8f70514c01c3f42bb1c"),
+        (["analyze", DENSE_QUARTIC5],
+         "eebb223577de4657d3cc281a1ff457f15befcf4401e35601eabaf2b36814a7a3"),
+        (["analyze", PERAZZO_TYPE, "--field", "fp:7"],
+         "e33f6227ef2c04cdeb52a6306cc5e5c6bc4feab9b63f2243c97cff4aa0590906"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
                              ids=["analyze_cubic", "analyze_corpus", "fixture",
                                   "gamma", "experiment", "experiment_20",
                                   "analyze_ci4", "analyze_ci5_fp32003",
-                                  "analyze_ci5_fp7"])
+                                  "analyze_ci5_fp7", "analyze_quartic",
+                                  "analyze_perazzo_type_fp7"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

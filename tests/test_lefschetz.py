@@ -1,17 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
+import sagakit.exactla as exactla_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import from_inverse_system, from_regular_sequence
-from sagakit.exactla import det_ff, rank_kernel
-from sagakit.lefschetz import (SLP, WLP, hessian, hessian_slp_crosscheck,
+from sagakit.exactla import Matrix, det_ff, rank_kernel
+from sagakit.lefschetz import (SLP, WLP, HessianReport, hessian,
+                               hessian_slp_crosscheck,
                                lefschetz_probe, second_partials,
                                symbolic_multiplication_matrix,
                                symbolic_probe_determinant)
-from sagakit.polyring import (Monomial, PolyError, Polynomial, RATIONAL,
-                              monomial_basis, parse_poly)
+from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
+                              RATIONAL, monomial_basis, parse_poly)
 
 from oracles import hessian_det, poly_to_dict
 
@@ -21,6 +24,45 @@ def poly(text, n):
 
 
 FERMAT4 = "x0^3 + x1^3 + x2^3 + x3^3"
+F7 = FieldSpec.prime(7)
+
+
+def dense_form(coeffs, n, d, field=RATIONAL):
+    """The degree-d form in n variables with coeffs in monomial_basis order."""
+    return Polynomial(n, field, dict(zip(monomial_basis(n, d), coeffs)))
+
+
+def linear_change(g, n, seed):
+    """g(l_0, ..., l_(k-1)) in n >= k variables, where l_i = sum_j A_ij x_j
+    and A is an n x n integer matrix drawn from seed, invertible over the
+    field of g.  With k < n the result is a cone: g in fewer coordinates."""
+    rng = random.Random(seed)
+    while True:
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if det_ff(Matrix(A, g.field)):
+            break
+    lin = [Polynomial(n, g.field, {Monomial([int(j == c) for j in range(n)]): a
+                                   for c, a in enumerate(row)})
+           for row in A[:g.n_vars]]
+    out = Polynomial.zero(n, g.field)
+    for mon, coeff in g.terms.items():
+        term = Polynomial.constant(coeff, n, g.field)
+        for l, e in zip(lin, mon.exponents):
+            term = term * l ** e
+        out = out + term
+    return out
+
+
+def perazzo_type(coeffs, d, field=RATIONAL):
+    """x0*g0 + x1*g1 + x2*g2, each g_i a degree-(d-1) form in x3, x4 with
+    the next d coefficients of coeffs."""
+    terms = {}
+    for i in range(3):
+        for a, c in zip(range(d - 1, -1, -1), coeffs[i * d:(i + 1) * d]):
+            exps = [0] * 5
+            exps[i], exps[3], exps[4] = 1, a, d - 1 - a
+            terms[Monomial(exps)] = c
+    return Polynomial(5, field, terms)
 
 
 class TestProbe:
@@ -171,6 +213,119 @@ class TestHessian:
             got = hessian(g).det
             expected = poly_to_dict(hessian_det(g.to_string(), 3), 3)
             assert {m.exponents: c for m, c in got.terms.items()} == expected
+
+
+@st.composite
+def hessian_forms(draw):
+    """Random cubics in 4-5 variables and quartics in 4, cones in 4-5
+    variables, and Perazzo-type cubics and quartics, over Q and F_7.
+
+    The symbolic oracle takes 0.5-1.6 s on a dense quartic in five
+    variables, so dense quartics stay in four here; the path tests and the
+    golden reports cover five.
+    """
+    field = draw(st.sampled_from([RATIONAL, F7]))
+    kind = draw(st.sampled_from(["dense", "cone", "perazzo"]))
+    d = draw(st.sampled_from([3, 4]))
+    if kind == "perazzo":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=3 * d,
+                               max_size=3 * d))
+        form = perazzo_type(coeffs, d, field)
+    else:
+        n = draw(st.sampled_from([4, 5] if d == 3 else [4]))
+        k = n if kind == "dense" else draw(st.integers(2, n - 1))
+        size = len(monomial_basis(k, d))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=size,
+                               max_size=size))
+        form = dense_form(coeffs, k, d, field)
+        if kind == "cone":
+            form = linear_change(form, n, draw(st.integers(0, 2**32)))
+    assume(not form.is_zero)
+    return kind, form
+
+
+@given(hessian_forms())
+@settings(max_examples=60, deadline=None)
+def test_hessian_verdict_matches_symbolic_determinant(case):
+    kind, form = case
+    report = hessian(form)
+    eager = det_ff(Matrix(second_partials(form), form.field))
+    assert report.vanishes == eager.is_zero
+    if kind != "dense":
+        assert report.vanishes
+
+
+class TestHessianPath:
+    """Which forms reach the symbolic determinant."""
+
+    @pytest.fixture
+    def symbolic_calls(self, monkeypatch):
+        calls = []
+        real = exactla_module._det_polynomial
+
+        def counting(entries):
+            calls.append(len(entries))
+            return real(entries)
+
+        monkeypatch.setattr(exactla_module, "_det_polynomial", counting)
+        return calls
+
+    def test_dense_quartic_is_settled_by_a_point(self, symbolic_calls):
+        rng = random.Random(3)
+        form = dense_form([rng.choice([-3, -2, -1, 1, 2, 3])
+                           for _ in monomial_basis(5, 4)], 5, 4)
+        assert not hessian(form).vanishes
+        assert symbolic_calls == []
+
+    def test_perazzo_cubic_needs_the_symbolic_determinant(self, perazzo_f,
+                                                           symbolic_calls):
+        report = hessian(perazzo_f)
+        assert report.vanishes and symbolic_calls == [5]
+        assert report.det.is_zero and symbolic_calls == [5]
+
+    def test_cone_needs_the_symbolic_determinant(self, symbolic_calls):
+        g = dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3], 3, 3)
+        form = linear_change(g, 5, seed=2)
+        assert len(form.terms) == len(monomial_basis(5, 3))
+        report = hessian(form)
+        assert report.vanishes and symbolic_calls == [5]
+        assert report.det.is_zero and symbolic_calls == [5]
+
+    @pytest.mark.parametrize("field,calls", [(F7, [4]), (RATIONAL, [])])
+    def test_small_field_falls_back_on_a_nonzero_hessian(self, field, calls,
+                                                          symbolic_calls):
+        # det H = 6^4 (x0 - x2) x1 x2 x3.  The seeded point is
+        # (850, -637, 569, -756): mod 7 it has x1 = 0, so only the symbolic
+        # determinant shows that the hessian is nonzero; over Q the point does
+        x = [Polynomial.variable(i, 4, field) for i in range(4)]
+        form = (x[0] - x[2]) ** 3 + x[1] ** 3 + x[2] ** 3 + x[3] ** 3
+        assert not hessian(form).vanishes
+        assert symbolic_calls == calls
+
+    @pytest.mark.parametrize("field", [RATIONAL, F7])
+    def test_lazy_det_equals_eager_expansion(self, field, symbolic_calls):
+        rng = random.Random(5)
+        forms = [dense_form([rng.randint(-3, 3) for _ in monomial_basis(5, 3)],
+                            5, 3, field),
+                 linear_change(dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3],
+                                          3, 3, field), 5, seed=5)]
+        for form in forms:
+            before = len(symbolic_calls)
+            report = hessian(form)
+            eager = det_ff(Matrix(second_partials(form), field))
+            assert report.det == eager and report.det == eager
+            # one expansion for the eager value, and one for the report: in
+            # hessian() when the point gives 0, else on the first read
+            assert len(symbolic_calls) == before + 2
+
+    def test_report_built_with_det_keeps_it(self, perazzo_f, symbolic_calls):
+        matrix = Matrix(second_partials(perazzo_f), perazzo_f.field)
+        zero = Polynomial.zero(5, perazzo_f.field)
+        report = HessianReport(matrix, zero, True)
+        assert report.det is zero and report.vanishes
+        assert HessianReport(matrix, det=zero).vanishes
+        assert report == hessian(perazzo_f)
+        assert symbolic_calls == [5]
 
 
 class TestCrossCheck:

@@ -16,12 +16,12 @@ import sys
 
 from .algebra import (GradedAlgebra, NotRegularSequence,
                       from_inverse_system, from_regular_sequence)
-from .apolarity import is_cone
 from .corpus import CorpusError, get_entry
+from .exactla import MAX_SYMBOLIC_DET
 from .gnlab import (DegenerateAlgebra, SLPEvidence, check_ggn, check_ker_coker,
                     gn_map_check, perazzo_algebra, perazzo_fixture,
                     sample_gamma, theorem_c_experiment)
-from .lefschetz import MAX_HESSIAN_VARS, SLP, WLP, hessian, lefschetz_probe
+from .lefschetz import SLP, WLP, hessian, lefschetz_probe
 from .polyring import FieldSpec, PolyError, parse_poly, scalar_str
 from .reporting import SCHEMA_VERSION, dump_json
 from .seeding import DEFAULT_SEED, child_seed
@@ -114,12 +114,13 @@ def cmd_analyze(args) -> tuple[dict, int]:
     notes = []
     if len(polys) == 1:
         form = polys[0]
-        report["cone"] = is_cone(form)
-        if form.n_vars <= MAX_HESSIAN_VARS:
+        # the partials of a cone are dependent: h_1 < n
+        report["cone"] = algebra.dim(1) < form.n_vars
+        if form.n_vars <= MAX_SYMBOLIC_DET:
             report["hessian_vanishes"] = hessian(form).vanishes
         else:
             report["hessian_vanishes"] = None
-            notes.append(f"hessian skipped: more than {MAX_HESSIAN_VARS} variables")
+            notes.append(f"hessian skipped: more than {MAX_SYMBOLIC_DET} variables")
     probes = []
     for k in range(1, N):
         probe = lefschetz_probe(algebra, WLP, k, trials=args.trials,

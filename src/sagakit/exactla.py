@@ -1,11 +1,13 @@
 """Exact dense linear algebra over Q and F_p.
 
 Rank, kernel bases, determinants and coordinate solves all run through one
-deterministic reduced-row-echelon routine: pivots are chosen leftmost-column
+deterministic elimination per field: pivots are chosen leftmost-column
 first, earliest row first, with no randomization, so kernel bases and
 quotient-space bases are reproducible across runs.  Over Q the forward pass
 is fraction-free (Bareiss single-step division on integer rows) to keep
-intermediate entries small.
+intermediate entries small.  A determinant is read from the forward pass,
+before back-substitution: the sign of its row swaps times its last pivot
+over Q (Bareiss 1968), or times the product of its leads over F_p.
 
 Over F_p each row is packed into one Python int, column c in the slot at bit
 offset (ncols - 1 - c) * W, and a row update is one big-int multiply-add
@@ -169,20 +171,14 @@ class Echelon:
         return rows
 
 
-def _strip_content(row):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
 def _to_int_rows(rows):
-    """Clear denominators rowwise; row scaling preserves row space and pivots."""
+    """Clear denominators and strip content rowwise.
+
+    Row scaling preserves row space and pivots.  Also returns the product of
+    the row scales, the factor by which the determinant grew.
+    """
     out = []
+    num = den = 1
     for row in rows:
         lcm = 1
         for x in row:
@@ -190,14 +186,22 @@ def _to_int_rows(rows):
                 lcm = lcm * x.denominator // gcd(lcm, x.denominator)
         ints = [int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm
                 for x in row]
-        out.append(_strip_content(ints))
-    return out
+        g = gcd(*ints) or 1
+        out.append([x // g for x in ints] if g > 1 else ints)
+        num *= lcm
+        den *= g
+    return out, Fraction(num, den)
 
 
-def _echelon_rational(rows, ncols) -> Echelon:
-    work = _to_int_rows(rows)
+def _forward_rational(work, ncols):
+    """Bareiss forward pass on integer rows, in place.
+
+    Returns the pivot columns and the sign of the row swaps.  Rows past the
+    rank end as zero rows, so a singular square input ends with entry 0.
+    """
     nrows = len(work)
     pivots = []
+    sign = 1
     piv_r = 0
     prev = 1
     for col in range(ncols):
@@ -210,6 +214,7 @@ def _echelon_rational(rows, ncols) -> Echelon:
             continue
         if sel != piv_r:
             work[piv_r], work[sel] = work[sel], work[piv_r]
+            sign = -sign
         prow = work[piv_r]
         p = prow[col]
         for r in range(piv_r + 1, nrows):
@@ -226,10 +231,15 @@ def _echelon_rational(rows, ncols) -> Echelon:
         piv_r += 1
         if piv_r == nrows:
             break
+    return pivots, sign
+
+
+def _echelon_rational(rows, ncols) -> Echelon:
+    work, _ = _to_int_rows(rows)
+    pivots, _ = _forward_rational(work, ncols)
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
     # normalize pivot rows and back-eliminate; only non-pivot entries are kept
-    npos = {c: j for j, c in enumerate(nonpivots)}
     coeffs = []
     for i in range(len(pivots)):
         p = pivots[i]
@@ -266,8 +276,13 @@ def _pack(vals, width: int) -> int:
         b"".join(map(int.to_bytes, vals, repeat(width), repeat("big"))), "big")
 
 
-def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
-    p = field.p
+def _forward_prime(rows, ncols, p):
+    """Packed forward pass over F_p.
+
+    Returns the packed nonzero rows, pivot rows normalized, with their slot
+    width, the pivot columns, the sign of the row swaps and the product of
+    the leads mod p.
+    """
     width = _slot_bytes(p, len(rows))
     bits = 8 * width
     mask = (1 << bits) - 1
@@ -280,6 +295,7 @@ def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
             work.append(packed)
     nrows = len(work)
     pivots = []
+    sign = leads = 1
     piv_r = 0
     for col in range(ncols):
         shift = (ncols - 1 - col) * bits
@@ -292,8 +308,10 @@ def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
             continue
         if sel != piv_r:
             work[piv_r], work[sel] = work[sel], work[piv_r]
+            sign = -sign
         vals = _unpack(work[piv_r] & ((1 << (shift + bits)) - 1), ncols - col,
                        width)
+        leads = leads * vals[0] % p
         inv = pow(vals[0] % p, p - 2, p)
         vals = [v * inv % p for v in vals]
         prow = work[piv_r] = _pack(vals, width)
@@ -308,6 +326,12 @@ def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
         piv_r += 1
         if piv_r == nrows:
             break
+    return work, width, pivots, sign, leads
+
+
+def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
+    p = field.p
+    work, width, pivots, _, _ = _forward_prime(rows, ncols, p)
     # Back-substitution, last pivot row first.  A reduced row is 0 at every
     # other pivot column, so the leads of row i are its normalized entries.
     pivset = set(pivots)
@@ -342,63 +366,6 @@ def rank_kernel(m: Matrix) -> KernelResult:
     ech = echelon_rows(m.entries, m.cols, m.field)
     return KernelResult(rank=ech.rank, kernel_basis=ech.kernel_basis(),
                         pivot_columns=list(ech.pivots))
-
-
-def _det_bareiss_int(rows) -> int:
-    n = len(rows)
-    work = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        sel = -1
-        for r in range(col, n):
-            if work[r][col]:
-                sel = r
-                break
-        if sel < 0:
-            return 0
-        if sel != col:
-            work[col], work[sel] = work[sel], work[col]
-            sign = -sign
-        prow = work[col]
-        piv = prow[col]
-        for r in range(col + 1, n):
-            row = work[r]
-            lead = row[col]
-            for c in range(col + 1, n):
-                row[c] = (row[c] * piv - lead * prow[c]) // prev
-        prev = piv
-    return sign * work[n - 1][n - 1]
-
-
-def _det_prime(rows, field: FieldSpec):
-    p = field.p
-    n = len(rows)
-    work = [[x.val if isinstance(x, Fp) else int(x) % p for x in r] for r in rows]
-    det = 1
-    for col in range(n):
-        sel = -1
-        for r in range(col, n):
-            if work[r][col]:
-                sel = r
-                break
-        if sel < 0:
-            return Fp(0, p)
-        if sel != col:
-            work[col], work[sel] = work[sel], work[col]
-            det = -det
-        piv = work[col][col]
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        prow = work[col]
-        for r in range(col + 1, n):
-            lead = work[r][col]
-            if lead:
-                row = work[r]
-                f = lead * inv % p
-                for c in range(col, n):
-                    row[c] = (row[c] - f * prow[c]) % p
-    return Fp(det, p)
 
 
 MAX_SYMBOLIC_DET = 6
@@ -439,30 +406,24 @@ def _det_polynomial(entries) -> Polynomial:
 def det_ff(m: Matrix):
     """Exact determinant.
 
-    Scalar matrices go through fraction-free elimination (or field
-    elimination over F_p).  Matrices with Polynomial entries are expanded
+    Scalar matrices are read off the forward pass of their field's
+    elimination.  Matrices with Polynomial entries are expanded
     symbolically, capped at 6x6.
     """
     if not m.is_square():
         raise MatrixError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
+    n = m.rows
+    if n == 0:
         return m.field.one()
     if isinstance(m.entries[0][0], Polynomial):
         return _det_polynomial(m.entries)
     if not m.field.is_rational:
-        return _det_prime(m.entries, m.field)
-    # clear denominators rowwise, tracking the scale factor
-    scale = Fraction(1)
-    int_rows = []
-    for row in m.entries:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        scale *= lcm
-        int_rows.append([int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm
-                         for x in row])
-    return Fraction(_det_bareiss_int(int_rows)) / scale
+        p = m.field.p
+        _, _, pivots, sign, leads = _forward_prime(m.entries, n, p)
+        return Fp(sign * leads if len(pivots) == n else 0, p)
+    work, factor = _to_int_rows(m.entries)
+    _, sign = _forward_rational(work, n)
+    return sign * work[-1][-1] / factor
 
 
 def coords_in_span(vec, basis) -> list | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
-from .apolarity import annihilator_piece, is_cone
+from .apolarity import annihilator_piece
 from .exactla import Matrix, coords_in_span, det_ff, rank_kernel
 from .lefschetz import (SLP, hessian, lefschetz_probe,
                         symbolic_probe_determinant)
@@ -457,7 +457,7 @@ def perazzo_fixture(seed: int = DEFAULT_SEED) -> Report:
                   detail={"coords": [[scalar_str(c) for c in s.coords]
                                      for s in socle]})
 
-    report.record("not_a_cone", not is_cone(form))
+    report.record("not_a_cone", algebra.dim(1) == form.n_vars)
     report.record("hessian_vanishes", hessian(form).vanishes)
 
     probe = lefschetz_probe(algebra, SLP, 1, trials=8,

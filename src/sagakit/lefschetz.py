@@ -28,15 +28,13 @@ from math import factorial
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
-from .exactla import Matrix, det_ff, echelon_rows
+from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
 from .polyring import Monomial, PolyError, Polynomial
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 SLP = "SLP"
 WLP = "WLP"
 
-MAX_HESSIAN_VARS = 6
-MAX_CERTIFY_DIM = 6
 MAX_SOCLE_FACTORIAL = 20
 
 
@@ -132,7 +130,7 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
             break
     holds = best == target
     certified = holds
-    if not holds and square and target <= MAX_CERTIFY_DIM:
+    if not holds and square and target <= MAX_SYMBOLIC_DET:
         det = symbolic_probe_determinant(algebra, kind, k)
         certified = det.is_zero
     return ProbeReport(kind=kind, k=k, target_rank=target, max_rank_found=best,
@@ -247,9 +245,9 @@ def hessian(form: Polynomial) -> HessianReport:
     """
     if form.homogeneous_degree() is None:
         raise PolyError("hessian report expects a nonzero homogeneous form")
-    if form.n_vars > MAX_HESSIAN_VARS:
+    if form.n_vars > MAX_SYMBOLIC_DET:
         raise PolyError(
-            f"symbolic hessian determinant limited to {MAX_HESSIAN_VARS} variables")
+            f"symbolic hessian determinant limited to {MAX_SYMBOLIC_DET} variables")
     entries = second_partials(form)
     matrix = Matrix(entries, form.field)
     point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import sagakit.algebra as algebra_module
+import sagakit.apolarity as apolarity_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.cli import main
 
@@ -106,6 +107,22 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["cone"] is True
         assert report["algebra"]["hilbert"] == [1, 1, 1, 1]
+
+    def test_catalecticants_built_once_per_degree(self, capsys, monkeypatch):
+        # the cone verdict is read from h_1 of the algebra, not from a
+        # second degree-1 catalecticant
+        degrees = []
+        real = apolarity_module.catalecticant
+
+        def counted(form, i):
+            degrees.append(i)
+            return real(form, i)
+
+        monkeypatch.setattr(algebra_module, "catalecticant", counted)
+        monkeypatch.setattr(apolarity_module, "catalecticant", counted)
+        code, out, _ = run(capsys, "analyze", PERAZZO)
+        assert code == 0 and json.loads(out)["cone"] is False
+        assert degrees == [0, 1, 2, 3]
 
     def test_corpus_input(self, capsys):
         code, out, _ = run(capsys, "analyze", "--corpus", "binary_product")

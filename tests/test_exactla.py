@@ -189,6 +189,51 @@ def test_kernel_property_random(rows):
 PRIMES = [2, 3, 7, 101, 32003, 2**31 - 1, 2**61 - 1]
 
 
+@st.composite
+def square_matrices(draw):
+    """(rows, p), p None for Q: sizes 0-6, some singular, some with a zero
+    row, some whose first column needs a row swap."""
+    p = draw(st.sampled_from(PRIMES + [None]))
+    if p is None:
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(-9, 9, max_denominator=6))
+    else:
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n:
+        i = draw(st.integers(0, n - 1))
+        shape = draw(st.sampled_from(["plain", "singular", "zero row", "swap"]))
+        if shape == "singular":
+            # row i a combination of the others (a zero row when n == 1)
+            mult = draw(st.lists(entry, min_size=n, max_size=n))
+            rows[i] = [sum(mult[k] * rows[k][c] for k in range(n) if k != i)
+                       for c in range(n)]
+        elif shape == "zero row":
+            rows[i] = [0] * n
+        elif shape == "swap":
+            rows[0][0], rows[-1][0] = 0, 1
+    return rows, p
+
+
+@given(square_matrices())
+@settings(max_examples=300, deadline=None)
+@example(([], None))
+@example(([], 2))
+@example(([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], None))
+@example(([[0, 1], [1, 0]], 3))
+@example(([[0, 1, 2], [0, 0, 5], [4, 1, 0]], 7))
+def test_det_matches_permutation_expansion(case):
+    rows, p = case
+    expected = det_by_permutations(rows) if rows else 1
+    if p is None:
+        assert det_ff(Matrix(rows)) == expected
+    else:
+        m = Matrix([[Fp(x, p) for x in row] for row in rows], FieldSpec.prime(p))
+        assert det_ff(m) == Fp(expected, p)
+
+
 def assert_matches_oracle(rows, ncols, p):
     """echelon_rows over F_p against the cell-by-cell oracle."""
     ech = echelon_rows([[Fp(x, p) for x in row] for row in rows], ncols,

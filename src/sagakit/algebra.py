@@ -10,6 +10,16 @@ accepted exactly when the computed Hilbert function matches the expected
 complete-intersection series and the quotient vanishes one degree above the
 socle.
 
+The eager regular-sequence build takes the degrees in order and leaves out
+the Macaulay rows m * f_g whose multiplier m is a leading monomial of the
+ideal of the generators before g (the F5 criterion; Faugere, ISSAC 2002).
+Those leading monomials are read from the echelon of the lower degree:
+stable pivoting in `exactla` makes the pivots whose rows came from the
+generators before g exactly the leading monomials of their ideal.  The kept
+rows span the same space, so every piece is unchanged; for a regular
+sequence the kept rows are exactly rank-many, since all its syzygies are
+Koszul (Bardet, Faugere and Salvy, J. Symb. Comput. 2015).
+
 Over Q a regular sequence is built modular-first.  Its generators are
 reduced mod SHADOW_PRIME and the F_p algebra is built and checked first.
 If it passes, the sequence is regular over Q too (the Macaulay resultant
@@ -23,6 +33,11 @@ degree i below the socle degree and each variable x_j, the coordinates of
 x_j times every basis class of degree i, filled by `reduce` on first read.
 Indexing by variables, not by degree-1 classes, serves cones too, where
 degree 1 has fewer classes than there are variables.
+
+Duality pairings read one linear functional: phi, the socle coordinate on
+the degree-N monomials, which the socle echelon gives in closed form (its
+kernel vector).  The pairing of a and b is phi of the product of their
+representatives, so it needs no table step (Macaulay duality).
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
@@ -359,19 +374,34 @@ class GradedAlgebra:
         """Multiplication pairing of degrees s and N-s into the socle line.
 
         Returns (perfect, matrix); perfect means the matrix is square of
-        full rank.
+        full rank.  Entry (a, b) is phi(r_a * r_b) for the representatives
+        r_a, r_b of the two basis classes, where phi is the socle coordinate
+        on the degree-N monomials: a Gorenstein pairing is one linear
+        functional on A_N (Macaulay duality).  With one non-pivot column the
+        socle echelon gives phi in closed form, 1 at that column and
+        -coeffs[i][0] at pivot i, which is its one kernel vector.
         """
         N = self.socle_degree
         if not 0 <= s <= N:
             raise AlgebraError(f"degree {s} outside 0..{N}")
         if self.socle_dim() != 1:
             raise AlgebraError("pairing needs a one-dimensional socle")
-        if 2 * s > N:
-            # the pairing is symmetric; lifting the lower degree is cheaper
-            ok, matrix = self.pairing_check(N - s)
-            return ok, matrix.transpose()
-        matrix = Matrix([self._mul_matrix(a, N - s, N).entries[0]
-                         for a in self.basis(s)], self.field)
+        top = self.piece(N)
+        phi, = top.echelon.kernel_basis()
+        if top.basis_inverse is not None:
+            scale = top.basis_inverse.entries[0][0]
+            phi = [scale * v for v in phi]
+
+        def pair(a: Polynomial, b: Polynomial):
+            acc = self.field.zero()
+            for m, c in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    acc = acc + c * c2 * phi[top.index[m * m2]]
+            return acc
+
+        right = self.piece(N - s).basis_reps
+        matrix = Matrix([[pair(a, b) for b in right]
+                         for a in self.piece(s).basis_reps], self.field)
         square = self.dim(s) == self.dim(N - s)
         ok = square and rank_kernel(matrix).rank == self.dim(s)
         return ok, matrix
@@ -566,43 +596,86 @@ def _ci_presentation(forms, degrees) -> dict:
             "generator_degrees": tuple(degrees)}
 
 
-def _macaulay_piece(forms, degrees, i: int) -> _Piece:
-    """Degree-i piece of the quotient: the echelon of the Macaulay rows, the
-    generators times every monomial of the complementary degree."""
+def _macaulay_rows(forms, degrees, i: int, leading=None):
+    """The Macaulay rows of degree i, generator by generator: f_g times every
+    monomial of degree i - deg f_g, F_p coefficients as plain residues.
+
+    With `leading`, the row m * f_g is left out when m is a leading monomial
+    of I_<g, the ideal of the generators before g: `leading[g][d]` holds
+    those of degree d as indices into monomial_basis(n, d).  If h in I_<g
+    has leading monomial m, then m * f_g = h * f_g - (h - m) * f_g; the
+    first term lies in I_<g and the second in the span of rows m' * f_g
+    whose m' comes later in the basis, so by induction over g and over m the
+    kept rows span the same space and the echelon form does not change.
+    This is the F5 criterion (Faugere, ISSAC 2002); for a regular sequence no
+    kept row reduces to zero (Bardet, Faugere and Salvy, J. Symb. Comput.
+    2015), because every syzygy of a regular sequence is Koszul.
+
+    Also returns the index of each generator's first row.
+    """
     n = forms[0].n_vars
-    field = forms[0].field
+    prime = not forms[0].field.is_rational
     ambient = monomial_basis(n, i)
     index = {m.exponents: c for c, m in enumerate(ambient)}
-    zero = field.zero()
     rows = []
-    for f, e in zip(forms, degrees):
+    starts = []
+    for g, (f, e) in enumerate(zip(forms, degrees)):
+        starts.append(len(rows))
         if e > i:
             continue
-        terms = [(mon.exponents, coeff) for mon, coeff in f.terms.items()]
-        for mult in monomial_basis(n, i - e):
+        skip = leading[g][i - e] if leading is not None else ()
+        terms = [(mon.exponents, coeff.val if prime else coeff)
+                 for mon, coeff in f.terms.items()]
+        for k, mult in enumerate(monomial_basis(n, i - e)):
+            if k in skip:
+                continue
             mult_exps = mult.exponents
-            vec = [zero] * len(ambient)
+            vec = [0] * len(ambient)
             for exps, coeff in terms:
                 vec[index[tuple(map(add, exps, mult_exps))]] = coeff
             rows.append(vec)
+    return ambient, rows, starts
+
+
+def _macaulay_piece(forms, degrees, i: int) -> _Piece:
+    """Degree-i piece of the quotient from every Macaulay row: the lazy Q
+    build, where no leading monomials are known."""
+    field = forms[0].field
+    ambient, rows, _ = _macaulay_rows(forms, degrees, i)
     return _Piece(i, ambient, echelon_rows(rows, len(ambient), field), field)
 
 
 def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:
-    """The eager build over the forms' own field, with both checks."""
+    """The eager build over the forms' own field, with both checks.
+
+    Degrees are built in order.  After degree d, leading[g][d] is read off
+    the echelon: the pivots whose rows came from generators before g, which
+    by stable pivoting are the leading monomials of I_<g in degree d.  The
+    rows of later degrees then skip them (see _macaulay_rows).
+    """
+    field = forms[0].field
+    leading = [[] for _ in forms]
+
+    def piece(i):
+        ambient, rows, starts = _macaulay_rows(forms, degrees, i, leading)
+        ech = echelon_rows(rows, len(ambient), field)
+        for g, start in enumerate(starts):
+            leading[g].append({c for c, o in zip(ech.pivots, ech.origins)
+                               if o < start})
+        return _Piece(i, ambient, ech, field)
+
     pieces = []
     for i, h in enumerate(expected):
-        piece = _macaulay_piece(forms, degrees, i)
-        if piece.dim != h:
-            raise NotRegularSequence(i, h, piece.dim)
-        pieces.append(piece)
-    algebra = GradedAlgebra(forms[0].n_vars, forms[0].field, pieces,
+        pieces.append(piece(i))
+        if pieces[i].dim != h:
+            raise NotRegularSequence(i, h, pieces[i].dim)
+    algebra = GradedAlgebra(forms[0].n_vars, field, pieces,
                             _ci_presentation(forms, degrees))
-    _require_artinian(algebra, forms, degrees)
+    _require_artinian(algebra, piece)
     return algebra
 
 
-def _require_artinian(algebra: GradedAlgebra, forms, degrees):
+def _require_artinian(algebra: GradedAlgebra, piece):
     """Raise NotRegularSequence unless the quotient vanishes in degree N+1.
 
     The Hilbert function already matches the CI series through N, so
@@ -611,12 +684,12 @@ def _require_artinian(algebra: GradedAlgebra, forms, degrees):
     A_1 x A_(N-1) -> A_N would be (a, b) -> a(P) b(P), of rank at most 1.
     A complete intersection is Gorenstein and its pairing is perfect.  So
     with h_1 >= 2 a perfect pairing proves V(I) empty; otherwise, and on the
-    error path, the degree-(N+1) piece is built.
+    error path, the degree-(N+1) piece is built by piece(N + 1).
     """
     N = algebra.socle_degree
     if algebra.dim(1) >= 2 and algebra.pairing_check(1)[0]:
         return
-    top = _macaulay_piece(forms, degrees, N + 1)
+    top = piece(N + 1)
     if top.dim:
         raise NotRegularSequence(N + 1, 0, top.dim)
 

@@ -6,8 +6,17 @@ first, earliest row first, with no randomization, so kernel bases and
 quotient-space bases are reproducible across runs.  Over Q the forward pass
 is fraction-free (Bareiss single-step division on integer rows) to keep
 intermediate entries small.  A determinant is read from the forward pass,
-before back-substitution: the sign of its row swaps times its last pivot
+before back-substitution: the sign of its row moves times its last pivot
 over Q (Bareiss 1968), or times the product of its leads over F_p.
+
+Pivoting is stable: the pivot row is the earliest remaining row in input
+order, and it is moved up past the rows between (a move over k rows has
+sign (-1)^k), so the rows below the pivots stay in input order.  A row is
+then only ever updated by pivot rows that came from earlier input rows, and
+the pivots whose rows came from the first k inputs are the pivots of those k
+rows alone: the leading columns of their span.  `Echelon.origins` records
+the input index of each pivot row, which is what a caller needs to read the
+leading columns of every prefix of its rows from one elimination.
 
 Over F_p each row is packed into one Python int, column c in the slot at bit
 offset (ncols - 1 - c) * W, and a row update is one big-int multiply-add
@@ -18,8 +27,10 @@ at most one product below (p - 1)^2 per pivot row, so W is the least whole
 number of bytes holding p - 1 + nrows * (p - 1)^2 and no carry ever crosses
 a slot.  Once packed, entries are reduced mod p only where they are read:
 a lead, a pivot row when it is normalized, a row after back-substitution.
-The reduced row echelon form is unique, so the result is the one
-cell-by-cell elimination gives.
+Back-substitution works on the pivot rows packed again over the non-pivot
+columns only, since a reduced row is 0 at every other pivot column.  The
+reduced row echelon form is unique, so the result is the one cell-by-cell
+elimination gives.
 """
 
 from dataclasses import dataclass
@@ -118,7 +129,8 @@ class Echelon:
     `coeffs[i]` holds the entries of the i-th reduced pivot row at the
     non-pivot columns only (the row is 1 at its own pivot and 0 at every
     other pivot column), which is all that reduction and kernel extraction
-    need.
+    need.  `origins[i]` is the index, in the rows as passed (zero rows
+    included), of the input row the i-th pivot row came from.
     """
 
     ncols: int
@@ -126,6 +138,7 @@ class Echelon:
     pivots: list
     nonpivots: list
     coeffs: list
+    origins: list
 
     @property
     def rank(self) -> int:
@@ -196,10 +209,12 @@ def _to_int_rows(rows):
 def _forward_rational(work, ncols):
     """Bareiss forward pass on integer rows, in place.
 
-    Returns the pivot columns and the sign of the row swaps.  Rows past the
-    rank end as zero rows, so a singular square input ends with entry 0.
+    Returns the pivot columns, the input index of each pivot row and the
+    sign of the row moves.  Rows past the rank end as zero rows, so a
+    singular square input ends with entry 0.
     """
     nrows = len(work)
+    order = list(range(nrows))
     pivots = []
     sign = 1
     piv_r = 0
@@ -213,8 +228,10 @@ def _forward_rational(work, ncols):
         if sel < 0:
             continue
         if sel != piv_r:
-            work[piv_r], work[sel] = work[sel], work[piv_r]
-            sign = -sign
+            work.insert(piv_r, work.pop(sel))
+            order.insert(piv_r, order.pop(sel))
+            if (sel - piv_r) & 1:
+                sign = -sign
         prow = work[piv_r]
         p = prow[col]
         for r in range(piv_r + 1, nrows):
@@ -231,12 +248,13 @@ def _forward_rational(work, ncols):
         piv_r += 1
         if piv_r == nrows:
             break
-    return pivots, sign
+    return pivots, order[:piv_r], sign
 
 
 def _echelon_rational(rows, ncols) -> Echelon:
-    work, _ = _to_int_rows(rows)
-    pivots, _ = _forward_rational(work, ncols)
+    kept = [k for k, row in enumerate(rows) if any(row)]
+    work, _ = _to_int_rows([rows[k] for k in kept])
+    pivots, origins, _ = _forward_rational(work, ncols)
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
     # normalize pivot rows and back-eliminate; only non-pivot entries are kept
@@ -256,7 +274,8 @@ def _echelon_rational(rows, ncols) -> Echelon:
                 for t in range(len(ci)):
                     if cj[t]:
                         ci[t] -= f * cj[t]
-    return Echelon(ncols, RATIONAL, pivots, nonpivots, coeffs)
+    return Echelon(ncols, RATIONAL, pivots, nonpivots, coeffs,
+                   [kept[k] for k in origins])
 
 
 def _slot_bytes(p: int, nrows: int) -> int:
@@ -280,19 +299,21 @@ def _forward_prime(rows, ncols, p):
     """Packed forward pass over F_p.
 
     Returns the packed nonzero rows, pivot rows normalized, with their slot
-    width, the pivot columns, the sign of the row swaps and the product of
-    the leads mod p.
+    width, the pivot columns, the input index of each pivot row, the sign of
+    the row moves and the product of the leads mod p.
     """
     width = _slot_bytes(p, len(rows))
     bits = 8 * width
     mask = (1 << bits) - 1
     # column c sits in the slot at bit offset (ncols - 1 - c) * bits
     work = []
-    for row in rows:
+    order = []
+    for k, row in enumerate(rows):
         packed = _pack([x.val if isinstance(x, Fp) else int(x) % p for x in row],
                        width)
         if packed:
             work.append(packed)
+            order.append(k)
     nrows = len(work)
     pivots = []
     sign = leads = 1
@@ -307,8 +328,10 @@ def _forward_prime(rows, ncols, p):
         if sel < 0:
             continue
         if sel != piv_r:
-            work[piv_r], work[sel] = work[sel], work[piv_r]
-            sign = -sign
+            work.insert(piv_r, work.pop(sel))
+            order.insert(piv_r, order.pop(sel))
+            if (sel - piv_r) & 1:
+                sign = -sign
         vals = _unpack(work[piv_r] & ((1 << (shift + bits)) - 1), ncols - col,
                        width)
         leads = leads * vals[0] % p
@@ -326,36 +349,37 @@ def _forward_prime(rows, ncols, p):
         piv_r += 1
         if piv_r == nrows:
             break
-    return work, width, pivots, sign, leads
+    return work, width, pivots, order[:piv_r], sign, leads
 
 
 def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
     p = field.p
-    work, width, pivots, _, _ = _forward_prime(rows, ncols, p)
-    # Back-substitution, last pivot row first.  A reduced row is 0 at every
-    # other pivot column, so the leads of row i are its normalized entries.
+    work, width, pivots, origins, _, _ = _forward_prime(rows, ncols, p)
+    # Back-substitution, last pivot row first, each row repacked over the
+    # non-pivot columns only once reduced.  A reduced row is 0 at every
+    # other pivot column, so the multiple of row j that row i takes is row
+    # i's normalized forward entry at pivot j.
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
+    nfree = len(nonpivots)
     zero = Fp(0, p)
     coeffs = [None] * len(pivots)
     for i in range(len(pivots) - 1, -1, -1):
         col = pivots[i]
-        acc = work[i]
-        leads = _unpack(acc, ncols - col, width)
+        vals = _unpack(work[i], ncols - col, width)
+        acc = _pack([vals[c - col] if c > col else 0 for c in nonpivots], width)
         for j in range(i + 1, len(pivots)):
-            lead = leads[pivots[j] - col]
+            lead = vals[pivots[j] - col]
             if lead:
                 acc += (p - lead) * work[j]
-        vals = [v % p for v in _unpack(acc, ncols - col, width)]
-        work[i] = _pack(vals, width)
-        coeffs[i] = [Fp(vals[c - col], p) if c > col else zero
-                     for c in nonpivots]
-    return Echelon(ncols, field, pivots, nonpivots, coeffs)
+        free = [v % p for v in _unpack(acc, nfree, width)]
+        work[i] = _pack(free, width)
+        coeffs[i] = [Fp(v, p) if v else zero for v in free]
+    return Echelon(ncols, field, pivots, nonpivots, coeffs, origins)
 
 
 def echelon_rows(rows, ncols: int, field: FieldSpec) -> Echelon:
     """Deterministic reduced row echelon form of a list of vectors."""
-    rows = [r for r in rows if any(r)]
     if field.is_rational:
         return _echelon_rational(rows, ncols)
     return _echelon_prime(rows, ncols, field)
@@ -419,10 +443,10 @@ def det_ff(m: Matrix):
         return _det_polynomial(m.entries)
     if not m.field.is_rational:
         p = m.field.p
-        _, _, pivots, sign, leads = _forward_prime(m.entries, n, p)
+        _, _, pivots, _, sign, leads = _forward_prime(m.entries, n, p)
         return Fp(sign * leads if len(pivots) == n else 0, p)
     work, factor = _to_int_rows(m.entries)
-    _, sign = _forward_rational(work, n)
+    _, _, sign = _forward_rational(work, n)
     return sign * work[-1][-1] / factor
 
 

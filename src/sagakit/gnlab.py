@@ -208,9 +208,10 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
     """Search a quadric complete intersection over F_p for x q = 0 pairs.
 
     Restricts the determinant of multiplication on degree 2 to random lines
-    through coordinate space and scans every parameter value for roots; a
-    root gives an x with nontrivial kernel, and q is the first kernel basis
-    vector.  Returns None when the line budget is exhausted.
+    through coordinate space and scans every parameter value for roots (see
+    _line_roots); a root gives an x with nontrivial kernel, and q is the
+    first kernel basis vector.  Returns None when the line budget is
+    exhausted.
     """
     field = algebra.field
     if field.is_rational:
@@ -230,11 +231,7 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
         # multiplication is linear in x, so the map at u + s v is A0 + s A1
         a0 = algebra.mul_map(algebra.element(1, u), 2).entries
         a1 = algebra.mul_map(algebra.element(1, v), 2).entries
-        for s in range(p):
-            rows = [[e0 + s * e1 for e0, e1 in zip(r0, r1)]
-                    for r0, r1 in zip(a0, a1)]
-            if det_ff(Matrix(rows, field)):
-                continue
+        for s in _line_roots(a0, a1, field):
             xc = [(u[j] + s * v[j]) % p for j in range(h1)]
             if not any(xc):
                 continue
@@ -248,6 +245,36 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
             return DegeneratePair(x=x, q=q, dim_k1_q=dim_k1, dim_k2_q=dim_k2,
                                   line=line, root=s)
     return None
+
+
+def _line_roots(a0, a1, field: FieldSpec):
+    """The s in 0..p-1, in increasing order, where det(A0 + s A1) = 0.
+
+    The determinant is a polynomial of degree at most h = len(A0) in s.  It
+    is taken directly at s = 0..min(p, h + 1) - 1; past that, each value is
+    read by Horner's rule from its Newton interpolant through those points,
+    whose nodes 0..h are one apart, so the j-th divided differences divide
+    by j.
+    """
+    p = field.p
+    points = min(p, len(a0) + 1)
+    newton = []
+    for s in range(points):
+        rows = [[e0 + s * e1 for e0, e1 in zip(r0, r1)]
+                for r0, r1 in zip(a0, a1)]
+        newton.append(det_ff(Matrix(rows, field)).val)
+        if not newton[-1]:
+            yield s
+    for j in range(1, points):
+        inv = pow(j, p - 2, p)
+        for k in range(points - 1, j - 1, -1):
+            newton[k] = (newton[k] - newton[k - 1]) * inv % p
+    for s in range(points, p):
+        value = 0
+        for k in range(points - 1, -1, -1):
+            value = (value * (s - k) + newton[k]) % p
+        if not value:
+            yield s
 
 
 # -- the vanishing-hessian cubic fixture --------------------------------------

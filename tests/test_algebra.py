@@ -3,10 +3,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraError, DegreeOverflowError,
-                             NotRegularSequence, expected_ci_hilbert,
+                             NotRegularSequence, _checked_regular_sequence,
+                             _macaulay_piece, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
@@ -15,6 +17,7 @@ from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
 
 from oracles import inverse_system_hilbert
+from test_cli import QUADRIC_CI5
 
 
 def poly(text, n, field=RATIONAL):
@@ -426,3 +429,138 @@ class TestModularFirst:
         assert a.shadow_image(e).coords == a.shadow.element(
             1, [-3, 1, Fraction(1, 2)]).coords
         assert a.shadow_image(a.element(1, [Fraction(1, p), 0, 0])) is None
+
+
+F32003 = FieldSpec.prime(32003)
+
+
+@st.composite
+def generator_sequences(draw):
+    """n forms in n variables, 2 <= n <= 5, over F_7, F_101, F_32003 or Q,
+    with mixed degrees: dense or sparse random forms (regular for most
+    draws), one form a multiple of another (not regular), or no form with
+    a pure power of x0 (the point (1, 0, ..., 0) is a common zero, so not
+    Artinian)."""
+    field = draw(st.sampled_from([FieldSpec.prime(7), FieldSpec.prime(101),
+                                  F32003, RATIONAL]))
+    n = draw(st.integers(2, 4 if field.is_rational else 5))
+    top = {2: 4, 3: 3, 4: 3, 5: 2}[n]
+    degrees = draw(st.lists(st.integers(1, top), min_size=n, max_size=n)
+                   .filter(lambda ds: sum(d - 1 for d in ds) <= 8 - n))
+    coeff = st.integers(-3, 3).map(field.from_int)
+    forms = []
+    for k, d in enumerate(degrees):
+        terms = {m: draw(coeff) for m in monomial_basis(n, d)}
+        f = Polynomial(n, field, terms)
+        if f.is_zero:
+            f = Polynomial.from_monomial(
+                Monomial(tuple(d if j == k else 0 for j in range(n))), field)
+        forms.append(f)
+    kind = draw(st.sampled_from(["dense", "multiple", "no x0 power"]))
+    if kind == "multiple":
+        j = draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, n - 1).filter(lambda k: k != j))
+        linear = {m: draw(coeff) for m in monomial_basis(n, 1)}
+        linear[Monomial(tuple(int(i == k) for i in range(n)))] = field.one()
+        forms[k] = Polynomial(n, field, linear) * forms[j]
+        degrees[k] = degrees[j] + 1
+    elif kind == "no x0 power":
+        for k, d in enumerate(degrees):
+            terms = {m: c for m, c in forms[k].terms.items()
+                     if m.exponents[0] != d}
+            if not terms:
+                terms = {Monomial((d - 1, 1) + (0,) * (n - 2)): field.one()}
+            forms[k] = Polynomial(n, field, terms)
+    return forms, degrees
+
+
+def _all_rows_build(forms, degrees, expected):
+    """Pieces from every Macaulay row, and the (degree, expected, found) of
+    the first failing check, or None."""
+    pieces = []
+    for i, h in enumerate(expected):
+        piece = _macaulay_piece(forms, degrees, i)
+        if piece.dim != h:
+            return pieces, (i, h, piece.dim)
+        pieces.append(piece)
+    top = _macaulay_piece(forms, degrees, len(expected))
+    return pieces, (len(expected), 0, top.dim) if top.dim else None
+
+
+@given(generator_sequences())
+@settings(max_examples=150, deadline=None)
+def test_skipped_rows_build_the_same_echelon(case):
+    forms, degrees = case
+    expected = expected_ci_hilbert(degrees, len(forms))
+    pieces, failure = _all_rows_build(forms, degrees, expected)
+    try:
+        algebra = _checked_regular_sequence(forms, degrees, expected)
+    except NotRegularSequence as err:
+        assert (err.degree, err.expected, err.found) == failure
+        return
+    assert failure is None
+    for i, want in enumerate(pieces):
+        got = algebra.piece(i).echelon
+        assert (got.pivots, got.nonpivots, got.coeffs) == (
+            want.echelon.pivots, want.echelon.nonpivots, want.echelon.coeffs)
+
+
+def _ci6_fp_style():
+    # six quadrics in six variables, every coefficient nonzero in -9..9
+    rng = random.Random(6)
+    choices = [v for v in range(-9, 10) if v]
+    return [Polynomial(6, F32003, {m: rng.choice(choices)
+                                   for m in monomial_basis(6, 2)})
+            for _ in range(6)]
+
+
+@pytest.mark.parametrize("name", ["quadric_ci5", "ci6_fp_style"])
+def test_kept_rows_equal_the_rank(monkeypatch, name):
+    # for a regular sequence no kept Macaulay row reduces to zero
+    forms = (gens(QUADRIC_CI5.split(";"), 5, F32003)
+             if name == "quadric_ci5" else _ci6_fp_style())
+    calls = []
+    real = algebra_module.echelon_rows
+
+    def counting(rows, ncols, field):
+        ech = real(rows, ncols, field)
+        calls.append((len(rows), ech.rank, ncols))
+        return ech
+
+    monkeypatch.setattr(algebra_module, "echelon_rows", counting)
+    a = from_regular_sequence(forms)
+    n = len(forms)
+    assert len(calls) == a.socle_degree + 1
+    for i, (kept, rank, ncols) in enumerate(calls):
+        assert kept == rank == ncols - a.hilbert[i]
+    # every Macaulay row of the socle degree would be n * C(n + N - 3, N - 2)
+    assert calls[-1][0] < n * comb(n + a.socle_degree - 3, a.socle_degree - 2)
+
+
+def _pairing_cases(monomial_ci, perazzo_alg):
+    x0 = monomial_ci.reduce(poly("x0 + 2*x1 - x4", 5))
+    generic = perazzo_alg.reduce(poly("x0 + 2*x1 + 3*x2 + 4*x3 + 5*x4", 5))
+    return {
+        "monomial_ci": monomial_ci,
+        "perazzo_pinned": perazzo_alg,
+        "perazzo_pinned_socle": perazzo_alg.with_degree_basis(
+            3, [poly("3*x0*x3^2 - x2*x4^2", 5)]),
+        "quotient_by_ann": monomial_ci.quotient_by_ann(x0),
+        "perazzo_quotient": perazzo_alg.quotient_by_ann(generic),
+        "quadric_ci_fp": _quadric_ci_fp(),
+    }
+
+
+@pytest.mark.parametrize("name", ["monomial_ci", "perazzo_pinned",
+                                  "perazzo_pinned_socle", "quotient_by_ann",
+                                  "perazzo_quotient", "quadric_ci_fp"])
+def test_pairing_reads_socle_coordinates_of_products(monomial_ci, perazzo_alg,
+                                                     name):
+    alg = _pairing_cases(monomial_ci, perazzo_alg)[name]
+    N = alg.socle_degree
+    for s in range(N + 1):
+        ok, m = alg.pairing_check(s)
+        assert ok
+        assert m.entries == [[alg.multiply(a, b).coords[0]
+                              for b in alg.basis(N - s)]
+                             for a in alg.basis(s)]

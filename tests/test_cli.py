@@ -60,6 +60,33 @@ DENSE_QUARTIC5 = (
     "2*x2*x3^2*x4 - 3*x2*x3*x4^2 + 3*x2*x4^3 + x3^4 + 2*x3^3*x4 - "
     "2*x3^2*x4^2 - x3*x4^3 + x4^4")
 
+# quadric, cubic, quadric, cubic in four variables, every coefficient of the
+# form drawn from -9..9 by random.Random(23) in monomial_basis order (zeros
+# dropped); a complete intersection over F_32003
+MIXED_CI4 = (
+    "-7*x0*x1 - 9*x0*x2 + 9*x0*x3 + 4*x1*x2 + 3*x1*x3 + 7*x2^2 + 2*x2*x3"
+    " - 5*x3^2;"
+    "-3*x0^3 - x0^2*x1 + 5*x0^2*x2 - 9*x0^2*x3 - 2*x0*x1^2 + 5*x0*x1*x2"
+    " - 9*x0*x1*x3 - 6*x0*x2^2 - 7*x0*x2*x3 + 6*x0*x3^2 + 4*x1^3"
+    " - 9*x1^2*x2 + 7*x1^2*x3 + 4*x1*x2^2 + 2*x1*x2*x3 - 8*x1*x3^2"
+    " - 3*x2^3 - 8*x2^2*x3 + 9*x2*x3^2 + 2*x3^3;"
+    "-4*x0^2 - 3*x0*x1 + 2*x0*x2 + 9*x0*x3 + 2*x1^2 + 9*x1*x2 + x2^2"
+    " + 9*x2*x3 - 7*x3^2;"
+    "6*x0^3 - 4*x0^2*x1 + 6*x0^2*x2 + 9*x0^2*x3 + 5*x0*x1^2 - 4*x0*x1*x2"
+    " - 4*x0*x1*x3 - 4*x0*x2^2 + 8*x0*x2*x3 + x0*x3^2 + 7*x1^3"
+    " - 3*x1^2*x2 + 9*x1^2*x3 - 6*x1*x2^2 - 7*x1*x2*x3 - 6*x1*x3^2"
+    " + 4*x2^3 - 8*x2^2*x3 + 9*x2*x3^2 - x3^3")
+
+# two quadrics f0, f1 in x0..x2 (random.Random(31)), x2*f0 - x3*f1 and a third
+# quadric: not a regular sequence, h_3 is 8 where the series says 7
+NOT_REGULAR4 = (
+    "-9*x0^2 + 6*x0*x1 - 6*x0*x2 + 3*x1^2 - 5*x1*x2 - 8*x2^2;"
+    "-5*x0^2 - 6*x0*x1 + 8*x0*x2 - 2*x1^2 - 5*x1*x2 - 5*x2^2;"
+    "-9*x0^2*x2 + 5*x0^2*x3 + 6*x0*x1*x2 + 6*x0*x1*x3 - 6*x0*x2^2"
+    " - 8*x0*x2*x3 + 3*x1^2*x2 + 2*x1^2*x3 - 5*x1*x2^2 + 5*x1*x2*x3"
+    " - 8*x2^3 + 5*x2^2*x3;"
+    "-8*x0^2 - 8*x0*x1 - 5*x0*x2 - 2*x1^2 + 8*x1*x2 + 5*x2^2")
+
 # a Perazzo-type cubic x0*g0 + x1*g1 + x2*g2 with g0, g1, g2 independent
 # quadrics in x3, x4 (also mod 7): not a cone, and its hessian vanishes
 PERAZZO_TYPE = "x0*x3^2 + 3*x1*x3*x4 + x1*x4^2 + x2*x3^2 + 5*x2*x4^2"
@@ -295,7 +322,8 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of eleven reference runs.
+    """sha256 of the JSON report bytes of twelve reference runs, and of the
+    error text of one rejected input.
 
     Any change to a report's bytes, however it arises, fails here.  The first
     five digests were taken before the multiplication tables replaced the
@@ -303,10 +331,14 @@ class TestGoldenReports:
     non-monomial quadric CI over Q) before regular-sequence algebras were
     built and probed modulo a prime first; the next two (a five-variable
     quadric CI over F_32003 and over F_7, where slots are narrow) before F_p
-    elimination moved to packed rows; the last two (a dense quartic over Q,
+    elimination moved to packed rows; the next two (a dense quartic over Q,
     whose hessian is nonzero at a sampled point, and a Perazzo-type cubic
     over F_7, whose vanishing hessian needs the symbolic determinant) before
-    the hessian verdict moved to point evaluation.
+    the hessian verdict moved to point evaluation; the last report (a
+    mixed-degree CI over F_32003) and the error text (a sequence over Q that
+    is not regular, built eagerly after the miss mod p) before Macaulay rows
+    were skipped by the F5 criterion and pairings read from the socle
+    functional.
     """
 
     GOLDEN = [
@@ -332,6 +364,8 @@ class TestGoldenReports:
          "eebb223577de4657d3cc281a1ff457f15befcf4401e35601eabaf2b36814a7a3"),
         (["analyze", PERAZZO_TYPE, "--field", "fp:7"],
          "e33f6227ef2c04cdeb52a6306cc5e5c6bc4feab9b63f2243c97cff4aa0590906"),
+        (["analyze", MIXED_CI4, "--nvars", "4", "--field", "fp:32003"],
+         "fd99af8e2be0ca061a1d69c5b49c0ccfda9392e8114984a6b6ea719056295d3e"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
@@ -339,8 +373,15 @@ class TestGoldenReports:
                                   "gamma", "experiment", "experiment_20",
                                   "analyze_ci4", "analyze_ci5_fp32003",
                                   "analyze_ci5_fp7", "analyze_quartic",
-                                  "analyze_perazzo_type_fp7"])
+                                  "analyze_perazzo_type_fp7",
+                                  "analyze_mixed_ci4_fp32003"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_not_regular_sequence_error_sha256(self, capsys):
+        code, out, err = run(capsys, "analyze", NOT_REGULAR4, "--nvars", "4")
+        assert (code, out) == (1, "")
+        assert hashlib.sha256(err.encode()).hexdigest() == (
+            "8fa0e7a4566ea53bfd9aa983c6015105832c627d8fd86b5e02f5110d304ce05d")

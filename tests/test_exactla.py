@@ -300,3 +300,82 @@ def test_echelon_prime_integer_rows_reduce_mod_p():
     pivots, nonpivots, coeffs = rref_mod_p([[8, 3], [-6, 10]], 2, 7)
     assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
     assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+
+
+@st.composite
+def rows_with_zero_rows(draw):
+    """(rows, ncols, field): drawn rows, combinations of earlier rows and
+    zero rows interleaved, over Q or one of PRIMES."""
+    p = draw(st.sampled_from(PRIMES + [None]))
+    ncols = draw(st.integers(1, 7))
+    if p is None:
+        field = RATIONAL
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(-9, 9, max_denominator=6))
+    else:
+        field = FieldSpec.prime(p)
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]),
+                          st.integers(0, p - 1)).map(lambda x: Fp(x, p))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["new", "combo", "zero"]),
+                              max_size=10)):
+        if kind == "new" or not rows:
+            rows.append(draw(st.lists(entry, min_size=ncols,
+                                      max_size=ncols)))
+        elif kind == "combo":
+            a = draw(st.integers(0, len(rows) - 1))
+            b = draw(st.integers(0, len(rows) - 1))
+            s, t = draw(entry), draw(entry)
+            rows.append([s * x + t * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append([field.zero()] * ncols)
+    return rows, ncols, field
+
+
+@given(rows_with_zero_rows())
+@settings(max_examples=200, deadline=None)
+@example(([[0, 1], [1, 0]], 2, RATIONAL))
+@example(([[0, 0], [0, 1], [1, 1]], 2, FieldSpec.prime(2)))
+def test_origins_give_the_pivots_of_every_prefix(case):
+    rows, ncols, field = case
+    ech = echelon_rows(rows, ncols, field)
+    assert len(ech.origins) == ech.rank == len(set(ech.origins))
+    for k in range(len(rows) + 1):
+        prefix = [c for c, o in zip(ech.pivots, ech.origins) if o < k]
+        assert prefix == echelon_rows(rows[:k], ncols, field).pivots
+
+
+class TestPivotMoves:
+    """Stable pivoting moves the pivot row up past the rows between; a move
+    over k rows changes the sign of the determinant by (-1)^k."""
+
+    CASES = [
+        # the pivot of column 0 sits 2 rows down (no sign change), then the
+        # rows are in order: a 3-cycle, det +2*3*5
+        ([[0, 2, 0], [0, 0, 3], [5, 0, 0]], 30),
+        # column 0 two rows down, then column 1 one row down: det -2*3*5
+        ([[0, 0, 2], [0, 3, 0], [5, 0, 0]], -30),
+        # column 0 three rows down: a 4-cycle, det -2*3*5*7
+        ([[0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5], [7, 0, 0, 0]], -210),
+        # column 0 three rows down, then column 1 two rows down: det -2*3*5*7
+        ([[0, 0, 2, 0], [0, 0, 0, 3], [0, 5, 0, 0], [7, 0, 0, 0]], -210),
+    ]
+
+    @pytest.mark.parametrize("rows,det", CASES)
+    def test_rational(self, rows, det):
+        assert det_by_permutations(rows) == det
+        assert det_ff(Matrix(rows)) == det
+
+    @pytest.mark.parametrize("p", [11, 101, 2**61 - 1])
+    @pytest.mark.parametrize("rows,det", CASES)
+    def test_prime(self, rows, det, p):
+        field = FieldSpec.prime(p)
+        m = Matrix([[Fp(x, p) for x in row] for row in rows], field)
+        assert det_ff(m) == Fp(det, p)
+
+    def test_origins_follow_the_moves(self):
+        for field in (RATIONAL, FieldSpec.prime(11)):
+            ech = echelon_rows([[0, 0, 2, 0], [0, 0, 0, 3], [0, 5, 0, 0],
+                                [7, 0, 0, 0]], 4, field)
+            assert ech.pivots == [0, 1, 2, 3]
+            assert ech.origins == [3, 2, 0, 1]

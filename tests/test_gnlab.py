@@ -8,14 +8,14 @@ import pytest
 import sagakit.algebra as algebra_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import AlgebraError, from_regular_sequence
-from sagakit.exactla import rank_kernel
+from sagakit.exactla import Matrix, det_ff, rank_kernel
 from sagakit.gnlab import (SLPEvidence, check_ggn, check_k1_bound,
                            check_ker_coker, composed_gn_map, corrupt_sample,
                            degenerate_pair_search, gn_map_check,
                            perazzo_fixture, printed_gn_map, sample_gamma,
                            tangent_kernel_check, theorem_c_experiment,
-                           _theorem_c_trial)
-from sagakit.polyring import FieldSpec, RATIONAL, parse_poly
+                           _line_roots, _theorem_c_trial)
+from sagakit.polyring import FieldSpec, Fp, RATIONAL, parse_poly
 
 F101 = FieldSpec.prime(101)
 
@@ -166,6 +166,22 @@ class TestDegeneratePairSearch:
             assert pair.dim_k2_q in (6, 7)
             assert pair.dim_k1_q <= 2
         assert found >= 3
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_line_roots_match_a_determinant_at_every_s(self, p):
+        # h + 1 >= p scans every s directly; smaller h interpolates the rest
+        field = FieldSpec.prime(p)
+        rng = random.Random(p)
+        for h in range(1, 6):
+            for _ in range(4):
+                a0, a1 = ([[Fp(rng.randrange(p), p) for _ in range(h)]
+                           for _ in range(h)] for _ in range(2))
+                if rng.random() < 0.3:
+                    a1[0] = [Fp(0, p)] * h  # lower the degree in s
+                direct = [s for s in range(p) if not det_ff(Matrix(
+                    [[e0 + s * e1 for e0, e1 in zip(r0, r1)]
+                     for r0, r1 in zip(a0, a1)], field))]
+                assert list(_line_roots(a0, a1, field)) == direct
 
     def test_budget_zero(self):
         algebra = from_regular_sequence(

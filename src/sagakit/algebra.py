@@ -10,23 +10,26 @@ accepted exactly when the computed Hilbert function matches the expected
 complete-intersection series and the quotient vanishes one degree above the
 socle.
 
-The eager regular-sequence build takes the degrees in order and leaves out
-the Macaulay rows m * f_g whose multiplier m is a leading monomial of the
-ideal of the generators before g (the F5 criterion; Faugere, ISSAC 2002).
-Those leading monomials are read from the echelon of the lower degree:
-stable pivoting in `exactla` makes the pivots whose rows came from the
-generators before g exactly the leading monomials of their ideal.  The kept
-rows span the same space, so every piece is unchanged; for a regular
-sequence the kept rows are exactly rank-many, since all its syzygies are
-Koszul (Bardet, Faugere and Salvy, J. Symb. Comput. 2015).
+Every regular-sequence build, eager or lazy, over F_p or Q, takes the
+degrees in order and leaves out the Macaulay rows m * f_g whose multiplier
+m is a leading monomial of the ideal of the generators before g (the F5
+criterion; Faugere, ISSAC 2002).  Those leading monomials are read from the
+echelon of the lower degree: stable pivoting in `exactla` makes the pivots
+whose rows came from the generators before g exactly the leading monomials
+of their ideal.  The kept rows span the same space, so every piece is
+unchanged; for a regular sequence the kept rows are exactly rank-many,
+since all its syzygies are Koszul (Bardet, Faugere and Salvy, J. Symb.
+Comput. 2015).
 
 Over Q a regular sequence is built modular-first.  Its generators are
 reduced mod SHADOW_PRIME and the F_p algebra is built and checked first.
 If it passes, the sequence is regular over Q too (the Macaulay resultant
 reduces mod p), so the Q Hilbert vector is certified without a Q echelon;
-the Q pieces are then built one degree at a time, on first read through
-`piece`, and the F_p algebra is kept as the algebra's `shadow` for the
-probes in `lefschetz`.  Any miss mod p falls back to the eager Q build.
+the Q pieces are then built in degree order, from the same F5 rows, on
+first read through `piece` (reading degree d builds every lower degree
+first, since its rows need their leading monomials), and the F_p algebra is
+kept as the algebra's `shadow` for the probes in `lefschetz`.  Any miss mod
+p falls back to the eager Q build.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
@@ -46,7 +49,7 @@ are honored without touching the underlying reduction data.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import count
 from math import comb
 from operator import add
 
@@ -54,6 +57,7 @@ from .apolarity import catalecticant, contract, rank_kernel
 from .exactla import Echelon, Matrix, echelon_rows, invert
 from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
                        monomial_basis)
+from .seeding import random_int_coords
 
 # The prime of the modular-first build: below 2^15, so products of residues
 # stay single-limb Python ints.
@@ -128,48 +132,28 @@ class _Piece:
     def dim(self) -> int:
         return len(self.basis_monomials)
 
-    def copy(self) -> "_Piece":
-        clone = _Piece.__new__(_Piece)
-        clone.degree = self.degree
-        clone.ambient = self.ambient
-        clone.index = self.index
-        clone.echelon = self.echelon
-        clone.basis_monomials = self.basis_monomials
-        clone.basis_reps = self.basis_reps
-        clone.basis_inverse = self.basis_inverse
-        return clone
-
 
 class GradedAlgebra:
     """A standard graded Artinian algebra with exact reduction per degree."""
 
-    def __init__(self, n_vars: int, field: FieldSpec, pieces: list[_Piece],
-                 presentation: dict):
-        self._setup(n_vars, field, list(pieces),
-                    tuple(p.dim for p in pieces), presentation)
-
-    @classmethod
-    def _deferred(cls, n_vars: int, field: FieldSpec, hilbert, build,
-                  presentation: dict, shadow: "GradedAlgebra"):
-        """An algebra whose Hilbert vector is already certified; piece d is
-        build(d), made on first read."""
-        algebra = cls.__new__(cls)
-        algebra._setup(n_vars, field, [None] * len(hilbert), tuple(hilbert),
-                       presentation)
-        algebra._build = build
-        algebra.shadow = shadow
-        return algebra
-
-    def _setup(self, n_vars, field, pieces, hilbert, presentation):
+    def __init__(self, n_vars: int, field: FieldSpec, pieces,
+                 presentation: dict, hilbert=None,
+                 shadow: "GradedAlgebra | None" = None):
+        """The pieces come in degree order.  Given a certified Hilbert vector
+        they may be any iterator, and each is drawn on first read; otherwise
+        they are all drawn here and the Hilbert vector is their dimensions."""
+        if hilbert is None:
+            pieces = list(pieces)
+            hilbert = [p.dim for p in pieces]
         self.n_vars = n_vars
         self.field = field
-        self._pieces = pieces
-        self._build = None
+        self._pieces = []
+        self._unread = iter(pieces)
         self.presentation = presentation
         self.socle_degree = len(hilbert) - 1
-        self.hilbert = hilbert
+        self.hilbert = tuple(hilbert)
         # the same algebra mod SHADOW_PRIME, when a modular-first build kept it
-        self.shadow = None
+        self.shadow = shadow
         # _tables[i][j][c]: coordinates of x_j times basis class c of degree
         # i, filled by _table(i) on first read
         self._tables = [None] * self.socle_degree
@@ -184,15 +168,14 @@ class GradedAlgebra:
         if not 0 <= degree <= self.socle_degree:
             raise DegreeOverflowError(
                 f"degree {degree} outside 0..{self.socle_degree}")
-        piece = self._pieces[degree]
-        if piece is None:
-            piece = self._build(degree)
-            if piece.dim != self.hilbert[degree]:
+        while len(self._pieces) <= degree:
+            piece = next(self._unread)
+            if piece.dim != self.hilbert[piece.degree]:
                 raise AlgebraError(
-                    f"internal: degree {degree} has dimension {piece.dim}, "
-                    f"certified {self.hilbert[degree]}")
-            self._pieces[degree] = piece
-        return piece
+                    f"internal: degree {piece.degree} has dimension "
+                    f"{piece.dim}, certified {self.hilbert[piece.degree]}")
+            self._pieces.append(piece)
+        return self._pieces[degree]
 
     def shadow_image(self, e: AlgebraElement) -> AlgebraElement | None:
         """The class of e in the shadow algebra, or None when there is no
@@ -234,10 +217,10 @@ class GradedAlgebra:
     def random_element(self, degree: int, rng, low: int = -10, high: int = 10,
                        nonzero: bool = True) -> AlgebraElement:
         h = self.dim(degree)
-        while True:
-            coords = [rng.randint(low, high) for _ in range(h)]
-            if not nonzero or any(coords):
-                return self.element(degree, coords)
+        if nonzero and h == 0:
+            raise AlgebraError(f"degree {degree} has no nonzero element")
+        return self.element(degree,
+                            random_int_coords(rng, h, low, high, nonzero))
 
     def reduce(self, p: Polynomial, degree: int | None = None) -> AlgebraElement:
         """Coordinates of the class of p in its graded piece."""
@@ -467,9 +450,8 @@ class GradedAlgebra:
         h = piece.dim
         b = Matrix([[columns[c][r] for c in range(h)] for r in range(h)],
                    self.field)
-        new_piece = piece.copy()
+        new_piece = _Piece(degree, piece.ambient, piece.echelon, self.field)
         new_piece.basis_reps = list(reps)
-        new_piece.basis_monomials = list(piece.basis_monomials)
         new_piece.basis_inverse = invert(b)
         pieces = [self.piece(d) for d in range(self.socle_degree + 1)]
         pieces[degree] = new_piece
@@ -562,8 +544,9 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
 
     Over Q the forms are first reduced mod SHADOW_PRIME.  When the F_p
     algebra passes both checks the forms are regular over Q as well, the Q
-    pieces are built lazily and the F_p algebra is kept as the shadow;
-    otherwise the Q algebra is built eagerly and checked as over any field.
+    pieces are built lazily, in degree order from the same F5 rows as the
+    eager build, and the F_p algebra is kept as the shadow; otherwise the Q
+    algebra is built eagerly and checked as over any field.
     """
     if not forms:
         raise AlgebraError("empty generator list")
@@ -585,9 +568,9 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
     if field.is_rational:
         shadow = _modular_shadow(forms, degrees, expected)
         if shadow is not None:
-            return GradedAlgebra._deferred(
-                n, field, expected, partial(_macaulay_piece, forms, degrees),
-                _ci_presentation(forms, degrees), shadow)
+            return GradedAlgebra(n, field, _macaulay_pieces(forms, degrees),
+                                 _ci_presentation(forms, degrees), expected,
+                                 shadow)
     return _checked_regular_sequence(forms, degrees, expected)
 
 
@@ -596,17 +579,17 @@ def _ci_presentation(forms, degrees) -> dict:
             "generator_degrees": tuple(degrees)}
 
 
-def _macaulay_rows(forms, degrees, i: int, leading=None):
+def _macaulay_rows(forms, degrees, i: int, leading):
     """The Macaulay rows of degree i, generator by generator: f_g times every
     monomial of degree i - deg f_g, F_p coefficients as plain residues.
 
-    With `leading`, the row m * f_g is left out when m is a leading monomial
-    of I_<g, the ideal of the generators before g: `leading[g][d]` holds
-    those of degree d as indices into monomial_basis(n, d).  If h in I_<g
-    has leading monomial m, then m * f_g = h * f_g - (h - m) * f_g; the
-    first term lies in I_<g and the second in the span of rows m' * f_g
-    whose m' comes later in the basis, so by induction over g and over m the
-    kept rows span the same space and the echelon form does not change.
+    The row m * f_g is left out when m is a leading monomial of I_<g, the
+    ideal of the generators before g: `leading[g][d]` holds those of degree
+    d as indices into monomial_basis(n, d).  If h in I_<g has leading
+    monomial m, then m * f_g = h * f_g - (h - m) * f_g; the first term lies
+    in I_<g and the second in the span of rows m' * f_g whose m' comes later
+    in the basis, so by induction over g and over m the kept rows span the
+    same space and the echelon form does not change.
     This is the F5 criterion (Faugere, ISSAC 2002); for a regular sequence no
     kept row reduces to zero (Bardet, Faugere and Salvy, J. Symb. Comput.
     2015), because every syzygy of a regular sequence is Koszul.
@@ -623,7 +606,7 @@ def _macaulay_rows(forms, degrees, i: int, leading=None):
         starts.append(len(rows))
         if e > i:
             continue
-        skip = leading[g][i - e] if leading is not None else ()
+        skip = leading[g][i - e]
         terms = [(mon.exponents, coeff.val if prime else coeff)
                  for mon, coeff in f.terms.items()]
         for k, mult in enumerate(monomial_basis(n, i - e)):
@@ -637,45 +620,42 @@ def _macaulay_rows(forms, degrees, i: int, leading=None):
     return ambient, rows, starts
 
 
-def _macaulay_piece(forms, degrees, i: int) -> _Piece:
-    """Degree-i piece of the quotient from every Macaulay row: the lazy Q
-    build, where no leading monomials are known."""
-    field = forms[0].field
-    ambient, rows, _ = _macaulay_rows(forms, degrees, i)
-    return _Piece(i, ambient, echelon_rows(rows, len(ambient), field), field)
+def _macaulay_pieces(forms, degrees):
+    """The pieces of the quotient in degree order, without end, from the rows
+    that the F5 criterion keeps.
 
-
-def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:
-    """The eager build over the forms' own field, with both checks.
-
-    Degrees are built in order.  After degree d, leading[g][d] is read off
-    the echelon: the pivots whose rows came from generators before g, which
-    by stable pivoting are the leading monomials of I_<g in degree d.  The
-    rows of later degrees then skip them (see _macaulay_rows).
+    After degree d, leading[g][d] is read off the echelon: the pivots whose
+    rows came from generators before g, which by stable pivoting are the
+    leading monomials of I_<g in degree d.  The rows of later degrees then
+    skip them (see _macaulay_rows).
     """
     field = forms[0].field
     leading = [[] for _ in forms]
-
-    def piece(i):
+    for i in count():
         ambient, rows, starts = _macaulay_rows(forms, degrees, i, leading)
         ech = echelon_rows(rows, len(ambient), field)
         for g, start in enumerate(starts):
             leading[g].append({c for c, o in zip(ech.pivots, ech.origins)
                                if o < start})
-        return _Piece(i, ambient, ech, field)
+        yield _Piece(i, ambient, ech, field)
 
-    pieces = []
-    for i, h in enumerate(expected):
-        pieces.append(piece(i))
-        if pieces[i].dim != h:
-            raise NotRegularSequence(i, h, pieces[i].dim)
-    algebra = GradedAlgebra(forms[0].n_vars, field, pieces,
+
+def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:
+    """The eager build over the forms' own field, with both checks."""
+    pieces = _macaulay_pieces(forms, degrees)
+    built = []
+    # zip reads expected first, so no piece above the socle degree is drawn
+    for h, piece in zip(expected, pieces):
+        if piece.dim != h:
+            raise NotRegularSequence(piece.degree, h, piece.dim)
+        built.append(piece)
+    algebra = GradedAlgebra(forms[0].n_vars, forms[0].field, built,
                             _ci_presentation(forms, degrees))
-    _require_artinian(algebra, piece)
+    _require_artinian(algebra, pieces)
     return algebra
 
 
-def _require_artinian(algebra: GradedAlgebra, piece):
+def _require_artinian(algebra: GradedAlgebra, pieces):
     """Raise NotRegularSequence unless the quotient vanishes in degree N+1.
 
     The Hilbert function already matches the CI series through N, so
@@ -684,12 +664,13 @@ def _require_artinian(algebra: GradedAlgebra, piece):
     A_1 x A_(N-1) -> A_N would be (a, b) -> a(P) b(P), of rank at most 1.
     A complete intersection is Gorenstein and its pairing is perfect.  So
     with h_1 >= 2 a perfect pairing proves V(I) empty; otherwise, and on the
-    error path, the degree-(N+1) piece is built by piece(N + 1).
+    error path, the degree-(N+1) piece is drawn from `pieces`, the in-order
+    build that stopped at degree N.
     """
     N = algebra.socle_degree
     if algebra.dim(1) >= 2 and algebra.pairing_check(1)[0]:
         return
-    top = piece(N + 1)
+    top = next(pieces)
     if top.dim:
         raise NotRegularSequence(N + 1, 0, top.dim)
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              NotRegularSequence, _checked_regular_sequence,
-                             _macaulay_piece, expected_ci_hilbert,
+                             _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
-from sagakit.exactla import rank_kernel
+from sagakit.exactla import echelon_rows, rank_kernel
 from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
 
@@ -92,6 +92,21 @@ class TestFromRegularSequence:
         f101 = FieldSpec.prime(101)
         a = from_regular_sequence(gens(SQUARES, 5, f101))
         assert a.hilbert == (1, 5, 10, 10, 5, 1)
+
+
+class TestRandomElement:
+    def test_seeded_draw_is_pinned(self):
+        a = from_regular_sequence(gens(["x0^2", "x1^2", "x2^2"], 3))
+        # the first draw, (0, 0, 0), is rejected and drawn again
+        e = a.random_element(2, random.Random(2), low=0, high=1)
+        assert e.coords == (1, 0, 1)
+
+    def test_nonzero_draw_from_an_empty_piece_raises(self):
+        a = from_regular_sequence(gens(["x0^2", "x1^2", "x2^2"], 3))
+        with pytest.raises(AlgebraError):
+            a.random_element(a.socle_degree + 1, random.Random(0))
+        assert a.random_element(a.socle_degree + 1, random.Random(0),
+                                nonzero=False).coords == ()
 
 
 class TestReduce:
@@ -402,8 +417,9 @@ class TestModularFirst:
         assert a.shadow.field == FieldSpec.prime(algebra_module.SHADOW_PRIME)
         assert a.shadow.hilbert == a.hilbert == (1, 3, 3, 1)
         assert not any(rational for _, rational in built)
+        # the F5 rows of degree 2 need the Q leading monomials of degrees 0, 1
         a.piece(2)
-        assert [n for n, rational in built if rational] == [6]
+        assert [n for n, rational in built if rational] == [1, 3, 6]
 
     def test_miss_builds_eagerly_without_shadow(self, monkeypatch):
         hit = from_regular_sequence(gens(MISS_AT_3, 3))
@@ -474,17 +490,24 @@ def generator_sequences(draw):
     return forms, degrees
 
 
+def _all_rows_echelon(forms, degrees, i):
+    """The echelon of every Macaulay row of degree i, none skipped."""
+    ambient, rows, _ = _macaulay_rows(forms, degrees, i,
+                                      [[()] * i for _ in forms])
+    return echelon_rows(rows, len(ambient), forms[0].field)
+
+
 def _all_rows_build(forms, degrees, expected):
-    """Pieces from every Macaulay row, and the (degree, expected, found) of
+    """Echelons from every Macaulay row, and the (degree, expected, found) of
     the first failing check, or None."""
-    pieces = []
+    echelons = []
     for i, h in enumerate(expected):
-        piece = _macaulay_piece(forms, degrees, i)
-        if piece.dim != h:
-            return pieces, (i, h, piece.dim)
-        pieces.append(piece)
-    top = _macaulay_piece(forms, degrees, len(expected))
-    return pieces, (len(expected), 0, top.dim) if top.dim else None
+        ech = _all_rows_echelon(forms, degrees, i)
+        if len(ech.nonpivots) != h:
+            return echelons, (i, h, len(ech.nonpivots))
+        echelons.append(ech)
+    top = len(_all_rows_echelon(forms, degrees, len(expected)).nonpivots)
+    return echelons, (len(expected), 0, top) if top else None
 
 
 @given(generator_sequences())
@@ -492,17 +515,22 @@ def _all_rows_build(forms, degrees, expected):
 def test_skipped_rows_build_the_same_echelon(case):
     forms, degrees = case
     expected = expected_ci_hilbert(degrees, len(forms))
-    pieces, failure = _all_rows_build(forms, degrees, expected)
-    try:
-        algebra = _checked_regular_sequence(forms, degrees, expected)
-    except NotRegularSequence as err:
-        assert (err.degree, err.expected, err.found) == failure
-        return
-    assert failure is None
-    for i, want in enumerate(pieces):
-        got = algebra.piece(i).echelon
-        assert (got.pivots, got.nonpivots, got.coeffs) == (
-            want.echelon.pivots, want.echelon.nonpivots, want.echelon.coeffs)
+    echelons, failure = _all_rows_build(forms, degrees, expected)
+    builds = [lambda: _checked_regular_sequence(forms, degrees, expected)]
+    if forms[0].field.is_rational:
+        # a hit mod SHADOW_PRIME builds the Q pieces lazily
+        builds.append(lambda: from_regular_sequence(forms))
+    for build in builds:
+        try:
+            algebra = build()
+        except NotRegularSequence as err:
+            assert (err.degree, err.expected, err.found) == failure
+            continue
+        assert failure is None
+        for i, want in enumerate(echelons):
+            got = algebra.piece(i).echelon
+            assert (got.pivots, got.nonpivots, got.coeffs) == (
+                want.pivots, want.nonpivots, want.coeffs)
 
 
 def _ci6_fp_style():
@@ -514,27 +542,34 @@ def _ci6_fp_style():
             for _ in range(6)]
 
 
-@pytest.mark.parametrize("name", ["quadric_ci5", "ci6_fp_style"])
+@pytest.mark.parametrize("name", ["quadric_ci5", "ci6_fp_style",
+                                  "quadric_ci5_q"])
 def test_kept_rows_equal_the_rank(monkeypatch, name):
     # for a regular sequence no kept Macaulay row reduces to zero
-    forms = (gens(QUADRIC_CI5.split(";"), 5, F32003)
-             if name == "quadric_ci5" else _ci6_fp_style())
-    calls = []
+    forms = {"quadric_ci5": lambda: gens(QUADRIC_CI5.split(";"), 5, F32003),
+             "ci6_fp_style": _ci6_fp_style,
+             "quadric_ci5_q": lambda: gens(QUADRIC_CI5.split(";"), 5)}[name]()
+    calls = {False: [], True: []}
     real = algebra_module.echelon_rows
 
     def counting(rows, ncols, field):
         ech = real(rows, ncols, field)
-        calls.append((len(rows), ech.rank, ncols))
+        calls[field.is_rational].append((len(rows), ech.rank, ncols))
         return ech
 
     monkeypatch.setattr(algebra_module, "echelon_rows", counting)
     a = from_regular_sequence(forms)
+    # over Q the F_p shadow is built first and the Q pieces on first read
+    a.to_json_dict()
     n = len(forms)
-    assert len(calls) == a.socle_degree + 1
-    for i, (kept, rank, ncols) in enumerate(calls):
-        assert kept == rank == ncols - a.hilbert[i]
-    # every Macaulay row of the socle degree would be n * C(n + N - 3, N - 2)
-    assert calls[-1][0] < n * comb(n + a.socle_degree - 3, a.socle_degree - 2)
+    for rational in {False, forms[0].field.is_rational}:
+        assert len(calls[rational]) == a.socle_degree + 1
+        for i, (kept, rank, ncols) in enumerate(calls[rational]):
+            assert kept == rank == ncols - a.hilbert[i]
+        # every Macaulay row of the socle degree would be
+        # n * C(n + N - 3, N - 2)
+        assert calls[rational][-1][0] < n * comb(n + a.socle_degree - 3,
+                                                 a.socle_degree - 2)
 
 
 def _pairing_cases(monomial_ci, perazzo_alg):

@@ -322,7 +322,7 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of twelve reference runs, and of the
+    """sha256 of the JSON report bytes of fourteen reference runs, and of the
     error text of one rejected input.
 
     Any change to a report's bytes, however it arises, fails here.  The first
@@ -334,11 +334,13 @@ class TestGoldenReports:
     elimination moved to packed rows; the next two (a dense quartic over Q,
     whose hessian is nonzero at a sampled point, and a Perazzo-type cubic
     over F_7, whose vanishing hessian needs the symbolic determinant) before
-    the hessian verdict moved to point evaluation; the last report (a
+    the hessian verdict moved to point evaluation; the next report (a
     mixed-degree CI over F_32003) and the error text (a sequence over Q that
     is not regular, built eagerly after the miss mod p) before Macaulay rows
     were skipped by the F5 criterion and pairings read from the socle
-    functional.
+    functional; the last two (the five-variable quadric CI and the
+    mixed-degree CI, both over Q) before the lazy Q pieces took the F5 rows
+    too.
     """
 
     GOLDEN = [
@@ -366,6 +368,10 @@ class TestGoldenReports:
          "e33f6227ef2c04cdeb52a6306cc5e5c6bc4feab9b63f2243c97cff4aa0590906"),
         (["analyze", MIXED_CI4, "--nvars", "4", "--field", "fp:32003"],
          "fd99af8e2be0ca061a1d69c5b49c0ccfda9392e8114984a6b6ea719056295d3e"),
+        (["analyze", QUADRIC_CI5],
+         "62afef87fcc1eebf071a691881868043976efb520aa53d8a0c2f4dda4fc20b09"),
+        (["analyze", MIXED_CI4, "--nvars", "4"],
+         "3524845fb4703e4e13603ecef32666cdaf591480f7af9d7fc9706708ac561a76"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
@@ -374,7 +380,8 @@ class TestGoldenReports:
                                   "analyze_ci4", "analyze_ci5_fp32003",
                                   "analyze_ci5_fp7", "analyze_quartic",
                                   "analyze_perazzo_type_fp7",
-                                  "analyze_mixed_ci4_fp32003"])
+                                  "analyze_mixed_ci4_fp32003",
+                                  "analyze_ci5_q", "analyze_mixed_ci4_q"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -1,0 +1,32 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "sagakit").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_only_stdlib_and_sagakit(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside.update(top for top in (n.split(".")[0] for n in names)
+                       if top != "sagakit"
+                       and top not in sys.stdlib_module_names)
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_no_runtime_dependencies():
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    assert "dependencies = []" in lines

@@ -366,6 +366,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
         report, code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            text = dump_json(report)
+        else:
+            text = _RENDERERS[args.command](report)
+        _emit(text, args.output)
     except NotRegularSequence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
@@ -375,11 +380,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        text = dump_json(report)
-    else:
-        text = _RENDERERS[args.command](report)
-    _emit(text, args.output)
     return code
 
 

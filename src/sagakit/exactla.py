@@ -23,16 +23,27 @@ offset (ncols - 1 - c) * W, and a row update is one big-int multiply-add
 with the reduction mod p delayed (delayed modular reduction, as in Dumas,
 Giorgi and Pernet, "Dense linear algebra over word-size prime fields: the
 FFLAS and FFPACK packages", ACM TOMS 2008).  A slot starts below p and gains
-at most one product below (p - 1)^2 per pivot row, so W is the least whole
-number of bytes holding p - 1 + nrows * (p - 1)^2 and no carry ever crosses
-a slot.  Once packed, entries are reduced mod p only where they are read:
-a lead, a pivot row when it is normalized, a row after back-substitution.
+at most one product below (p - 1)^2 per pivot row, so a slot needs the
+least whole number of bytes holding p - 1 + nrows * (p - 1)^2, and then no
+carry ever crosses a slot.  W rounds that up to the least item size of the
+stdlib `array` module that holds it (1, 2, 4 or 8 bytes), so a row moves
+between its residues and its packed int in C: `array.tobytes` and
+`frombytes`, with each item byte-swapped on a little-endian host.  Only a
+slot wider than 8 bytes (p = 2^31 - 1 over more than three rows, say)
+keeps its exact width and a conversion slot by slot.  An input row of
+plain ints in [0, p), as Macaulay rows are, is read into an array whole;
+any other row (`Fp` values, negative ints, ints >= p) is reduced entry by
+entry first.  Once packed, entries are reduced mod p only where they are
+read: a lead, a pivot row when it is normalized, a row after
+back-substitution.
 Back-substitution works on the pivot rows packed again over the non-pivot
 columns only, since a reduced row is 0 at every other pivot column.  The
 reduced row echelon form is unique, so the result is the one cell-by-cell
 elimination gives.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -252,6 +263,8 @@ def _forward_rational(work, ncols):
 
 
 def _echelon_rational(rows, ncols) -> Echelon:
+    for k, row in enumerate(rows):
+        _check_length(k, row, ncols)
     kept = [k for k, row in enumerate(rows) if any(row)]
     work, _ = _to_int_rows([rows[k] for k in kept])
     pivots, origins, _ = _forward_rational(work, ncols)
@@ -278,21 +291,59 @@ def _echelon_rational(rows, ncols) -> Echelon:
                    [kept[k] for k in origins])
 
 
+# An unsigned array typecode for each item size; a slot of one of these
+# widths is converted in C, by array.tobytes and frombytes.
+_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
+_WIDTHS = sorted(_TYPECODES)
+# packed rows are big-endian, slot by slot
+_SWAP = sys.byteorder != "big"
+
+
 def _slot_bytes(p: int, nrows: int) -> int:
     """Bytes per packed slot: room for p - 1 plus one product below (p - 1)^2
-    from each of up to nrows pivot rows, so no carry leaves its slot."""
-    return ((p - 1 + nrows * (p - 1) ** 2).bit_length() + 7) // 8
+    from each of up to nrows pivot rows, so no carry leaves its slot, rounded
+    up to the least array item size that holds it, if there is one."""
+    exact = ((p - 1 + nrows * (p - 1) ** 2).bit_length() + 7) // 8
+    return next((w for w in _WIDTHS if w >= exact), exact)
 
 
 def _unpack(row: int, nslots: int, width: int) -> list:
     data = row.to_bytes(nslots * width, "big")
-    return [int.from_bytes(data[k:k + width], "big")
-            for k in range(0, len(data), width)]
+    tc = _TYPECODES.get(width)
+    if tc is None:
+        return [int.from_bytes(data[k:k + width], "big")
+                for k in range(0, len(data), width)]
+    vals = array(tc, data)
+    if _SWAP:
+        vals.byteswap()
+    return vals.tolist()
 
 
 def _pack(vals, width: int) -> int:
-    return int.from_bytes(
-        b"".join(map(int.to_bytes, vals, repeat(width), repeat("big"))), "big")
+    tc = _TYPECODES.get(width)
+    if tc is None:
+        return int.from_bytes(
+            b"".join(map(int.to_bytes, vals, repeat(width), repeat("big"))),
+            "big")
+    vals = array(tc, vals)
+    if _SWAP:
+        vals.byteswap()
+    return int.from_bytes(vals.tobytes(), "big")
+
+
+def _residues(row, tc, p):
+    """row as an array of typecode tc if it holds only plain ints in [0, p),
+    else None."""
+    try:
+        vals = array(tc, row)
+    except (TypeError, OverflowError):
+        return None
+    return vals if max(vals, default=0) < p else None
+
+
+def _check_length(k, row, ncols):
+    if len(row) != ncols:
+        raise MatrixError(f"row {k} has length {len(row)}, expected {ncols}")
 
 
 def _forward_prime(rows, ncols, p):
@@ -303,14 +354,18 @@ def _forward_prime(rows, ncols, p):
     the row moves and the product of the leads mod p.
     """
     width = _slot_bytes(p, len(rows))
+    tc = _TYPECODES.get(width)
     bits = 8 * width
     mask = (1 << bits) - 1
     # column c sits in the slot at bit offset (ncols - 1 - c) * bits
     work = []
     order = []
     for k, row in enumerate(rows):
-        packed = _pack([x.val if isinstance(x, Fp) else int(x) % p for x in row],
-                       width)
+        vals = _residues(row, tc, p) if tc else None
+        if vals is None:
+            vals = [x.val if isinstance(x, Fp) else int(x) % p for x in row]
+        _check_length(k, vals, ncols)
+        packed = _pack(vals, width)
         if packed:
             work.append(packed)
             order.append(k)

@@ -218,6 +218,15 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(target.read_text())["cone"] is False
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "analyze", PERAZZO, "--output",
+                             str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "analyze", PERAZZO, "--seed", "7")
         _, out2, _ = run(capsys, "analyze", PERAZZO, "--seed", "7")
@@ -322,7 +331,7 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of fourteen reference runs, and of the
+    """sha256 of the JSON report bytes of fifteen reference runs, and of the
     error text of one rejected input.
 
     Any change to a report's bytes, however it arises, fails here.  The first
@@ -340,7 +349,9 @@ class TestGoldenReports:
     were skipped by the F5 criterion and pairings read from the socle
     functional; the last two (the five-variable quadric CI and the
     mixed-degree CI, both over Q) before the lazy Q pieces took the F5 rows
-    too.
+    too; the last (the five-variable quadric CI over F_(2^31 - 1), whose
+    packed slots are wider than any array item) before F_p rows were
+    converted through arrays.
     """
 
     GOLDEN = [
@@ -372,6 +383,8 @@ class TestGoldenReports:
          "62afef87fcc1eebf071a691881868043976efb520aa53d8a0c2f4dda4fc20b09"),
         (["analyze", MIXED_CI4, "--nvars", "4"],
          "3524845fb4703e4e13603ecef32666cdaf591480f7af9d7fc9706708ac561a76"),
+        (["analyze", QUADRIC_CI5, "--field", "fp:2147483647"],
+         "d21f63464b1350553109167bfcc3ad43d4ad7065c8efcc9c3922b41c049d8496"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
@@ -381,7 +394,8 @@ class TestGoldenReports:
                                   "analyze_ci5_fp7", "analyze_quartic",
                                   "analyze_perazzo_type_fp7",
                                   "analyze_mixed_ci4_fp32003",
-                                  "analyze_ci5_q", "analyze_mixed_ci4_q"])
+                                  "analyze_ci5_q", "analyze_mixed_ci4_q",
+                                  "analyze_ci5_fp2147483647"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

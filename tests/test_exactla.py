@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagakit.apolarity import catalecticant
-from sagakit.exactla import (Matrix, MatrixError, coords_in_span, det_ff,
-                             echelon_rows, invert, rank_kernel)
+from sagakit.exactla import (_TYPECODES, Matrix, MatrixError, _pack,
+                             _residues, _slot_bytes, _unpack, coords_in_span,
+                             det_ff, echelon_rows, invert, rank_kernel)
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               parse_poly)
 
@@ -300,6 +301,112 @@ def test_echelon_prime_integer_rows_reduce_mod_p():
     pivots, nonpivots, coeffs = rref_mod_p([[8, 3], [-6, 10]], 2, 7)
     assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
     assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+
+
+def oracle_origins(rows, ncols, p):
+    """Input index of each pivot row: the pivots of rows[:k + 1] are those of
+    rows[:k] plus at most one more, whose row is row k."""
+    origin = {}
+    for k in range(len(rows)):
+        for c in rref_mod_p(rows[:k + 1], ncols, p)[0]:
+            origin.setdefault(c, k)
+    return [origin[c] for c in sorted(origin)]
+
+
+@st.composite
+def fp_matrices_three_ways(draw):
+    """(rows, ncols, p, lifts): a drawn matrix over one of PRIMES, and for
+    each entry how to lift its residue x to an unreduced int: x itself,
+    x - p (negative), x + p, x + p * (2^64 // p + 1) (at least 2^64), or
+    the largest int below 2^(8 * slot width) that is x mod p."""
+    rows, ncols, p = draw(fp_matrices())
+    kinds = st.sampled_from(["same", "negative", "above", "huge", "top"])
+    lifts = draw(st.lists(st.lists(kinds, min_size=ncols, max_size=ncols),
+                          min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, p, lifts
+
+
+def lift(x, kind, p, width):
+    if kind == "negative":
+        return x - p
+    if kind == "above":
+        return x + p
+    if kind == "huge":
+        return x + p * (2**64 // p + 1)
+    if kind == "top":
+        top = (1 << (8 * width)) - 1
+        return top - (top - x) % p
+    return x
+
+
+@given(fp_matrices_three_ways())
+@settings(max_examples=300, deadline=None)
+@example(([[1, 2, 3], [4, 5, 6], [1, 1, 1]], 3, 7,
+          [["same"] * 3, ["same", "top", "top"], ["top"] * 3]))
+@example(([[1, 2, 3], [4, 5, 6], [1, 1, 1]], 3, 32003,
+          [["same"] * 3, ["same", "top", "top"], ["top"] * 3]))
+def test_echelon_prime_reads_fp_residue_and_unreduced_rows_alike(case):
+    # residue rows are read into an array in C, the others entry by entry;
+    # all three must give the oracle's echelon, origins included
+    rows, ncols, p, lifts = case
+    width = _slot_bytes(p, len(rows))
+    field = FieldSpec.prime(p)
+    unreduced = [[lift(x, kind, p, width) for x, kind in zip(row, kinds)]
+                 for row, kinds in zip(rows, lifts)]
+    pivots, nonpivots, coeffs = rref_mod_p(rows, ncols, p)
+    origins = oracle_origins(rows, ncols, p)
+    for given_rows in ([[Fp(x, p) for x in row] for row in rows], rows,
+                       unreduced):
+        ech = echelon_rows(given_rows, ncols, field)
+        assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
+        assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+        assert ech.origins == origins
+
+
+@pytest.mark.parametrize("p,nrows,width", [
+    (2, 1, 1), (7, 3, 1), (7, 10, 2), (101, 1, 2), (101, 10, 4),
+    (32003, 4, 4), (32003, 5, 8), (2**31 - 1, 1, 8), (2**31 - 1, 10, 9),
+    (2**61 - 1, 1, 16)])
+def test_slot_width_rounds_up_to_an_array_item_size(p, nrows, width):
+    assert _slot_bytes(p, nrows) == width
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+def test_pack_unpack_round_trip(width):
+    # column c sits in the slot at bit offset (ncols - 1 - c) * 8 * width
+    rng = random.Random(width)
+    top = (1 << (8 * width)) - 1
+    for vals in ([], [0], [top], [0, 0, 1], [top, 0, top, 1],
+                 [rng.randint(0, top) for _ in range(20)]):
+        packed = _pack(vals, width)
+        assert packed == sum(v << (8 * width * (len(vals) - 1 - c))
+                             for c, v in enumerate(vals))
+        assert _unpack(packed, len(vals), width) == vals
+
+
+@pytest.mark.parametrize("p", PRIMES[:5])
+def test_only_residue_rows_skip_the_per_entry_conversion(p):
+    tc = _TYPECODES[_slot_bytes(p, 10)]
+    assert list(_residues([0, p - 1, 1], tc, p)) == [0, p - 1, 1]
+    assert _residues([], tc, p) is not None
+    for row in ([0, p, 1], [0, -1, 1], [0, 2**64, 1], [Fp(1, p), 0, 1],
+                [0, Fraction(1), 1]):
+        assert _residues(row, tc, p) is None
+
+
+@pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7),
+                                   FieldSpec.prime(2**61 - 1)],
+                         ids=["q", "fp7", "fp_wide"])
+@pytest.mark.parametrize("rows,ncols,bad,length", [
+    ([[1]], 2, 0, 1),
+    ([[1, 2, 3]], 2, 0, 3),
+    ([[1, 0], [0, 0, 0]], 2, 1, 3),
+    ([[1, 2], [-1]], 2, 1, 1),
+])
+def test_row_of_wrong_length_is_rejected(field, rows, ncols, bad, length):
+    with pytest.raises(MatrixError,
+                       match=f"row {bad} has length {length}, expected {ncols}"):
+        echelon_rows(rows, ncols, field)
 
 
 @st.composite

@@ -33,7 +33,11 @@ p falls back to the eager Q build.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
-x_j times every basis class of degree i, filled by `reduce` on first read.
+x_j times every basis class of degree i, read off the echelon of degree i+1
+(Mourrain, AAECC 1999): x_j times a term c*m of a representative is c times
+the class of the monomial x_j*m, a unit vector when x_j*m is a basis
+monomial and minus the `coeffs` row of its pivot otherwise.  A product walks
+the terms of one factor's representatives as chains of table steps.
 Indexing by variables, not by degree-1 classes, serves cones too, where
 degree 1 has fewer classes than there are variables.
 
@@ -131,6 +135,17 @@ class _Piece:
     @property
     def dim(self) -> int:
         return len(self.basis_monomials)
+
+    def coords(self, terms) -> list:
+        """Coordinates of the class of the sum of c*m over the (m, c) in
+        terms, the monomials m distinct and of this degree."""
+        vec = [self.echelon.field.zero()] * len(self.ambient)
+        for m, c in terms:
+            vec[self.index[m]] = c
+        canonical = self.echelon.residual(vec)
+        if self.basis_inverse is not None:
+            canonical = self.basis_inverse.mul_vector(canonical)
+        return canonical
 
 
 class GradedAlgebra:
@@ -239,14 +254,7 @@ class GradedAlgebra:
         if d > self.socle_degree:
             raise DegreeOverflowError(
                 f"degree {d} above socle degree {self.socle_degree}")
-        piece = self.piece(d)
-        vec = [self.field.zero()] * len(piece.ambient)
-        for mon, c in p.terms.items():
-            vec[piece.index[mon]] = c
-        canonical = piece.echelon.residual(vec)
-        if piece.basis_inverse is not None:
-            canonical = piece.basis_inverse.mul_vector(canonical)
-        return AlgebraElement(d, tuple(canonical))
+        return AlgebraElement(d, tuple(self.piece(d).coords(p.terms.items())))
 
     def lift(self, e: AlgebraElement) -> Polynomial:
         """A polynomial representative of the class e."""
@@ -263,11 +271,12 @@ class GradedAlgebra:
         """The variable tables of degree i, built on first read."""
         table = self._tables[i]
         if table is None:
-            reps = self.piece(i).basis_reps
+            reps, up = self.piece(i).basis_reps, self.piece(i + 1)
             table = self._tables[i] = [
-                [self.reduce(Polynomial.variable(j, self.n_vars, self.field)
-                             * rep, i + 1).coords for rep in reps]
-                for j in range(self.n_vars)]
+                [up.coords((x * m, c) for m, c in rep.terms.items())
+                 for rep in reps]
+                for x in (Monomial(int(k == j) for k in range(self.n_vars))
+                          for j in range(self.n_vars))]
         return table
 
     def _step(self, j: int, coords, i: int) -> list:
@@ -280,12 +289,15 @@ class GradedAlgebra:
                         out[r] = out[r] + v * t
         return out
 
-    def _times(self, p: Polynomial, coords, i: int, target: int) -> list:
-        """p times the degree-i class with these coordinates, p homogeneous of
-        degree target - i; each term of p is a chain of table steps."""
+    def _times(self, a: AlgebraElement, coords, i: int, target: int) -> list:
+        """a times the degree-i class with these coordinates, target being
+        i + deg a; each term c*m of a basis representative of a's piece,
+        scaled by a's coordinate, is a chain of table steps."""
         out = [self.field.zero()] * self.hilbert[target]
-        for mon, c in p.terms.items():
-            vec, d = [c * v if v else v for v in coords], i
+        reps = self.piece(a.degree).basis_reps
+        for mon, s in ((m, u * c) for u, rep in zip(a.coords, reps) if u
+                       for m, c in rep.terms.items()):
+            vec, d = [s * v if v else v for v in coords], i
             for j, e in enumerate(mon.exponents):
                 for _ in range(e):
                     vec = self._step(j, vec, d)
@@ -303,7 +315,7 @@ class GradedAlgebra:
         if a.degree > b.degree:
             a, b = b, a
         return AlgebraElement(
-            target, tuple(self._times(self.lift(a), b.coords, b.degree, target)))
+            target, tuple(self._times(a, b.coords, b.degree, target)))
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
         """k-th power of a degree-1 element: k multiplications by x, each one
@@ -315,10 +327,9 @@ class GradedAlgebra:
         if k > self.socle_degree:
             raise DegreeOverflowError(
                 f"exponent {k} above socle degree {self.socle_degree}")
-        xp = self.lift(x)
         coords = self.unit().coords
         for i in range(k):
-            coords = self._times(xp, coords, i, i + 1)
+            coords = self._times(x, coords, i, i + 1)
         return AlgebraElement(k, tuple(coords))
 
     def mul_map(self, alpha: AlgebraElement, i: int) -> Matrix:
@@ -328,25 +339,9 @@ class GradedAlgebra:
             raise DegreeOverflowError(
                 f"multiplication map lands in degree {target}, above socle "
                 f"degree {self.socle_degree}")
-        return self._mul_matrix(alpha, i, target)
-
-    def _mul_matrix(self, alpha: AlgebraElement, i: int, target: int) -> Matrix:
-        alpha_poly = self.lift(alpha)
-        cols = [self._times(alpha_poly, e.coords, i, target)
-                for e in self.basis(i)]
+        cols = [self._times(alpha, e.coords, i, target) for e in self.basis(i)]
         return Matrix([[col[r] for col in cols]
                        for r in range(self.dim(target))], self.field)
-
-    def _colon_kernel(self, alpha: AlgebraElement, i: int):
-        """Kernel of multiplication by alpha on degree i, as coordinate vectors.
-
-        Degrees landing above the socle are killed by the grading, so the
-        kernel there is everything.
-        """
-        target = i + alpha.degree
-        if target > self.socle_degree:
-            return [e.coords for e in self.basis(i)]
-        return rank_kernel(self._mul_matrix(alpha, i, target)).kernel_basis
 
     # -- duality and structure checks ------------------------------------
 
@@ -419,7 +414,7 @@ class GradedAlgebra:
         for i in range(top + 1):
             old = self.piece(i)
             rows = old.echelon.full_rows()
-            for kv in self._colon_kernel(alpha, i):
+            for kv in rank_kernel(self.mul_map(alpha, i)).kernel_basis:
                 lifted = self.lift(AlgebraElement(i, tuple(kv)))
                 if not lifted.is_zero:
                     rows.append(lifted.coefficient_vector(old.ambient))
@@ -439,18 +434,18 @@ class GradedAlgebra:
         if len(reps) != piece.dim:
             raise AlgebraError(
                 f"need {piece.dim} representatives, got {len(reps)}")
+        new_piece = _Piece(degree, piece.ambient, piece.echelon, self.field)
         columns = []
         for rep in reps:
-            if rep.is_zero or rep.homogeneous_degree() != degree:
+            if (rep.is_zero or rep.homogeneous_degree() != degree
+                    or rep.n_vars != self.n_vars or rep.field != self.field):
                 raise AlgebraError(
                     "pinned representatives must be nonzero homogeneous of "
-                    f"degree {degree}")
-            vec = rep.coefficient_vector(piece.ambient)
-            columns.append(piece.echelon.residual(vec))
+                    f"degree {degree} over the algebra's ring")
+            columns.append(new_piece.coords(rep.terms.items()))
         h = piece.dim
         b = Matrix([[columns[c][r] for c in range(h)] for r in range(h)],
                    self.field)
-        new_piece = _Piece(degree, piece.ambient, piece.echelon, self.field)
         new_piece.basis_reps = list(reps)
         new_piece.basis_inverse = invert(b)
         pieces = [self.piece(d) for d in range(self.socle_degree + 1)]

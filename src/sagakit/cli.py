@@ -82,6 +82,8 @@ def _parse_inputs(args, field: FieldSpec):
         n_vars = max(_max_variable_index(t) for t in texts) + 1
         if n_vars < 1:
             raise UsageError("could not infer variable count; pass --nvars")
+    elif n_vars < 1:
+        raise UsageError("--nvars must be at least 1")
     polys = [parse_poly(t, n_vars, field) for t in texts]
     return texts, polys
 
@@ -365,6 +367,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
+        if args.trials < 1:
+            raise UsageError("need at least one trial")
         report, code = _COMMANDS[args.command](args)
         if args.format == "json":
             text = dump_json(report)

@@ -13,6 +13,7 @@ from sagakit.algebra import (AlgebraError, DegreeOverflowError,
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
 from sagakit.exactla import echelon_rows, rank_kernel
+from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
 
@@ -324,8 +325,17 @@ def _quadric_ci_fp():
          for _ in range(5)])
 
 
+def _pin_degree_one(alg):
+    """alg with the degree-1 basis x0 + 2*x1, x1, ..., x4 pinned."""
+    texts = ["x0 + 2*x1", "x1", "x2", "x3", "x4"]
+    return alg.with_degree_basis(1, gens(texts, 5, alg.field))
+
+
 @pytest.fixture(scope="module",
-                params=["monomial_ci", "perazzo", "cube_cone", "quadric_ci_fp"])
+                params=["monomial_ci", "perazzo", "cube_cone", "quadric_ci_fp",
+                        "monomial_ci_ann_x0", "monomial_ci_pinned_degree1",
+                        "quadric_ci_fp_pinned_degree1",
+                        "perazzo_pinned_socle"])
 def table_algebra(request, monomial_ci, perazzo_alg):
     if request.param == "monomial_ci":
         return monomial_ci
@@ -334,7 +344,16 @@ def table_algebra(request, monomial_ci, perazzo_alg):
     if request.param == "cube_cone":
         return from_inverse_system(
             get_entry("coordinate_cube_cone").polynomials())
-    return _quadric_ci_fp()
+    if request.param == "quadric_ci_fp":
+        return _quadric_ci_fp()
+    if request.param == "monomial_ci_ann_x0":
+        return monomial_ci.quotient_by_ann(monomial_ci.reduce(poly("x0", 5)))
+    if request.param == "monomial_ci_pinned_degree1":
+        return _pin_degree_one(monomial_ci)
+    if request.param == "quadric_ci_fp_pinned_degree1":
+        return _pin_degree_one(_quadric_ci_fp())
+    socle_rep, = perazzo_alg.piece(3).basis_reps
+    return perazzo_alg.with_degree_basis(3, [socle_rep.scale(3)])
 
 
 class TestTablesMatchPolynomialProducts:
@@ -371,6 +390,25 @@ class TestTablesMatchPolynomialProducts:
                 for c, b in enumerate(alg.basis(i)):
                     want = alg.reduce(alg.lift(alpha) * alg.lift(b), e + i)
                     assert tuple(row[c] for row in m.entries) == want.coords
+
+    @pytest.mark.parametrize("name", ["monomial_ci", "perazzo_pinned"])
+    def test_products_do_no_polynomial_arithmetic(self, monkeypatch, name):
+        # fresh algebras: the session fixtures have their tables built
+        alg = (from_regular_sequence(monomial_quadric_ci())
+               if name == "monomial_ci" else perazzo_algebra())
+
+        def refuse(*args):
+            raise AssertionError("polynomial arithmetic inside a product")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        monkeypatch.setattr(algebra_module.GradedAlgebra, "lift", refuse)
+        rng = random.Random(10)
+        N = alg.socle_degree
+        x = alg.random_element(1, rng)
+        alg.power(x, N)
+        alg.multiply(x, alg.random_element(N - 1, rng))
+        alg.mul_map(x, 1)
+        assert alg.is_standard()
 
     def test_cone_has_fewer_classes_than_variables(self):
         cone = from_inverse_system(

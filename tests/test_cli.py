@@ -161,6 +161,12 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("nvars", ["0", "-1"])
+    def test_nvars_below_one_exit_two(self, capsys, nvars):
+        code, out, err = run(capsys, "analyze", "x0^2;x1^2", "--nvars", nvars)
+        assert code == 2 and out == ""
+        assert err == "error: --nvars must be at least 1\n"
+
     def test_not_regular_sequence_exit_one(self, capsys):
         code, _, err = run(capsys, "analyze",
                            "x0^2;x0*x1;x1^2;x2^2;x3^2", "--nvars", "5")
@@ -268,6 +274,14 @@ class TestExperiment:
             assert code == 2 and out == ""
             assert "--jobs" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        for command in (["analyze", PERAZZO], ["experiment"],
+                        ["gamma", PERAZZO], ["fixture", "perazzo"]):
+            code, out, err = run(capsys, *command, "--trials", trials)
+            assert code == 2 and out == ""
+            assert err == "error: need at least one trial\n"
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "experiment", "--family", "nope")
         assert code == 2
@@ -324,6 +338,11 @@ class TestGamma:
         report = json.loads(out)
         assert report["slp_evidence"] is True
         assert report["samples"] == []
+
+    def test_nvars_below_one_exit_two(self, capsys):
+        code, out, err = run(capsys, "gamma", PERAZZO, "--nvars", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --nvars must be at least 1\n"
 
     def test_usage_error_on_bad_k(self, capsys):
         code, _, err = run(capsys, "gamma", PERAZZO, "--k", "9")

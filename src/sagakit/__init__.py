@@ -10,8 +10,7 @@ fields); all randomized operations are seeded and reproducible.
 from .algebra import (AlgebraElement, AlgebraError, DegreeOverflowError,
                       GradedAlgebra, NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
-from .apolarity import (Catalecticant, annihilator_piece, catalecticant,
-                        contract, is_cone)
+from .apolarity import annihilator_piece, catalecticant, contract, is_cone
 from .exactla import (KernelResult, Matrix, MatrixError, coords_in_span,
                       det_ff, rank_kernel)
 from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
@@ -22,14 +21,14 @@ from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
 from .lefschetz import (HessianReport, ProbeReport, SLP, WLP, hessian,
                         hessian_slp_crosscheck, lefschetz_probe)
 from .polyring import (FieldMismatchError, FieldSpec, Fp, Monomial, PolyError,
-                       PolyParseError, Polynomial, RATIONAL, eval_at,
-                       monomial_basis, parse_poly, poly_mul)
+                       PolyParseError, Polynomial, RATIONAL, monomial_basis,
+                       parse_poly)
 from .seeding import DEFAULT_SEED
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "AlgebraError", "Catalecticant", "DEFAULT_SEED",
+    "AlgebraElement", "AlgebraError", "DEFAULT_SEED",
     "DegenerateAlgebra", "DegeneratePair", "DegreeOverflowError",
     "ExperimentReport", "FieldMismatchError", "FieldSpec", "Fp", "GammaSample",
     "GradedAlgebra", "HessianReport", "KernelResult", "Matrix", "MatrixError",
@@ -37,9 +36,9 @@ __all__ = [
     "Polynomial", "ProbeReport", "RATIONAL", "SLP", "SLPEvidence", "WLP",
     "annihilator_piece", "catalecticant", "check_ggn", "check_k1_bound",
     "check_ker_coker", "contract", "coords_in_span", "degenerate_pair_search",
-    "det_ff", "eval_at", "from_inverse_system", "from_regular_sequence",
+    "det_ff", "from_inverse_system", "from_regular_sequence",
     "gn_map_check", "hessian", "hessian_slp_crosscheck", "is_cone",
     "lefschetz_probe", "monomial_basis", "parse_poly", "perazzo_algebra",
-    "perazzo_fixture", "perazzo_form", "poly_mul", "rank_kernel",
+    "perazzo_fixture", "perazzo_form", "rank_kernel",
     "sample_gamma", "tangent_kernel_check", "theorem_c_experiment",
 ]

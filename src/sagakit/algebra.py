@@ -499,8 +499,8 @@ def from_inverse_system(form: Polynomial) -> GradedAlgebra:
     pieces = []
     for i in range(d + 1):
         cat = catalecticant(form, i)
-        kernel = rank_kernel(cat.matrix)
-        ambient = cat.matrix.col_labels
+        kernel = rank_kernel(cat)
+        ambient = cat.col_labels
         ech = echelon_rows(kernel.kernel_basis, len(ambient), form.field)
         piece = _Piece(i, ambient, ech, form.field)
         if piece.dim != kernel.rank:

@@ -9,8 +9,6 @@ restricted to degree-i operator monomials; its kernel is the degree-i piece
 of the annihilator of G.
 """
 
-from dataclasses import dataclass
-
 from .exactla import Matrix, rank_kernel
 from .polyring import Monomial, PolyError, Polynomial, monomial_basis
 
@@ -49,22 +47,13 @@ def contract(op: Polynomial, form: Polynomial) -> Polynomial:
     return Polynomial(form.n_vars, field, acc)
 
 
-@dataclass
-class Catalecticant:
-    """The labeled matrix of degree-i operators acting on a degree-d form.
+def catalecticant(form: Polynomial, i: int) -> Matrix:
+    """Matrix of the contraction map from degree-i operators into degree d-i.
 
-    Columns are indexed by the degree-i operator monomials, rows by the
+    Columns are labeled by the degree-i operator monomials, rows by the
     degree-(d-i) monomials of the target; entry (m', m) is the coefficient
     of m' in m applied to the form.
     """
-
-    form: Polynomial
-    source_degree: int
-    matrix: Matrix
-
-
-def catalecticant(form: Polynomial, i: int) -> Catalecticant:
-    """Matrix of the contraction map from degree-i operators into degree d-i."""
     d = form.homogeneous_degree()
     if form.is_zero or d is None:
         raise PolyError("catalecticant needs a nonzero homogeneous form")
@@ -80,8 +69,7 @@ def catalecticant(form: Polynomial, i: int) -> Catalecticant:
         image = contract(Polynomial.from_monomial(op_mon, field), form)
         for mon, coeff in image.terms.items():
             entries[row_index[mon]][c] = coeff
-    return Catalecticant(form, i,
-                         Matrix(entries, field, row_labels=rows, col_labels=cols))
+    return Matrix(entries, field, row_labels=rows, col_labels=cols)
 
 
 def annihilator_piece(form: Polynomial, i: int) -> list[Polynomial]:
@@ -91,10 +79,9 @@ def annihilator_piece(form: Polynomial, i: int) -> list[Polynomial]:
     of the catalecticant; compare annihilators by span, not by basis.
     """
     cat = catalecticant(form, i)
-    cols = cat.matrix.col_labels
-    result = rank_kernel(cat.matrix)
+    cols = cat.col_labels
     basis = []
-    for vec in result.kernel_basis:
+    for vec in rank_kernel(cat).kernel_basis:
         basis.append(Polynomial(form.n_vars, form.field,
                                 {m: c for m, c in zip(cols, vec) if c}))
     return basis

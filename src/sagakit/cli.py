@@ -16,13 +16,13 @@ import sys
 
 from .algebra import (GradedAlgebra, NotRegularSequence,
                       from_inverse_system, from_regular_sequence)
-from .corpus import CorpusError, get_entry
+from .corpus import get_entry
 from .exactla import MAX_SYMBOLIC_DET
 from .gnlab import (DegenerateAlgebra, SLPEvidence, check_ggn, check_ker_coker,
                     gn_map_check, perazzo_algebra, perazzo_fixture,
                     sample_gamma, theorem_c_experiment)
 from .lefschetz import SLP, WLP, hessian, lefschetz_probe
-from .polyring import FieldSpec, PolyError, parse_poly, scalar_str
+from .polyring import FieldSpec, max_variable_index, parse_poly, scalar_str
 from .reporting import SCHEMA_VERSION, dump_json
 from .seeding import DEFAULT_SEED, child_seed
 
@@ -35,30 +35,14 @@ class UsageError(ValueError):
     """Bad invocation or unparseable input (exit code 2)."""
 
 
-def _max_variable_index(text: str) -> int:
-    best = -1
-    i = 0
-    while i < len(text):
-        if text[i] == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j > i + 1:
-                best = max(best, int(text[i + 1:j]))
-            i = j
-        else:
-            i += 1
-    return best
-
-
 def _read_input_texts(args) -> list[str]:
-    if getattr(args, "corpus", None):
+    if args.corpus:
         entry = get_entry(args.corpus)
         texts = [entry.input] if entry.kind == "form" else list(entry.input)
         if args.nvars is None:
             args.nvars = entry.n_vars
         return texts
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, encoding="utf-8") as fh:
             lines = []
             for line in fh:
@@ -70,7 +54,7 @@ def _read_input_texts(args) -> list[str]:
         if len(lines) == 1:
             return [t.strip() for t in lines[0].split(";") if t.strip()]
         return lines
-    if getattr(args, "poly", None):
+    if args.poly:
         return [t.strip() for t in args.poly.split(";") if t.strip()]
     raise UsageError("no input given (positional form, --input, or --corpus)")
 
@@ -79,7 +63,7 @@ def _parse_inputs(args, field: FieldSpec):
     texts = _read_input_texts(args)
     n_vars = args.nvars
     if n_vars is None:
-        n_vars = max(_max_variable_index(t) for t in texts) + 1
+        n_vars = max(max_variable_index(t) for t in texts) + 1
         if n_vars < 1:
             raise UsageError("could not infer variable count; pass --nvars")
     elif n_vars < 1:
@@ -291,6 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def inputs(p):
+        p.add_argument("poly", nargs="?", default=None,
+                       help="inline form, or ';'-separated generators")
+        p.add_argument("--input", default=None,
+                       help="input file (one polynomial per line, '#' comments)")
+        p.add_argument("--corpus", default=None,
+                       help="read a named corpus entry")
+        p.add_argument("--nvars", type=int, default=None,
+                       help="variable count (inferred when omitted)")
+
     def common(p, with_field=True):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="deterministic seed (fixed default, not wall-clock)")
@@ -306,14 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rational or fp:<p>")
 
     p_analyze = sub.add_parser("analyze", help="analyze a form or generator list")
-    p_analyze.add_argument("poly", nargs="?", default=None,
-                           help="inline form, or ';'-separated generators")
-    p_analyze.add_argument("--input", default=None,
-                           help="input file (one polynomial per line, '#' comments)")
-    p_analyze.add_argument("--corpus", default=None,
-                           help="analyze a named corpus entry")
-    p_analyze.add_argument("--nvars", type=int, default=None,
-                           help="variable count (inferred when omitted)")
+    inputs(p_analyze)
     common(p_analyze)
 
     p_exp = sub.add_parser("experiment", help="run a seeded experiment family")
@@ -328,10 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gamma = sub.add_parser("gamma",
                              help="sample the incidence correspondence")
-    p_gamma.add_argument("poly", nargs="?", default=None)
-    p_gamma.add_argument("--input", default=None)
-    p_gamma.add_argument("--corpus", default=None)
-    p_gamma.add_argument("--nvars", type=int, default=None)
+    inputs(p_gamma)
     p_gamma.add_argument("--k", type=int, default=None,
                          help="power exponent (default: socle degree - 2)")
     common(p_gamma)
@@ -378,10 +362,7 @@ def main(argv=None) -> int:
     except NotRegularSequence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
-    except (UsageError, PolyError, CorpusError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

@@ -14,17 +14,17 @@ identity tests can never pass vacuously.
 
 import concurrent.futures
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
 from .exactla import Matrix, coords_in_span, det_ff, rank_kernel
-from .lefschetz import (SLP, hessian, lefschetz_probe,
-                        symbolic_probe_determinant)
-from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL, parse_poly,
-                       scalar_str)
+from .lefschetz import SLP, hessian, lefschetz_probe
+from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
+                       monomial_basis, parse_poly, scalar_str)
 from .reporting import Report
 from .seeding import DEFAULT_SEED, child_seed, random_int_coords, rng_for
 
@@ -489,9 +489,7 @@ def perazzo_fixture(seed: int = DEFAULT_SEED) -> Report:
 
     probe = lefschetz_probe(algebra, SLP, 1, trials=8,
                             seed=child_seed(seed, 1))
-    det = symbolic_probe_determinant(algebra, SLP, 1)
-    report.record("slp1_fails_certified",
-                  (not probe.holds) and probe.certified and det.is_zero,
+    report.record("slp1_fails_certified", not probe.holds and probe.certified,
                   detail=probe.to_json_dict())
     report.record("slp1_generic_rank", probe.max_rank_found == 4,
                   detail={"max_rank": probe.max_rank_found})
@@ -571,15 +569,7 @@ class ExperimentReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "passes": self.passes,
-            "failures": list(self.failures),
-            "seed": self.seed,
-            "per_trial": list(self.per_trial),
-        }
+        return asdict(self)
 
 
 def monomial_quadric_ci(field: FieldSpec = RATIONAL) -> list[Polynomial]:
@@ -587,30 +577,22 @@ def monomial_quadric_ci(field: FieldSpec = RATIONAL) -> list[Polynomial]:
     return [Polynomial.variable(i, 5, field, power=2) for i in range(5)]
 
 
-def _random_quadrics(rng, coeff_box, field: FieldSpec) -> list[Polynomial]:
-    from .polyring import monomial_basis
-
-    low, high = coeff_box
+def _random_quadrics(rng) -> list[Polynomial]:
     basis = monomial_basis(5, 2)
     forms = []
     for _ in range(5):
-        terms = {m: rng.randint(low, high) for m in basis}
-        forms.append(Polynomial(5, field, terms))
+        terms = {m: rng.randint(-9, 9) for m in basis}
+        forms.append(Polynomial(5, RATIONAL, terms))
     return forms
 
 
-def _theorem_c_trial(trial: int, seed: int, coeff_box,
-                     generators=None) -> dict:
+def _theorem_c_trial(trial: int, seed: int) -> dict:
     trial_seed = child_seed(seed, trial)
-    field = RATIONAL
-    if generators is not None:
-        forms = generators
-        kind = "injected"
-    elif trial == 0:
-        forms = monomial_quadric_ci(field)
+    if trial == 0:
+        forms = monomial_quadric_ci()
         kind = "monomial"
     else:
-        forms = _random_quadrics(rng_for(trial_seed, 0), coeff_box, field)
+        forms = _random_quadrics(rng_for(trial_seed, 0))
         kind = "random"
     entry = {
         "trial": trial,
@@ -640,45 +622,30 @@ def _theorem_c_trial(trial: int, seed: int, coeff_box,
     return entry
 
 
-def _trial_args(args):
-    return _theorem_c_trial(*args)
-
-
 def theorem_c_experiment(trials: int, seed: int = DEFAULT_SEED,
-                         coeff_box=(-9, 9), jobs: int = 1,
-                         on_trial=None) -> ExperimentReport:
+                         jobs: int = 1) -> ExperimentReport:
     """Seeded strong-Lefschetz experiment over quadric complete intersections.
 
     Trial 0 is the monomial reference instance; the rest draw five random
-    quadrics in five variables with integer coefficients from coeff_box.
+    quadrics in five variables with integer coefficients from -9..9.
     Draws failing the regular-sequence check are skipped, not failed; every
     accepted draw must have the expected Hilbert vector and exact witnesses
-    for both probed degrees.  `on_trial` is invoked with each per-trial
-    entry in trial order (streamed in serial runs, after the merge in
-    parallel ones); results are identical either way.  The pool has
-    min(jobs, trials, cpu count) workers; with one worker the run is serial.
+    for both probed degrees.  The pool has min(jobs, trials, cpu count)
+    workers; with one worker the run is serial.  Trials are reported in
+    trial order either way, and the results are identical.
     """
     if trials < 1:
         raise AlgebraError("need at least one trial")
     if jobs < 1:
         raise AlgebraError("need at least one job")
-    work = [(t, seed, coeff_box) for t in range(trials)]
     workers = min(jobs, trials, os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers) as pool:
-            per_trial = list(pool.map(_trial_args, work))
-        per_trial.sort(key=lambda e: e["trial"])
-        if on_trial is not None:
-            for entry in per_trial:
-                on_trial(entry)
+            per_trial = list(pool.map(_theorem_c_trial, range(trials),
+                                      repeat(seed)))
     else:
-        per_trial = []
-        for args in work:
-            entry = _theorem_c_trial(*args)
-            if on_trial is not None:
-                on_trial(entry)
-            per_trial.append(entry)
+        per_trial = list(map(_theorem_c_trial, range(trials), repeat(seed)))
     skipped = sum(1 for e in per_trial if e["status"] == "skip")
     passes = sum(1 for e in per_trial if e["status"] == "pass")
     failures = [{"trial": e["trial"], "stage": e.get("stage", "unknown"),

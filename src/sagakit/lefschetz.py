@@ -29,7 +29,7 @@ from math import factorial
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
 from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
-from .polyring import Monomial, PolyError, Polynomial
+from .polyring import Monomial, PolyError, Polynomial, scalar_str
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 SLP = "SLP"
@@ -61,18 +61,23 @@ class ProbeReport:
             "holds": self.holds,
             "certified": self.certified,
             "witness": (None if self.witness is None
-                        else [str(c) for c in self.witness.coords]),
+                        else [scalar_str(c) for c in self.witness.coords]),
             "trials": self.trials,
             "seed": self.seed,
         }
 
 
-def _probe_rank(algebra: GradedAlgebra, kind: str, k: int,
+def _exponent(algebra: GradedAlgebra, kind: str, k: int) -> int:
+    """The m of the probed map, multiplication by L^m from degree k: N - 2k
+    for SLP, 1 for WLP."""
+    return algebra.socle_degree - 2 * k if kind == SLP else 1
+
+
+def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
                 L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k (m = 1 for WLP); mod p
-    first when the algebra has a shadow, and over its own field when the
-    rank mod p falls short of min(h_k, h_(k+m))."""
-    m = algebra.socle_degree - 2 * k if kind == SLP else 1
+    """Rank of multiplication by L^m from degree k; mod p first when the
+    algebra has a shadow, and over its own field when the rank mod p falls
+    short of min(h_k, h_(k+m))."""
     image = algebra.shadow_image(L)
     if image is not None:
         full = min(algebra.dim(k), algebra.dim(k + m))
@@ -107,22 +112,18 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
         raise AlgebraError(f"unknown probe kind {kind!r}")
     if trials < 1:
         raise AlgebraError("need at least one trial")
-    if kind == SLP:
-        if not 0 <= 2 * k <= N:
-            raise AlgebraError(f"SLP degree {k} out of range for socle {N}")
-        target = algebra.dim(k)
-        square = algebra.dim(k) == algebra.dim(N - k)
-    else:
-        if not 0 <= k <= N - 1:
-            raise AlgebraError(f"WLP degree {k} out of range for socle {N}")
-        target = min(algebra.dim(k), algebra.dim(k + 1))
-        square = algebra.dim(k) == algebra.dim(k + 1)
+    m = _exponent(algebra, kind, k)
+    if not 0 <= k <= k + m <= N:
+        raise AlgebraError(f"{kind} degree {k} out of range for socle {N}")
+    h_source, h_target = algebra.dim(k), algebra.dim(k + m)
+    target = h_source if kind == SLP else min(h_source, h_target)
+    square = h_source == h_target
     best = 0
     witness = None
     for t in range(trials):
         rng = rng_for(seed, t)
         L = algebra.element(1, random_int_coords(rng, algebra.dim(1)))
-        rank = _probe_rank(algebra, kind, k, L)
+        rank = _probe_rank(algebra, k, m, L)
         if rank > best:
             best = rank
             witness = L
@@ -172,32 +173,24 @@ def symbolic_multiplication_matrix(algebra: GradedAlgebra, k: int,
 def symbolic_probe_determinant(algebra: GradedAlgebra, kind: str,
                                k: int) -> Polynomial:
     """Determinant of the probed map as a polynomial in the coordinates of L."""
-    exponent = algebra.socle_degree - 2 * k if kind == SLP else 1
-    entries = symbolic_multiplication_matrix(algebra, k, exponent)
+    entries = symbolic_multiplication_matrix(algebra, k,
+                                             _exponent(algebra, kind, k))
     if not entries or len(entries) != len(entries[0]):
         raise AlgebraError("symbolic certification needs a square map")
     return det_ff(Matrix(entries, algebra.field))
 
 
-@dataclass(init=False)
+@dataclass
 class HessianReport:
     """Second-partial matrix of a form, whether its determinant vanishes
     identically, and that determinant, expanded symbolically on first read.
 
-    `HessianReport(matrix, det, vanishes)` keeps a given det as the expanded
-    one; without vanishes, it is read from det.  repr and == show matrix and
-    vanishes only: det is a function of matrix, and printing it would expand it.
+    repr and == show matrix and vanishes only: det is a function of matrix,
+    and printing it would expand it.
     """
 
     matrix: Matrix
     vanishes: bool
-
-    def __init__(self, matrix: Matrix, det: Polynomial | None = None,
-                 vanishes: bool | None = None):
-        self.matrix = matrix
-        if det is not None:
-            self.__dict__["det"] = det
-        self.vanishes = self.det.is_zero if vanishes is None else vanishes
 
     @cached_property
     def det(self) -> Polynomial:
@@ -251,9 +244,10 @@ def hessian(form: Polynomial) -> HessianReport:
     entries = second_partials(form)
     matrix = Matrix(entries, form.field)
     point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)
-    if det_ff(_hessian_at(entries, point, form.field)):
-        return HessianReport(matrix, vanishes=False)
-    return HessianReport(matrix)
+    report = HessianReport(matrix, vanishes=False)
+    if not det_ff(_hessian_at(entries, point, form.field)):
+        report.vanishes = report.det.is_zero
+    return report
 
 
 def hessian_slp_crosscheck(form: Polynomial, L_point, trials: int = 0,

@@ -30,7 +30,8 @@ class FieldMismatchError(PolyError):
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin, valid for all 64-bit inputs
+    # deterministic Miller-Rabin: the first twelve primes as bases are exact
+    # below 3.18e23, so for every input below 2^64
     if p < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -156,7 +157,10 @@ class FieldSpec:
         if self.kind not in ("rational", "prime"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "prime":
-            if self.p is None or not _is_prime(self.p):
+            if not isinstance(self.p, int) or not 2 <= self.p < 2 ** 64:
+                raise ValueError("prime modulus must be an integer in "
+                                 f"2..2^64 - 1, got {self.p!r}")
+            if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
         elif self.p is not None:
             raise ValueError("rational field takes no modulus")
@@ -336,9 +340,9 @@ class Polynomial:
         return cls(n_vars, field, {Monomial(exps): 1})
 
     @classmethod
-    def from_monomial(cls, mon: Monomial, field: FieldSpec = RATIONAL,
-                      coeff=1) -> "Polynomial":
-        return cls(len(mon), field, {mon: coeff})
+    def from_monomial(cls, mon: Monomial,
+                      field: FieldSpec = RATIONAL) -> "Polynomial":
+        return cls(len(mon), field, {mon: 1})
 
     # -- queries -------------------------------------------------------
 
@@ -525,6 +529,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def max_variable_index(text: str) -> int:
+    """The largest i of any variable xi in polynomial text, or -1 if none.
+
+    Raises PolyParseError for text the tokenizer rejects.
+    """
+    return max((value for kind, value, _ in _tokenize(text) if kind == "var"),
+               default=-1)
+
+
 def parse_poly(text: str, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomial":
     """Parse polynomial text over variables x0..x{n_vars-1}.
 
@@ -610,16 +623,6 @@ def parse_poly(text: str, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomi
             raise PolyParseError(f"expected '+' or '-'", at)
         parse_term(-1 if kind == "-" else 1)
     return Polynomial(n_vars, field, acc)
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product of two polynomials over the same ring."""
-    return p * q
-
-
-def eval_at(p: Polynomial, point):
-    """Exact evaluation of p at a point."""
-    return p.eval_at(point)
 
 
 def scalar_str(x) -> str:

@@ -54,7 +54,7 @@ class TestFromInverseSystem:
 
     def test_dims_match_catalecticant_ranks(self, perazzo_f, perazzo_alg):
         for i in range(4):
-            rank = rank_kernel(catalecticant(perazzo_f, i).matrix).rank
+            rank = rank_kernel(catalecticant(perazzo_f, i)).rank
             assert perazzo_alg.hilbert[i] == rank
 
 

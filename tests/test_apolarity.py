@@ -79,11 +79,11 @@ class TestCatalecticant:
     def test_pure_power_rank_one(self):
         g = parse_poly("x0^3", 3)
         for i in range(4):
-            assert rank_kernel(catalecticant(g, i).matrix).rank == 1
+            assert rank_kernel(catalecticant(g, i)).rank == 1
 
     def test_perazzo_degree_two(self, perazzo_f):
         cat = catalecticant(perazzo_f, 2)
-        assert rank_kernel(cat.matrix).rank == 5
+        assert rank_kernel(cat).rank == 5
 
     def test_perazzo_degree_three(self, perazzo_f):
         # oracle: contract all 35 cubic operator monomials symbolically
@@ -92,11 +92,11 @@ class TestCatalecticant:
                    if apply_operator(m.exponents, expr, 5) != 0]
         assert nonzero == [(1, 0, 0, 2, 0), (0, 1, 0, 1, 1), (0, 0, 1, 0, 2)]
         cat = catalecticant(perazzo_f, 3)
-        assert rank_kernel(cat.matrix).rank == 1
-        assert cat.matrix.rows == 1  # image lives in the constants
-        cols_nonzero = [cat.matrix.col_labels[c].exponents
-                        for c in range(cat.matrix.cols)
-                        if cat.matrix.entries[0][c]]
+        assert rank_kernel(cat).rank == 1
+        assert cat.rows == 1  # image lives in the constants
+        cols_nonzero = [cat.col_labels[c].exponents
+                        for c in range(cat.cols)
+                        if cat.entries[0][c]]
         assert cols_nonzero == nonzero
 
     def test_source_degree_out_of_range(self, perazzo_f):
@@ -105,8 +105,8 @@ class TestCatalecticant:
 
     def test_labels_match_dimensions(self, perazzo_f):
         cat = catalecticant(perazzo_f, 1)
-        assert len(cat.matrix.col_labels) == cat.matrix.cols == 5
-        assert len(cat.matrix.row_labels) == cat.matrix.rows == 15
+        assert len(cat.col_labels) == cat.cols == 5
+        assert len(cat.row_labels) == cat.rows == 15
 
 
 PERAZZO_ANN2 = ["x0^2", "x0*x1", "x0*x2", "x0*x4", "x1^2", "x1*x2", "x2^2",
@@ -144,7 +144,7 @@ class TestAnnihilator:
             for i in range(4):
                 cat = catalecticant(g, i)
                 assert (len(annihilator_piece(g, i))
-                        + rank_kernel(cat.matrix).rank) == cat.matrix.cols
+                        + rank_kernel(cat).rank) == cat.cols
 
     def test_rank_symmetry(self):
         rng = random.Random(13)
@@ -154,8 +154,8 @@ class TestAnnihilator:
             if g.is_zero:
                 continue
             for i in range(5):
-                r1 = rank_kernel(catalecticant(g, i).matrix).rank
-                r2 = rank_kernel(catalecticant(g, 4 - i).matrix).rank
+                r1 = rank_kernel(catalecticant(g, i)).rank
+                r2 = rank_kernel(catalecticant(g, 4 - i)).rank
                 assert r1 == r2
 
 

@@ -425,3 +425,60 @@ class TestGoldenReports:
         assert (code, out) == (1, "")
         assert hashlib.sha256(err.encode()).hexdigest() == (
             "8fa0e7a4566ea53bfd9aa983c6015105832c627d8fd86b5e02f5110d304ce05d")
+
+
+class TestTextReports:
+    """sha256 of the `--format text` output of five reference runs, taken
+    before the input arguments were declared once for analyze and gamma."""
+
+    TEXT = [
+        (["analyze", PERAZZO],
+         "3ff1a43ae1506f29576f37fcbf2a28e1f02a30c30fc3743fbb5b772bbf49328d"),
+        (["analyze", "--corpus", "monomial_ci_quadrics"],
+         "0ff89bffd4a535859802a509f6c75d365ad537334c26d83f62ffc7db8d6188db"),
+        (["fixture", "perazzo"],
+         "878aa8581155ac3fcfb4db065db96c4fb6de31eaa538a9704925af333a2ae6d6"),
+        (["gamma", PERAZZO, "--trials", "8"],
+         "e60a9df0e7c30605a6e73a17b64daae874088fffa3de5d67c09668c2526276b0"),
+        (["experiment", "--trials", "2"],
+         "632affec7e19d126ccf8ec5ce5f97df9eac6fad9d2ed3c4e2abcf11b80940db7"),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", TEXT,
+                             ids=["analyze_cubic", "analyze_corpus", "fixture",
+                                  "gamma", "experiment"])
+    def test_text_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestInputErrors:
+    """Exact stderr for malformed inputs.  With several generators, every
+    one is tokenized before any is parsed, so the first lexical error is
+    reported ahead of an earlier generator's grammar error."""
+
+    @pytest.mark.parametrize("text,err", [
+        ("x0 $", "unexpected character '$' (at position 3)"),
+        ("x0^2;y1", "unexpected character 'y' (at position 0)"),
+        ("x;x1", "expected variable index after 'x' (at position 0)"),
+        ("x0^2;x1^2;x2 x3 +", "expected a coefficient or variable "
+                              "(at position 7)"),
+        ("x0 +;x1 $", "unexpected character '$' (at position 3)"),
+    ])
+    def test_error_text(self, capsys, text, err):
+        assert run(capsys, "analyze", text) == (2, "", f"error: {err}\n")
+
+    def test_composite_modulus_past_64_bits_rejected(self, capsys):
+        # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+        code, out, err = run(capsys, "analyze", "x0^2;x1^2;x2^2", "--field",
+                             "fp:318665857834031151167461")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad field spec ")
+        assert err.count("\n") == 1
+
+    def test_64_bit_prime_accepted(self, capsys):
+        code, out, _ = run(capsys, "analyze", "x0^2;x1^2;x2^2", "--field",
+                           f"fp:{2 ** 64 - 59}")
+        assert code == 0
+        assert json.loads(out)["field"] == f"fp:{2 ** 64 - 59}"

@@ -30,8 +30,8 @@ class TestRankKernel:
 
     def test_perazzo_catalecticant_degree_two(self, perazzo_f):
         cat = catalecticant(perazzo_f, 2)
-        assert (cat.matrix.rows, cat.matrix.cols) == (5, 15)
-        r = rank_kernel(cat.matrix)
+        assert (cat.rows, cat.cols) == (5, 15)
+        r = rank_kernel(cat)
         assert r.rank == 5
         assert len(r.kernel_basis) == 10
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import sagakit.algebra as algebra_module
+import sagakit.gnlab as gnlab_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import AlgebraError, from_regular_sequence
 from sagakit.exactla import Matrix, det_ff, rank_kernel
@@ -245,10 +246,11 @@ class TestTheoremC:
             assert entry["slp1"]["holds"] and entry["slp1"]["certified"]
             assert entry["slp2"]["holds"]
 
-    def test_non_regular_draw_skipped(self):
+    def test_non_regular_draw_skipped(self, monkeypatch):
         bad = [poly(t, 5) for t in ("x0^2", "x0*x1", "x1^2", "x2^2", "x3^2")]
-        entry = _theorem_c_trial(0, seed=1, coeff_box=(-9, 9), generators=bad)
-        assert entry["status"] == "skip"
+        monkeypatch.setattr(gnlab_module, "_random_quadrics", lambda rng: bad)
+        entry = _theorem_c_trial(1, seed=1)
+        assert (entry["kind"], entry["status"]) == ("random", "skip")
         assert "degree" in entry["detail"]
 
     def test_deterministic(self):
@@ -333,7 +335,7 @@ class TestTheoremCModularFirst:
 
         monkeypatch.setattr(algebra_module, "echelon_rows", counting)
         for trial in range(3):
-            entry = _theorem_c_trial(trial, seed=42, coeff_box=(-9, 9))
+            entry = _theorem_c_trial(trial, seed=42)
             assert entry["status"] == "pass"
         # degree 0 and degree 1 have 1 and 5 monomials in five variables
         assert widths and max(widths) <= 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sagakit.polyring import (FieldMismatchError, FieldSpec, Fp, Monomial,
                               PolyError, PolyParseError, Polynomial, RATIONAL,
-                              eval_at, monomial_basis, parse_poly, poly_mul)
+                              max_variable_index, monomial_basis, parse_poly)
 
 F7 = FieldSpec.prime(7)
 PERAZZO = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
@@ -60,30 +60,41 @@ class TestParse:
         with pytest.raises(PolyParseError):
             parse_poly("   ", 2)
 
+    @pytest.mark.parametrize("text,index", [
+        ("x0*x3^2 + 2*x1*x3*x4", 4), ("x12 - x3", 12), ("7", -1),
+        ("x2^10", 2), ("3*x0", 0)])
+    def test_max_variable_index(self, text, index):
+        assert max_variable_index(text) == index
+
+    def test_max_variable_index_rejects_what_the_tokenizer_rejects(self):
+        with pytest.raises(PolyParseError) as err:
+            max_variable_index("x1 $")
+        assert err.value.position == 3
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
         a = parse_poly("x0 + x1", 2)
         b = parse_poly("x0 - x1", 2)
-        assert poly_mul(a, b) == parse_poly("x0^2 - x1^2", 2)
+        assert a * b == parse_poly("x0^2 - x1^2", 2)
 
     def test_multiplicative_identity(self):
         p = parse_poly("2*x0*x1 - x2^2", 3)
         one = Polynomial.constant(1, 3)
-        assert poly_mul(p, one) == p
+        assert p * one == p
 
     def test_monomial_product(self):
         a = parse_poly("x0*x3", 5)
         b = parse_poly("x3*x4", 5)
-        assert poly_mul(a, b) == parse_poly("x0*x3^2*x4", 5)
+        assert a * b == parse_poly("x0*x3^2*x4", 5)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
-            poly_mul(parse_poly("x0", 1), parse_poly("x0", 1, F7))
+            parse_poly("x0", 1) * parse_poly("x0", 1, F7)
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(PolyError):
-            poly_mul(parse_poly("x0", 1), parse_poly("x0", 2))
+            parse_poly("x0", 1) * parse_poly("x0", 2)
 
     def test_homogeneous_product_degree(self):
         p = parse_poly("x0^2 + x1*x2", 3)
@@ -118,18 +129,18 @@ class TestEval:
     def test_perazzo_point(self):
         # only the x0*x3^2 term survives at (1,0,0,1,0)
         p = parse_poly(PERAZZO, 5)
-        assert eval_at(p, [1, 0, 0, 1, 0]) == 1
+        assert p.eval_at([1, 0, 0, 1, 0]) == 1
 
     def test_positive_degree_at_origin(self):
         p = parse_poly("x0^2*x1 + 4*x2^3", 3)
-        assert eval_at(p, [0, 0, 0]) == 0
+        assert p.eval_at([0, 0, 0]) == 0
 
     def test_product_point(self):
-        assert eval_at(parse_poly("x0*x1", 2), [2, 3]) == 6
+        assert parse_poly("x0*x1", 2).eval_at([2, 3]) == 6
 
     def test_length_mismatch(self):
         with pytest.raises(PolyError):
-            eval_at(parse_poly("x0", 2), [1])
+            parse_poly("x0", 2).eval_at([1])
 
 
 small_scalars = st.integers(min_value=-4, max_value=4)
@@ -176,8 +187,22 @@ class TestProperties:
 
 class TestFieldSpec:
     def test_prime_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^100 is not prime$"):
             FieldSpec.prime(100)
+        with pytest.raises(ValueError, match="^3215031751 is not prime$"):
+            FieldSpec.prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
+
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to every base 2..37; 2^89 - 1 is prime but past the bound
+    @pytest.mark.parametrize("p", [318665857834031151167461, 2 ** 89 - 1,
+                                   2 ** 64 + 13, 7.0, 1, 0, -7, None])
+    def test_modulus_outside_64_bits_or_not_int_rejected(self, p):
+        with pytest.raises(ValueError, match="integer in 2..2\\^64 - 1"):
+            FieldSpec.prime(p)
+
+    @pytest.mark.parametrize("p", [2, 2 ** 61 - 1, 2 ** 64 - 59])
+    def test_64_bit_primes_accepted(self, p):
+        assert FieldSpec.prime(p).p == p
 
     def test_from_string(self):
         assert FieldSpec.from_string("rational") == RATIONAL

@@ -36,10 +36,14 @@ degree i below the socle degree and each variable x_j, the coordinates of
 x_j times every basis class of degree i, read off the echelon of degree i+1
 (Mourrain, AAECC 1999): x_j times a term c*m of a representative is c times
 the class of the monomial x_j*m, a unit vector when x_j*m is a basis
-monomial and minus the `coeffs` row of its pivot otherwise.  A product walks
-the terms of one factor's representatives as chains of table steps.
-Indexing by variables, not by degree-1 classes, serves cones too, where
-degree 1 has fewer classes than there are variables.
+monomial and minus the `coeffs` row of its pivot otherwise.  Indexing by
+variables serves cones too, where degree 1 has fewer classes.  The tables
+hold ints over one denominator per degree: residues over F_p, and over Q
+every entry times the lcm of the entries' denominators.  A product converts
+each factor to ints once, walks the terms of one factor's representatives
+as chains of int table steps, reduced mod p once per step over F_p and not
+at all over Q (delayed reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008),
+and normalizes each entry of the result once, to a Fraction or an Fp.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form (its
@@ -53,8 +57,8 @@ are honored without touching the underlying reduction data.
 """
 
 from dataclasses import dataclass
-from itertools import count
-from math import comb
+from itertools import count, islice
+from math import comb, prod
 from operator import add
 
 from .apolarity import catalecticant, contract, rank_kernel
@@ -169,8 +173,8 @@ class GradedAlgebra:
         self.hilbert = tuple(hilbert)
         # the same algebra mod SHADOW_PRIME, when a modular-first build kept it
         self.shadow = shadow
-        # _tables[i][j][c]: coordinates of x_j times basis class c of degree
-        # i, filled by _table(i) on first read
+        # _tables[i] = (ints, den): ints[j][c] / den are the coordinates of
+        # x_j times basis class c of degree i, filled by _table(i)
         self._tables = [None] * self.socle_degree
 
     # -- basic structure ----------------------------------------------
@@ -267,45 +271,58 @@ class GradedAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def _table(self, i: int) -> list:
-        """The variable tables of degree i, built on first read."""
-        table = self._tables[i]
-        if table is None:
+    def _table(self, i: int) -> tuple[list, int]:
+        """The variable tables of degree i and their denominator, built once."""
+        if self._tables[i] is None:
             reps, up = self.piece(i).basis_reps, self.piece(i + 1)
-            table = self._tables[i] = [
-                [up.coords((x * m, c) for m, c in rep.terms.items())
-                 for rep in reps]
-                for x in (Monomial(int(k == j) for k in range(self.n_vars))
-                          for j in range(self.n_vars))]
-        return table
+            ints, den = self.field.to_ints([
+                v for j in range(self.n_vars) for rep in reps
+                for v in up.coords((Monomial(e + (k == j) for k, e in
+                                             enumerate(m.exponents)), c)
+                                   for m, c in rep.terms.items())])
+            cols = iter(ints)
+            self._tables[i] = ([[list(islice(cols, self.hilbert[i + 1]))
+                                 for _ in reps] for _ in range(self.n_vars)],
+                               den)
+        return self._tables[i]
 
-    def _step(self, j: int, coords, i: int) -> list:
-        """x_j times the degree-i class with these coordinates."""
-        out = [self.field.zero()] * self.hilbert[i + 1]
-        for v, column in zip(coords, self._table(i)[j]):
-            if v:
-                for r, t in enumerate(column):
-                    if t:
-                        out[r] = out[r] + v * t
-        return out
-
-    def _times(self, a: AlgebraElement, coords, i: int, target: int) -> list:
-        """a times the degree-i class with these coordinates, target being
-        i + deg a; each term c*m of a basis representative of a's piece,
-        scaled by a's coordinate, is a chain of table steps."""
-        out = [self.field.zero()] * self.hilbert[target]
+    def _times(self, a: AlgebraElement, vecs: list, i: int, k: int = 1):
+        """a^k times each int coordinate vector of degree i in vecs, and the
+        factor their denominator gains: a term c*m of a representative, times
+        a's coordinate u, is a chain of table steps scaled by u*c, where u and
+        c are ints over one denominator den."""
         reps = self.piece(a.degree).basis_reps
-        for mon, s in ((m, u * c) for u, rep in zip(a.coords, reps) if u
-                       for m, c in rep.terms.items()):
-            vec, d = [s * v if v else v for v in coords], i
-            for j, e in enumerate(mon.exponents):
-                for _ in range(e):
-                    vec = self._step(j, vec, d)
-                    d += 1
-            for r, v in enumerate(vec):
-                if v:
-                    out[r] = out[r] + v
-        return out
+        ints, den = self.field.to_ints(
+            list(a.coords) + [c for rep in reps for c in rep.terms.values()])
+        cs = iter(ints[len(reps):])
+        terms = [(chain, s) for chain, s in (
+            ([j for j, e in enumerate(m.exponents) for _ in range(e)],
+             u * next(cs)) for u, rep in zip(ints, reps) for m in rep.terms) if s]
+        p = None if self.field.is_rational else self.field.p
+        factor = 1
+        for _ in range(k):
+            tables = [self._table(d) for d in range(i, i + a.degree)]
+            factor *= den * den * prod(d for _, d in tables)
+            i += a.degree
+            out = []
+            for vec in vecs:
+                acc = [0] * self.hilbert[i]
+                for chain, s in terms:
+                    w = vec
+                    for j, (table, _) in zip(chain, tables):
+                        nxt = [0] * len(table[j][0])
+                        for v, col in zip(w, table[j]):
+                            if v:
+                                for r, t in enumerate(col):
+                                    if t:
+                                        nxt[r] += v * t
+                        w = nxt if p is None else [x % p for x in nxt]
+                    for r, v in enumerate(w):
+                        if v:
+                            acc[r] += s * v
+                out.append(acc)
+            vecs = out
+        return vecs, factor
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         target = a.degree + b.degree
@@ -314,12 +331,14 @@ class GradedAlgebra:
                 f"product degree {target} above socle degree {self.socle_degree}")
         if a.degree > b.degree:
             a, b = b, a
-        return AlgebraElement(
-            target, tuple(self._times(a, b.coords, b.degree, target)))
+        vec, den = self.field.to_ints(b.coords)
+        (out,), factor = self._times(a, [vec], b.degree)
+        return AlgebraElement(target,
+                              tuple(self.field.from_ints(out, den * factor)))
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
         """k-th power of a degree-1 element: k multiplications by x, each one
-        linear step through the variable tables."""
+        linear step through the variable tables, on one int vector."""
         if x.degree != 1:
             raise AlgebraError("power expects a degree-1 element")
         if k < 0:
@@ -327,10 +346,8 @@ class GradedAlgebra:
         if k > self.socle_degree:
             raise DegreeOverflowError(
                 f"exponent {k} above socle degree {self.socle_degree}")
-        coords = self.unit().coords
-        for i in range(k):
-            coords = self._times(x, coords, i, i + 1)
-        return AlgebraElement(k, tuple(coords))
+        (out,), factor = self._times(x, [[1]], 0, k)
+        return AlgebraElement(k, tuple(self.field.from_ints(out, factor)))
 
     def mul_map(self, alpha: AlgebraElement, i: int) -> Matrix:
         """Matrix of multiplication by alpha from degree i to degree i+deg(alpha)."""
@@ -339,9 +356,11 @@ class GradedAlgebra:
             raise DegreeOverflowError(
                 f"multiplication map lands in degree {target}, above socle "
                 f"degree {self.socle_degree}")
-        cols = [self._times(alpha, e.coords, i, target) for e in self.basis(i)]
-        return Matrix([[col[r] for col in cols]
-                       for r in range(self.dim(target))], self.field)
+        h = self.dim(i)
+        cols, factor = self._times(
+            alpha, [[int(r == c) for r in range(h)] for c in range(h)], i)
+        return Matrix([self.field.from_ints(row, factor) for row in zip(*cols)],
+                      self.field)
 
     # -- duality and structure checks ------------------------------------
 
@@ -391,8 +410,8 @@ class GradedAlgebra:
         """Every piece is spanned by products of degree-1 classes."""
         for i in range(self.socle_degree):
             h_next = self.dim(i + 1)
-            # the variables span degree 1, so the table columns suffice
-            stacked = [col for table in self._table(i) for col in table]
+            # the variables span degree 1, so the (scaled) table columns do
+            stacked = [col for table in self._table(i)[0] for col in table]
             if echelon_rows(stacked, h_next, self.field).rank < h_next:
                 return False
         return True
@@ -443,11 +462,8 @@ class GradedAlgebra:
                     "pinned representatives must be nonzero homogeneous of "
                     f"degree {degree} over the algebra's ring")
             columns.append(new_piece.coords(rep.terms.items()))
-        h = piece.dim
-        b = Matrix([[columns[c][r] for c in range(h)] for r in range(h)],
-                   self.field)
         new_piece.basis_reps = list(reps)
-        new_piece.basis_inverse = invert(b)
+        new_piece.basis_inverse = invert(Matrix(columns, self.field).transpose())
         pieces = [self.piece(d) for d in range(self.socle_degree + 1)]
         pieces[degree] = new_piece
         return GradedAlgebra(self.n_vars, self.field, pieces, self.presentation)

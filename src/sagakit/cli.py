@@ -184,9 +184,9 @@ def _render_experiment_text(report: dict) -> str:
 def cmd_fixture(args) -> tuple[dict, int]:
     if args.name != "perazzo":
         raise UsageError(f"unknown fixture {args.name!r}")
-    fixture = perazzo_fixture(seed=args.seed)
-    gn = gn_map_check(perazzo_algebra(), x_samples=16,
-                      seed=child_seed(args.seed, 1))
+    algebra = perazzo_algebra()
+    fixture = perazzo_fixture(seed=args.seed, algebra=algebra)
+    gn = gn_map_check(algebra, x_samples=16, seed=child_seed(args.seed, 1))
     passed = fixture.passed and gn.passed
     report = {
         "schema": SCHEMA_VERSION,

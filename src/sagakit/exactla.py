@@ -5,9 +5,14 @@ deterministic elimination per field: pivots are chosen leftmost-column
 first, earliest row first, with no randomization, so kernel bases and
 quotient-space bases are reproducible across runs.  Over Q the forward pass
 is fraction-free (Bareiss single-step division on integer rows) to keep
-intermediate entries small.  A determinant is read from the forward pass,
-before back-substitution: the sign of its row moves times its last pivot
-over Q (Bareiss 1968), or times the product of its leads over F_p.
+intermediate entries small, and so is the back-substitution: reduced row i
+times the last pivot D is integral (minors over D, by Cramer's rule), and it
+is D times forward row i less multiples of the reduced rows below, divided
+exactly by row i's own pivot; each entry then costs one Fraction(v, D)
+(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992).  A
+determinant is read from the forward pass, before back-substitution: the
+sign of its row moves times its last pivot over Q (Bareiss 1968), or times
+the product of its leads over F_p.
 
 Pivoting is stable: the pivot row is the earliest remaining row in input
 order, and it is moved up past the rows between (a move over k rows has
@@ -46,7 +51,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 
 from .polyring import FieldSpec, Fp, Polynomial, RATIONAL
@@ -204,12 +209,7 @@ def _to_int_rows(rows):
     out = []
     num = den = 1
     for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        ints = [int(x * lcm) if isinstance(x, Fraction) else int(x) * lcm
-                for x in row]
+        ints, lcm = RATIONAL.to_ints(row)
         g = gcd(*ints) or 1
         out.append([x // g for x in ints] if g > 1 else ints)
         num *= lcm
@@ -270,23 +270,18 @@ def _echelon_rational(rows, ncols) -> Echelon:
     pivots, origins, _ = _forward_rational(work, ncols)
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
-    # normalize pivot rows and back-eliminate; only non-pivot entries are kept
-    coeffs = []
-    for i in range(len(pivots)):
-        p = pivots[i]
-        denom = work[i][p]
-        coeffs.append([Fraction(work[i][c], denom) for c in nonpivots])
+    # back-substitution, last pivot row first, each reduced row times the
+    # last pivot kept over the non-pivot columns only, in place of its row
+    last = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     for i in range(len(pivots) - 1, -1, -1):
-        row_i = work[i]
-        ci = coeffs[i]
-        denom = row_i[pivots[i]]
+        row = work[i]
+        acc = [last * row[c] for c in nonpivots]
         for j in range(i + 1, len(pivots)):
-            f = Fraction(row_i[pivots[j]], denom)
+            f = row[pivots[j]]
             if f:
-                cj = coeffs[j]
-                for t in range(len(ci)):
-                    if cj[t]:
-                        ci[t] -= f * cj[t]
+                acc = [x - f * y for x, y in zip(acc, work[j])]
+        work[i] = [x // row[pivots[i]] for x in acc]
+    coeffs = [RATIONAL.from_ints(work[i], last) for i in range(len(pivots))]
     return Echelon(ncols, RATIONAL, pivots, nonpivots, coeffs,
                    [kept[k] for k in origins])
 
@@ -524,10 +519,9 @@ def coords_in_span(vec, basis) -> list | None:
     ech = echelon_rows(augmented, k + 1, field)
     if k in ech.pivots:
         return None
-    aug_pos = ech.nonpivots.index(k)
     coords = [field.zero()] * k
     for i, p in enumerate(ech.pivots):
-        coords[p] = ech.coeffs[i][aug_pos]
+        coords[p] = ech.coeffs[i][-1]
     return coords
 
 
@@ -542,22 +536,12 @@ def invert(m: Matrix) -> Matrix:
     ech = echelon_rows(augmented, 2 * n, m.field)
     if ech.pivots != list(range(n)):
         raise MatrixError("matrix is singular")
-    inv_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            col = n + j
-            row.append(ech.coeffs[i][ech.nonpivots.index(col)])
-        inv_rows.append(row)
-    return Matrix(inv_rows, m.field)
+    # the pivots are the first n columns, so coeffs hold the inverse
+    return Matrix(ech.coeffs, m.field)
 
 
 def _infer_field(vec, basis):
-    for x in vec:
+    for x in chain(vec, *basis):
         if isinstance(x, Fp):
             return FieldSpec.prime(x.p)
-    for b in basis:
-        for x in b:
-            if isinstance(x, Fp):
-                return FieldSpec.prime(x.p)
     return RATIONAL

@@ -440,11 +440,13 @@ def gn_map_check(algebra: GradedAlgebra, x_samples: int = 16,
     return report
 
 
-def perazzo_fixture(seed: int = DEFAULT_SEED) -> Report:
-    """Run every pinned assertion about the vanishing-hessian cubic fixture."""
+def perazzo_fixture(seed: int = DEFAULT_SEED, *,
+                    algebra: GradedAlgebra | None = None) -> Report:
+    """Run every pinned assertion about the vanishing-hessian cubic fixture,
+    on `algebra` when the caller has built `perazzo_algebra()` already."""
     report = Report("perazzo", seed=seed)
     form = perazzo_form()
-    algebra = perazzo_algebra()
+    algebra = perazzo_algebra() if algebra is None else algebra
     field = algebra.field
 
     # annihilator piece in degree 2: dimension and span equality

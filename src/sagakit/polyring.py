@@ -11,6 +11,7 @@ pivot choices and golden outputs reproducible.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 
 
 class PolyError(ValueError):
@@ -222,6 +223,22 @@ class FieldSpec:
             return x
         raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
 
+    def to_ints(self, values) -> tuple[list, int]:
+        """A sequence of field values (ints too, over Q) as ints over one
+        denominator: residues over F_p, where the denominator is 1, and over
+        Q numerators over the lcm of the denominators."""
+        if not self.is_rational:
+            return [v.val for v in values], 1
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def from_ints(self, ints, den: int = 1) -> list:
+        """The field values v / den for v in ints, each normalized once."""
+        if self.is_rational:
+            return [Fraction(v, den) for v in ints]
+        inv = pow(den, -1, self.p)
+        return [Fp(v * inv, self.p) for v in ints]
+
     def __str__(self):
         return "rational" if self.is_rational else f"fp:{self.p}"
 
@@ -280,22 +297,23 @@ class Monomial:
         return self.to_string()
 
 
+def _exponent_tuples(k: int, rem: int):
+    """Exponent tuples of length k summing to rem, lex order, largest first."""
+    if k == 1:
+        yield (rem,)
+        return
+    for e in range(rem, -1, -1):
+        for rest in _exponent_tuples(k - 1, rem - e):
+            yield (e,) + rest
+
+
 def monomial_basis(n_vars: int, d: int) -> list[Monomial]:
     """All degree-d monomials in n_vars variables, graded-lex order, largest first."""
     if n_vars < 1:
         raise PolyError("need at least one variable")
     if d < 0:
         raise PolyError("negative degree")
-
-    def gen(k, rem):
-        if k == 1:
-            yield (rem,)
-            return
-        for e in range(rem, -1, -1):
-            for rest in gen(k - 1, rem - e):
-                yield (e,) + rest
-
-    return [Monomial(t) for t in gen(n_vars, d)]
+    return [Monomial(t) for t in _exponent_tuples(n_vars, d)]
 
 
 class Polynomial:

@@ -162,3 +162,30 @@ def rref_mod_p(rows, ncols, p):
     nonpivots = [c for c in range(ncols) if c not in pivset]
     coeffs = [[work[i][c] for c in nonpivots] for i in range(len(pivots))]
     return pivots, nonpivots, coeffs
+
+
+def rref_rational(rows, ncols):
+    """Reduced row echelon form over Q by plain Fraction Gauss-Jordan.
+
+    Pivots are chosen leftmost column first, earliest row first.  Returns
+    (pivots, nonpivots, coeffs) as rref_mod_p does, coeffs as Fractions.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((k for k in range(r, len(work)) if work[k][col]), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        lead = work[r][col]
+        work[r] = [x / lead for x in work[r]]
+        for k in range(len(work)):
+            if k != r and work[k][col]:
+                f = work[k][col]
+                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
+        pivots.append(col)
+    pivset = set(pivots)
+    nonpivots = [c for c in range(ncols) if c not in pivset]
+    coeffs = [[work[i][c] for c in nonpivots] for i in range(len(pivots))]
+    return pivots, nonpivots, coeffs

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -14,11 +15,11 @@ from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
 from sagakit.exactla import echelon_rows, rank_kernel
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
-from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
+from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               monomial_basis, parse_poly)
 
 from oracles import inverse_system_hilbert
-from test_cli import QUADRIC_CI5
+from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
 def poly(text, n, field=RATIONAL):
@@ -418,6 +419,60 @@ class TestTablesMatchPolynomialProducts:
         assert x1.is_zero
         x0 = cone.reduce(poly("x0", 5))
         assert cone.power(x0, 3) == cone.reduce(poly("x0^3", 5))
+
+
+@cache
+def _den5_algebras():
+    """The cubic PERAZZO_DEN5 over Q, whose variable tables have
+    denominator 5 in degrees 1 and 2, the same with pinned bases whose
+    representatives have several terms and fractional coefficients, and the
+    cubic over F_7 and F_32003."""
+    out = []
+    for field in (RATIONAL, FieldSpec.prime(7), FieldSpec.prime(32003)):
+        out.append(from_inverse_system(poly(PERAZZO_DEN5, 5, field)))
+    alg = out[0].with_degree_basis(1, gens(
+        ["x0 + 1/2*x1", "x1", "x2 - 3/4*x4", "x3", "x4"], 5))
+    out.append(alg.with_degree_basis(2, gens(
+        ["x1*x4 + 1/2*x3^2", "x2*x4", "2/3*x3^2", "x3*x4", "x4^2 - x3*x4"],
+        5)))
+    return out
+
+
+def test_den5_tables_have_denominator_five():
+    alg = _den5_algebras()[0]
+    assert [alg._table(i)[1] for i in range(3)] == [1, 5, 5]
+
+
+@st.composite
+def den5_products(draw):
+    """(algebra, a, b, x, k): a and b of any degrees whose sum is at most the
+    socle degree, x of degree 1 and 0 <= k <= N, with fractional
+    coordinates over Q."""
+    alg = draw(st.sampled_from(_den5_algebras()))
+    coord = (st.fractions(-9, 9, max_denominator=7) if alg.field.is_rational
+             else st.integers(-40, 40))
+
+    def element(d):
+        return alg.element(d, draw(st.lists(coord, min_size=alg.dim(d),
+                                            max_size=alg.dim(d))))
+
+    N = alg.socle_degree
+    da = draw(st.integers(0, N))
+    a, b = element(da), element(draw(st.integers(0, N - da)))
+    return alg, a, b, element(1), draw(st.integers(0, N))
+
+
+@given(den5_products())
+@settings(max_examples=200, deadline=None)
+def test_int_products_match_polynomial_products(case):
+    alg, a, b, x, k = case
+    product, power = alg.multiply(a, b), alg.power(x, k)
+    assert product == alg.reduce(alg.lift(a) * alg.lift(b),
+                                 a.degree + b.degree)
+    assert power == alg.reduce(alg.lift(x) ** k, degree=k)
+    assert list(product.coords) == alg.mul_map(a, b.degree).mul_vector(b.coords)
+    kind = Fraction if alg.field.is_rational else Fp
+    assert all(type(c) is kind for c in product.coords + power.coords)
 
 
 # a quadric CI over Q that is not one modulo 3: (x0^2, x0*x1) is not regular

@@ -1,11 +1,14 @@
 import concurrent.futures
+import gc
 import hashlib
 import json
+import re
 
 import pytest
 
 import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity_module
+import sagakit.gnlab as gnlab_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.cli import main
 
@@ -90,6 +93,10 @@ NOT_REGULAR4 = (
 # a Perazzo-type cubic x0*g0 + x1*g1 + x2*g2 with g0, g1, g2 independent
 # quadrics in x3, x4 (also mod 7): not a cone, and its hessian vanishes
 PERAZZO_TYPE = "x0*x3^2 + 3*x1*x3*x4 + x1*x4^2 + x2*x3^2 + 5*x2*x4^2"
+
+# a Perazzo cubic whose variable tables over Q have denominator 5 in degrees
+# 1 and 2, so its products and gamma samples run through non-integral values
+PERAZZO_DEN5 = "3*x0*x3^2 + 2*x1*x3*x4 + 5*x2*x4^2"
 
 
 def run(capsys, *argv):
@@ -310,6 +317,18 @@ class TestFixture:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_fixture_algebra_built_once(self, capsys, monkeypatch):
+        built = []
+        real = gnlab_module.from_inverse_system
+
+        def counted(form):
+            built.append(form)
+            return real(form)
+
+        monkeypatch.setattr(gnlab_module, "from_inverse_system", counted)
+        code, _, _ = run(capsys, "fixture", "perazzo")
+        assert code == 0 and len(built) == 1
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "fixture", "unknown")
         assert code == 2
@@ -350,7 +369,7 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of fifteen reference runs, and of the
+    """sha256 of the JSON report bytes of sixteen reference runs, and of the
     error text of one rejected input.
 
     Any change to a report's bytes, however it arises, fails here.  The first
@@ -368,9 +387,10 @@ class TestGoldenReports:
     were skipped by the F5 criterion and pairings read from the socle
     functional; the last two (the five-variable quadric CI and the
     mixed-degree CI, both over Q) before the lazy Q pieces took the F5 rows
-    too; the last (the five-variable quadric CI over F_(2^31 - 1), whose
+    too; the next (the five-variable quadric CI over F_(2^31 - 1), whose
     packed slots are wider than any array item) before F_p rows were
-    converted through arrays.
+    converted through arrays; the last (gamma samples of a cubic whose
+    variable tables have denominator 5) before products ran on ints.
     """
 
     GOLDEN = [
@@ -404,6 +424,8 @@ class TestGoldenReports:
          "3524845fb4703e4e13603ecef32666cdaf591480f7af9d7fc9706708ac561a76"),
         (["analyze", QUADRIC_CI5, "--field", "fp:2147483647"],
          "d21f63464b1350553109167bfcc3ad43d4ad7065c8efcc9c3922b41c049d8496"),
+        (["gamma", PERAZZO_DEN5, "--trials", "16"],
+         "35669ae3f77ac4d05ab317c99c3347ffe97ba5a1a9e73131fbf715ef39701eaa"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
@@ -414,7 +436,8 @@ class TestGoldenReports:
                                   "analyze_perazzo_type_fp7",
                                   "analyze_mixed_ci4_fp32003",
                                   "analyze_ci5_q", "analyze_mixed_ci4_q",
-                                  "analyze_ci5_fp2147483647"])
+                                  "analyze_ci5_fp2147483647",
+                                  "gamma_den5"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -482,3 +505,53 @@ class TestInputErrors:
                            f"fp:{2 ** 64 - 59}")
         assert code == 0
         assert json.loads(out)["field"] == f"fp:{2 ** 64 - 59}"
+
+
+# a decimal or float spelling of a number, which no exact scalar prints as
+FLOAT_TEXT = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+(\.\d*)?e[-+]?\d+|inf|nan)",
+                        re.IGNORECASE)
+
+
+def _scalars(value):
+    """Every leaf of a parsed JSON report."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _scalars(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _scalars(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", PERAZZO_DEN5],
+    ["gamma", PERAZZO_DEN5, "--trials", "4"],
+    ["gamma", PERAZZO_DEN5, "--trials", "4", "--field", "fp:7"],
+    ["fixture", "perazzo"],
+    ["experiment", "--trials", "2"],
+    ["analyze", QUADRIC_CI4],
+])
+def test_reports_hold_no_float(capsys, argv):
+    def refuse(text):
+        raise AssertionError(f"float {text} in the report")
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for leaf in _scalars(json.loads(out, parse_float=refuse)):
+        assert not isinstance(leaf, float)
+        assert not (isinstance(leaf, str) and FLOAT_TEXT.fullmatch(leaf)), leaf
+
+
+def test_analyze_leaves_no_monomial_basis_closure_for_the_collector(capsys):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, "analyze", PERAZZO)[0] == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage
+                  if "monomial_basis.<locals>" in getattr(o, "__qualname__", "")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sagakit.apolarity import catalecticant
-from sagakit.exactla import (_TYPECODES, Matrix, MatrixError, _pack,
-                             _residues, _slot_bytes, _unpack, coords_in_span,
-                             det_ff, echelon_rows, invert, rank_kernel)
+from sagakit.exactla import (_TYPECODES, Matrix, MatrixError,
+                             _echelon_rational, _pack, _residues,
+                             _slot_bytes, _unpack, coords_in_span, det_ff,
+                             echelon_rows, invert, rank_kernel)
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               parse_poly)
 
-from oracles import det_by_permutations, rref_mod_p
+from oracles import det_by_permutations, rref_mod_p, rref_rational
 
 F101 = FieldSpec.prime(101)
 
@@ -410,10 +411,10 @@ def test_row_of_wrong_length_is_rejected(field, rows, ncols, bad, length):
 
 
 @st.composite
-def rows_with_zero_rows(draw):
+def rows_with_zero_rows(draw, primes=PRIMES + [None]):
     """(rows, ncols, field): drawn rows, combinations of earlier rows and
-    zero rows interleaved, over Q or one of PRIMES."""
-    p = draw(st.sampled_from(PRIMES + [None]))
+    zero rows interleaved, over one of primes, None standing for Q."""
+    p = draw(st.sampled_from(primes))
     ncols = draw(st.integers(1, 7))
     if p is None:
         field = RATIONAL
@@ -450,6 +451,17 @@ def test_origins_give_the_pivots_of_every_prefix(case):
     for k in range(len(rows) + 1):
         prefix = [c for c, o in zip(ech.pivots, ech.origins) if o < k]
         assert prefix == echelon_rows(rows[:k], ncols, field).pivots
+
+
+@given(rows_with_zero_rows(primes=[None]))
+@settings(max_examples=300, deadline=None)
+@example(([[0, 0], [Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]], 2,
+          RATIONAL))
+def test_rational_back_substitution_matches_gauss_jordan(case):
+    rows, ncols, _ = case
+    ech = _echelon_rational(rows, ncols)
+    assert (ech.pivots, ech.nonpivots, ech.coeffs) == rref_rational(rows, ncols)
+    assert all(type(x) is Fraction for row in ech.coeffs for x in row)
 
 
 class TestPivotMoves:

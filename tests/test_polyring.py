@@ -222,3 +222,20 @@ class TestFieldSpec:
     def test_coerce_fraction_mod_p(self):
         f = FieldSpec.prime(7)
         assert f.coerce(Fraction(1, 2)) == Fp(4, 7)
+
+    @given(st.lists(st.fractions(-20, 20, max_denominator=12), max_size=6),
+           st.sampled_from([None, 2, 7, 32003]))
+    @settings(max_examples=100, deadline=None)
+    def test_ints_round_trip(self, values, p):
+        field = RATIONAL if p is None else FieldSpec.prime(p)
+        values = [field.coerce(v if p is None else v.numerator)
+                  for v in values]
+        ints, den = field.to_ints(values)
+        assert all(type(v) is int for v in ints)
+        assert den == 1 or field.is_rational
+        assert field.from_ints(ints, den) == values
+        assert field.from_ints([3 * v for v in ints], 3 * den) == values
+
+    def test_to_ints_over_q_takes_the_lcm(self):
+        assert RATIONAL.to_ints([Fraction(1, 4), 3, Fraction(-5, 6)]) == (
+            [3, 36, -10], 12)

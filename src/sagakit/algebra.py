@@ -511,6 +511,13 @@ def from_inverse_system(form: Polynomial) -> GradedAlgebra:
         raise AlgebraError("zero form has no inverse-system algebra")
     if d is None or d < 1:
         raise AlgebraError("inverse system needs a homogeneous form of degree >= 1")
+    p = form.field.p
+    # x^e sends a degree-d form to e! times its x^e coefficient, so over F_p
+    # the top piece, the socle, is 0 exactly when each term has an exponent >= p
+    if p and all(max(m.exponents) >= p for m in form.terms):
+        raise AlgebraError(
+            f"no degree-{d} socle over {form.field}: each term has an exponent "
+            f">= {p}, so every degree-{d} contraction of the form is 0")
     n = form.n_vars
     pieces = []
     for i in range(d + 1):

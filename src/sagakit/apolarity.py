@@ -9,15 +9,10 @@ restricted to degree-i operator monomials; its kernel is the degree-i piece
 of the annihilator of G.
 """
 
+from math import perm
+
 from .exactla import Matrix, rank_kernel
 from .polyring import Monomial, PolyError, Polynomial, monomial_basis
-
-
-def _falling(e: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= e - t
-    return out
 
 
 def contract(op: Polynomial, form: Polynomial) -> Polynomial:
@@ -36,7 +31,7 @@ def contract(op: Polynomial, form: Polynomial) -> Polynomial:
                 continue
             scale = 1
             for e, k in zip(f_mon.exponents, op_mon.exponents):
-                scale *= _falling(e, k)
+                scale *= perm(e, k)
             target = Monomial(e - k for e, k in
                               zip(f_mon.exponents, op_mon.exponents))
             val = op_coeff * f_coeff * field.from_int(scale)

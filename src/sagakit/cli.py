@@ -12,6 +12,7 @@ error.
 """
 
 import argparse
+import functools
 import sys
 
 from .algebra import (GradedAlgebra, NotRegularSequence,
@@ -36,6 +37,9 @@ class UsageError(ValueError):
 
 
 def _read_input_texts(args) -> list[str]:
+    if sum(s is not None for s in (args.poly, args.input, args.corpus)) > 1:
+        raise UsageError(
+            "give only one input: a positional form, --input or --corpus")
     if args.corpus:
         entry = get_entry(args.corpus)
         texts = [entry.input] if entry.kind == "form" else list(entry.input)
@@ -268,6 +272,7 @@ def _render_gamma_text(report: dict) -> str:
 # -- driver -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sagakit",

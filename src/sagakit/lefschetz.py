@@ -2,10 +2,14 @@
 
 The probes are randomized-witness tests for generic statements: a single
 exact witness certifies that the generic multiplication map has maximal
-rank, while failure across all trials is (strong) evidence only.  For small
-square cases failure is upgraded to proof by expanding the determinant of
-the multiplication map symbolically in the coordinates of the probing linear
-form and checking that it is the zero polynomial.
+rank, while failure across all trials is (strong) evidence only.  A probe
+reads one multiplication map: `mul_map` of the class L^m from `power`, so
+every product runs through the algebra's variable tables.  For small square
+cases failure is upgraded to proof by expanding the determinant of the
+multiplication map symbolically in the coordinates t of the probing linear
+form and checking that it is the zero polynomial.  That map is the sum,
+over the monomials b^a of degree m in the degree-1 basis, of the map of b^a
+times multinomial(m; a) t^a.
 
 An algebra with a shadow (a regular sequence over Q, also built mod a
 prime) is probed mod p first, with the same integer linear form.  The ideal
@@ -29,7 +33,8 @@ from math import factorial
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
 from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
-from .polyring import Monomial, PolyError, Polynomial, scalar_str
+from .polyring import (Monomial, PolyError, Polynomial, monomial_basis,
+                       scalar_str)
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 SLP = "SLP"
@@ -88,13 +93,10 @@ def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
 
 def _map_rank(algebra: GradedAlgebra, k: int, m: int,
               L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k, with each basis vector
-    stepped through multiplication by L m times."""
-    columns = [e.coords for e in algebra.basis(k)]
-    for d in range(k, k + m):
-        step = algebra.mul_map(L, d)
-        columns = [step.mul_vector(col) for col in columns]
-    return echelon_rows(columns, algebra.dim(k + m), algebra.field).rank
+    """Rank of multiplication by L^m from degree k: the rank of `mul_map`
+    of the class L^m from `power`, both chains of variable-table steps."""
+    step = algebra.mul_map(algebra.power(L, m), k)
+    return echelon_rows(step.entries, step.cols, algebra.field).rank
 
 
 def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
@@ -117,7 +119,6 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
         raise AlgebraError(f"{kind} degree {k} out of range for socle {N}")
     h_source, h_target = algebra.dim(k), algebra.dim(k + m)
     target = h_source if kind == SLP else min(h_source, h_target)
-    square = h_source == h_target
     best = 0
     witness = None
     for t in range(trials):
@@ -130,10 +131,9 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
         if best == target:
             break
     holds = best == target
-    certified = holds
-    if not holds and square and target <= MAX_SYMBOLIC_DET:
-        det = symbolic_probe_determinant(algebra, kind, k)
-        certified = det.is_zero
+    certified = holds or (
+        h_source == h_target and target <= MAX_SYMBOLIC_DET
+        and symbolic_probe_determinant(algebra, kind, k).is_zero)
     return ProbeReport(kind=kind, k=k, target_rank=target, max_rank_found=best,
                        witness=witness, trials=trials, seed=seed, holds=holds,
                        certified=certified)
@@ -144,29 +144,23 @@ def symbolic_multiplication_matrix(algebra: GradedAlgebra, k: int,
     """Entries of the multiplication map by L^exponent at degree k, as
     polynomials in the coordinates t of L over the degree-1 basis.
 
-    Each basis vector is stepped through L = sum t_c b_c once per degree, as
-    in the numeric probe; a vector with polynomial entries is held as its
-    coefficient vectors on the monomials in t.
+    With L = sum t_c b_c and m = exponent, L^m is the sum over a with
+    |a| = m of multinomial(m; a) t^a b^a, so entry (r, c) is the sum of
+    multinomial(m; a) mul_map(b^a, k)[r][c] t^a, where b^a is the unit
+    multiplied by each degree-1 basis class b_c a_c times.
     """
-    h1 = algebra.dim(1)
-    field = algebra.field
-    columns = [{(0,) * h1: e.coords} for e in algebra.basis(k)]
-    for d in range(k, k + exponent):
-        steps = [algebra.mul_map(b, d) for b in algebra.basis(1)]
-        stepped = []
-        for col in columns:
-            nxt = {}
-            for mon, vec in col.items():
-                for c, step in enumerate(steps):
-                    key = mon[:c] + (mon[c] + 1,) + mon[c + 1:]
-                    w = step.mul_vector(vec)
-                    nxt[key] = ([a + b for a, b in zip(nxt[key], w)]
-                                if key in nxt else w)
-            stepped.append(nxt)
-        columns = stepped
-    return [[Polynomial(h1, field, {Monomial(mon): vec[r]
-                                    for mon, vec in col.items()})
-             for col in columns]
+    h1, field = algebra.dim(1), algebra.field
+    maps = {}
+    for mon in monomial_basis(h1, exponent):
+        b_a, scale = algebra.unit(), factorial(exponent)
+        for b, e in zip(algebra.basis(1), mon.exponents):
+            for _ in range(e):
+                b_a = algebra.multiply(b_a, b)
+            scale //= factorial(e)
+        maps[mon] = (field.from_int(scale), algebra.mul_map(b_a, k).entries)
+    return [[Polynomial(h1, field, {mon: s * entries[r][c]
+                                    for mon, (s, entries) in maps.items()})
+             for c in range(algebra.dim(k))]
             for r in range(algebra.dim(k + exponent))]
 
 
@@ -275,15 +269,13 @@ def _crosscheck_at(algebra, form, partials, point) -> bool:
     if len(point) != n:
         raise PolyError(f"point length {len(point)} != {n} variables")
     d = algebra.socle_degree
-    L_poly = Polynomial(n, field,
-                        {Monomial([1 if j == i else 0 for j in range(n)]): c
-                         for i, c in enumerate(point) if c})
-    L = algebra.reduce(L_poly, 1)
+    variables = [algebra.reduce(Polynomial.variable(i, n, field), 1)
+                 for i in range(n)]
+    L = sum((x.scale(field.coerce(c)) for x, c in zip(variables, point)),
+            algebra.zero_element(1))
     power = algebra.power(L, d - 2)
     fact = field.from_int(factorial(d - 2))
     hess = _hessian_at(partials, point, field).entries
-    variables = [algebra.reduce(Polynomial.variable(i, n, field), 1)
-                 for i in range(n)]
     for i in range(n):
         left_i = algebra.multiply(power, variables[i])
         for j in range(n):

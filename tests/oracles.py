@@ -3,13 +3,19 @@
 Everything here goes through sympy (symbolic differentiation, exact ranks)
 or brute-force enumeration, never through the package's own reduction or
 elimination code, so oracle and implementation can only agree by computing
-the same mathematics.
+the same mathematics.  The two stepping references at the end are the one
+exception: they build multiplication by L^m from the package's one-degree
+maps, a basis vector at a time, so they check the route through powers of L
+against L applied m times.
 """
 
 import itertools
 from fractions import Fraction
 
 import sympy as sp
+
+from sagakit.exactla import echelon_rows
+from sagakit.polyring import Monomial, Polynomial
 
 
 def sym_vars(n, letter="x"):
@@ -189,3 +195,39 @@ def rref_rational(rows, ncols):
     nonpivots = [c for c in range(ncols) if c not in pivset]
     coeffs = [[work[i][c] for c in nonpivots] for i in range(len(pivots))]
     return pivots, nonpivots, coeffs
+
+
+def stepped_map_rank(algebra, k, m, L):
+    """Rank of multiplication by L^m from degree k, with each basis vector
+    stepped through the one-degree map of L m times."""
+    columns = [e.coords for e in algebra.basis(k)]
+    for d in range(k, k + m):
+        step = algebra.mul_map(L, d)
+        columns = [step.mul_vector(col) for col in columns]
+    return echelon_rows(columns, algebra.dim(k + m), algebra.field).rank
+
+
+def stepped_symbolic_matrix(algebra, k, m):
+    """Entries of multiplication by L^m at degree k as polynomials in the
+    coordinates t of L = sum t_c b_c: each basis vector is stepped through L
+    once per degree, a vector with polynomial entries held as its
+    coefficient vectors on the monomials in t."""
+    h1 = algebra.dim(1)
+    columns = [{(0,) * h1: e.coords} for e in algebra.basis(k)]
+    for d in range(k, k + m):
+        steps = [algebra.mul_map(b, d) for b in algebra.basis(1)]
+        stepped = []
+        for col in columns:
+            nxt = {}
+            for mon, vec in col.items():
+                for c, step in enumerate(steps):
+                    key = mon[:c] + (mon[c] + 1,) + mon[c + 1:]
+                    w = step.mul_vector(vec)
+                    nxt[key] = ([a + b for a, b in zip(nxt[key], w)]
+                                if key in nxt else w)
+            stepped.append(nxt)
+        columns = stepped
+    return [[Polynomial(h1, algebra.field, {Monomial(mon): vec[r]
+                                            for mon, vec in col.items()})
+             for col in columns]
+            for r in range(algebra.dim(k + m))]

@@ -16,7 +16,7 @@ from sagakit.corpus import get_entry
 from sagakit.exactla import echelon_rows, rank_kernel
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
-                              monomial_basis, parse_poly)
+                              max_variable_index, monomial_basis, parse_poly)
 
 from oracles import inverse_system_hilbert
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
@@ -52,6 +52,24 @@ class TestFromInverseSystem:
     def test_zero_form_rejected(self):
         with pytest.raises(AlgebraError):
             from_inverse_system(Polynomial.zero(3))
+
+    @pytest.mark.parametrize("text,p", [("x0^3 + x1^3 + x2^3", 3),
+                                        ("x0^2 + x1^2", 2),
+                                        ("x0^4 + x1^4 + x0*x1^3", 3)])
+    def test_form_with_no_socle_mod_p_rejected(self, text, p):
+        # x^e sends the form to e! times its x^e coefficient, 0 mod p here
+        form = parse_poly(text, max_variable_index(text) + 1,
+                          FieldSpec.prime(p))
+        d = form.homogeneous_degree()
+        with pytest.raises(AlgebraError) as info:
+            from_inverse_system(form)
+        assert str(info.value) == (
+            f"no degree-{d} socle over fp:{p}: each term has an exponent "
+            f">= {p}, so every degree-{d} contraction of the form is 0")
+
+    def test_squarefree_form_mod_two_builds(self):
+        form = parse_poly("x0*x1*x2", 3, FieldSpec.prime(2))
+        assert from_inverse_system(form).hilbert == (1, 3, 3, 1)
 
     def test_dims_match_catalecticant_ranks(self, perazzo_f, perazzo_alg):
         for i in range(4):

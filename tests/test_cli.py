@@ -492,6 +492,28 @@ class TestInputErrors:
     def test_error_text(self, capsys, text, err):
         assert run(capsys, "analyze", text) == (2, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "x0^3 + x1^3", "--corpus", "perazzo"],
+        ["analyze", "x0^3 + x1^3", "--input", "forms.txt"],
+        ["gamma", "--corpus", "perazzo", "--input", "forms.txt"],
+        ["gamma", PERAZZO, "--corpus", "perazzo", "--input", "forms.txt"],
+    ])
+    def test_conflicting_inputs_rejected(self, capsys, argv):
+        assert run(capsys, *argv) == (
+            2, "", "error: give only one input: a positional form, --input "
+                   "or --corpus\n")
+
+    @pytest.mark.parametrize("command,text,p,d", [
+        ("analyze", "x0^3 + x1^3 + x2^3", 3, 3),
+        ("gamma", "x0^2 + x1^2", 2, 2),
+        ("gamma", "x0^4 + x1^4 + x0*x1^3", 3, 4),
+    ])
+    def test_form_with_no_socle_mod_p(self, capsys, command, text, p, d):
+        assert run(capsys, command, text, "--field", f"fp:{p}") == (
+            2, "", f"error: no degree-{d} socle over fp:{p}: each term has "
+                   f"an exponent >= {p}, so every degree-{d} contraction of "
+                   "the form is 0\n")
+
     def test_composite_modulus_past_64_bits_rejected(self, capsys):
         # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
         code, out, err = run(capsys, "analyze", "x0^2;x1^2;x2^2", "--field",
@@ -544,13 +566,16 @@ def test_reports_hold_no_float(capsys, argv):
 
 
 def test_analyze_leaves_no_monomial_basis_closure_for_the_collector(capsys):
+    """No monomial_basis closure, and no argparse object (the parser is built
+    once per process), is left in a reference cycle."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         assert run(capsys, "analyze", PERAZZO)[0] == 0
         gc.collect()
         leaked = [o for o in gc.garbage
-                  if "monomial_basis.<locals>" in getattr(o, "__qualname__", "")]
+                  if "monomial_basis.<locals>" in getattr(o, "__qualname__", "")
+                  or type(o).__module__ == "argparse"]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +17,11 @@ from sagakit.lefschetz import (SLP, WLP, HessianReport, hessian,
 from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
                               RATIONAL, monomial_basis, parse_poly)
 
-from oracles import hessian_det, poly_to_dict
+from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
+
+from oracles import (hessian_det, poly_to_dict, stepped_map_rank,
+                     stepped_symbolic_matrix)
+from test_cli import QUADRIC_CI4
 
 
 def poly(text, n):
@@ -171,6 +176,103 @@ class TestModularFirstProbe:
             for seed in range(3):
                 assert (lefschetz_probe(with_shadow, kind, k, seed=seed)
                         == lefschetz_probe(without, kind, k, seed=seed))
+
+
+# the algebras on which the maps of L^m are checked against L stepped m times
+PRODUCT_PATH_CASES = {
+    # over Q with an F_32003 shadow, and that shadow on its own
+    "quadric_ci": lambda: from_regular_sequence(
+        [poly(t, 4) for t in QUADRIC_CI4.split(";")]),
+    "quadric_ci_shadow": lambda: product_path_algebra("quadric_ci").shadow,
+    "monomial_ci_f7": lambda: from_regular_sequence(monomial_quadric_ci(F7)),
+    # mod 3 some multinomial coefficients of L^m vanish
+    "monomial_ci_f3": lambda: from_regular_sequence(
+        monomial_quadric_ci(FieldSpec.prime(3))),
+    "ternary_quartic": lambda: from_inverse_system(dense_form(
+        [3, -1, 2, 0, 1, -2, 3, 1, -3, 2, 1, 0, -1, 2, 1], 3, 4)),
+    # the fixture's pinned degree-2 basis
+    "perazzo": perazzo_algebra,
+    # h_1 = 3 < 5
+    "cone": lambda: from_inverse_system(linear_change(
+        dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3], 3, 3), 5, seed=2)),
+}
+
+
+@cache
+def product_path_algebra(name):
+    return PRODUCT_PATH_CASES[name]()
+
+
+@st.composite
+def probed_maps(draw):
+    """An algebra, a degree k and an exponent m with k + m <= N (m = 0
+    included), and a linear form L with small integer coordinates."""
+    algebra = product_path_algebra(draw(st.sampled_from(
+        sorted(PRODUCT_PATH_CASES))))
+    N = algebra.socle_degree
+    k, m = draw(st.sampled_from([(k, m) for k in range(N + 1)
+                                 for m in range(N - k + 1)]))
+    h1 = algebra.dim(1)
+    coords = draw(st.lists(st.integers(-3, 3), min_size=h1, max_size=h1))
+    return algebra, k, m, algebra.element(1, coords)
+
+
+@given(probed_maps())
+@settings(max_examples=100, deadline=None)
+def test_map_rank_matches_stepping(case):
+    algebra, k, m, L = case
+    want = stepped_map_rank(algebra, k, m, L)
+    assert lefschetz_module._map_rank(algebra, k, m, L) == want
+    assert lefschetz_module._probe_rank(algebra, k, m, L) == want
+    image = algebra.shadow_image(L)
+    if image is not None:
+        assert (lefschetz_module._map_rank(algebra.shadow, k, m, image)
+                == stepped_map_rank(algebra.shadow, k, m, image))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_PATH_CASES))
+def test_symbolic_matrix_matches_stepping(name):
+    algebra = product_path_algebra(name)
+    N = algebra.socle_degree
+    for k in range(N + 1):
+        for m in range(N - k + 1):
+            assert (symbolic_multiplication_matrix(algebra, k, m)
+                    == stepped_symbolic_matrix(algebra, k, m)), (k, m)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_PATH_CASES))
+def test_zero_exponent_is_the_identity(name):
+    algebra = product_path_algebra(name)
+    h1 = algebra.dim(1)
+    L = algebra.element(1, [0] * h1)
+    for k in range(algebra.socle_degree + 1):
+        h = algebra.dim(k)
+        assert lefschetz_module._map_rank(algebra, k, 0, L) == h
+        assert symbolic_multiplication_matrix(algebra, k, 0) == [
+            [Polynomial.constant(int(r == c), h1, algebra.field)
+             for c in range(h)] for r in range(h)]
+
+
+def test_probes_step_no_vector(perazzo_f, monkeypatch):
+    """Without a pinned basis, neither a probe nor its certificate steps a
+    vector through a matrix."""
+    calls = []
+    real = Matrix.mul_vector
+
+    def counting(self, vec):
+        calls.append(len(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(Matrix, "mul_vector", counting)
+    perazzo = from_inverse_system(perazzo_f)
+    report = lefschetz_probe(perazzo, SLP, 1, trials=4, seed=9)
+    assert not report.holds and report.certified
+    assert symbolic_probe_determinant(perazzo, SLP, 1).is_zero
+    ci = product_path_algebra("quadric_ci")
+    for kind, k in ((SLP, 1), (SLP, 2), (WLP, 1), (WLP, 3)):
+        assert lefschetz_probe(ci, kind, k, seed=k).holds
+    assert not symbolic_probe_determinant(ci, SLP, 1).is_zero
+    assert calls == []
 
 
 class TestHessian:

@@ -10,9 +10,18 @@ accepted exactly when the computed Hilbert function matches the expected
 complete-intersection series and the quotient vanishes one degree above the
 socle.
 
-Every regular-sequence build, eager or lazy, over F_p or Q, takes the
-degrees in order and leaves out the Macaulay rows m * f_g whose multiplier
-m is a leading monomial of the ideal of the generators before g (the F5
+Every regular-sequence build takes the degrees in order.  Over F_p, piece
+i is read off the reduced rows of piece i-1: the basis monomials of degree
+i lie among the products x_j * b with b a basis monomial of degree i-1,
+every other monomial is congruent to a vector over those products, and one
+echelon over them, on x_j times the reduced rows of degree i-1 and the
+generators of degree i, gives the piece (`_fp_pieces`; Mourrain, AAECC
+1999).  Its width is at most n * h_(i-1), not the C(n+i-1, i) monomials of
+degree i.
+
+Over Q the reduced rows carry large rationals, so a Q piece is one
+Macaulay matrix that leaves out the rows m * f_g whose multiplier m is a
+leading monomial of the ideal of the generators before g (the F5
 criterion; Faugere, ISSAC 2002).  Those leading monomials are read from the
 echelon of the lower degree: stable pivoting in `exactla` makes the pivots
 whose rows came from the generators before g exactly the leading monomials
@@ -25,11 +34,11 @@ Over Q a regular sequence is built modular-first.  Its generators are
 reduced mod SHADOW_PRIME and the F_p algebra is built and checked first.
 If it passes, the sequence is regular over Q too (the Macaulay resultant
 reduces mod p), so the Q Hilbert vector is certified without a Q echelon;
-the Q pieces are then built in degree order, from the same F5 rows, on
-first read through `piece` (reading degree d builds every lower degree
-first, since its rows need their leading monomials), and the F_p algebra is
-kept as the algebra's `shadow` for the probes in `lefschetz`.  Any miss mod
-p falls back to the eager Q build.
+the Q pieces are then built in degree order, from the F5 rows, on first
+read through `piece` (reading degree d builds every lower degree first,
+since its rows need their leading monomials), and the F_p algebra is kept
+as the algebra's `shadow` for the probes in `lefschetz`.  Any miss mod p
+falls back to the eager Q build, from the same F5 rows.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
@@ -48,7 +57,9 @@ and normalizes each entry of the result once, to a Fraction or an Fp.
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form (its
 kernel vector).  The pairing of a and b is phi of the product of their
-representatives, so it needs no table step (Macaulay duality).
+representatives, so it needs no table step (Macaulay duality); phi and the
+representatives' coefficients are converted to ints once, and each entry
+is normalized once.
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
@@ -57,14 +68,14 @@ are honored without touching the underlying reduction data.
 """
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import comb, prod
 from operator import add
 
 from .apolarity import catalecticant, contract, rank_kernel
 from .exactla import Echelon, Matrix, echelon_rows, invert
-from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
-                       monomial_basis)
+from .polyring import (FieldMismatchError, FieldSpec, Fp, Monomial,
+                       Polynomial, monomial_basis)
 from .seeding import random_int_coords
 
 # The prime of the modular-first build: below 2^15, so products of residues
@@ -388,17 +399,23 @@ class GradedAlgebra:
         if top.basis_inverse is not None:
             scale = top.basis_inverse.entries[0][0]
             phi = [scale * v for v in phi]
-
-        def pair(a: Polynomial, b: Polynomial):
-            acc = self.field.zero()
-            for m, c in a.terms.items():
-                for m2, c2 in b.terms.items():
-                    acc = acc + c * c2 * phi[top.index[m * m2]]
-            return acc
-
-        right = self.piece(N - s).basis_reps
-        matrix = Matrix([[pair(a, b) for b in right]
-                         for a in self.piece(s).basis_reps], self.field)
+        # phi and the representatives' coefficients as ints over one
+        # denominator each, and each entry normalized once
+        phi, den = self.field.to_ints(phi)
+        phi = {m.exponents: v for m, v in zip(top.ambient, phi) if v}
+        sides = []
+        for reps in (self.piece(s).basis_reps, self.piece(N - s).basis_reps):
+            coeffs, d = self.field.to_ints(
+                [c for rep in reps for c in rep.terms.values()])
+            cs = iter(coeffs)
+            sides.append([[(m.exponents, next(cs)) for m in rep.terms]
+                          for rep in reps])
+            den *= d
+        left, right = sides
+        matrix = Matrix([self.field.from_ints(
+            [sum(c * c2 * phi.get(tuple(map(add, m, m2)), 0)
+                 for m, c in a for m2, c2 in b) for b in right], den)
+            for a in left], self.field)
         square = self.dim(s) == self.dim(N - s)
         ok = square and rank_kernel(matrix).rank == self.dim(s)
         return ok, matrix
@@ -563,8 +580,8 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
     Over Q the forms are first reduced mod SHADOW_PRIME.  When the F_p
     algebra passes both checks the forms are regular over Q as well, the Q
     pieces are built lazily, in degree order from the same F5 rows as the
-    eager build, and the F_p algebra is kept as the shadow; otherwise the Q
-    algebra is built eagerly and checked as over any field.
+    eager Q build, and the F_p algebra is kept as the shadow; otherwise the
+    Q algebra is built eagerly and checked as over any field.
     """
     if not forms:
         raise AlgebraError("empty generator list")
@@ -599,7 +616,7 @@ def _ci_presentation(forms, degrees) -> dict:
 
 def _macaulay_rows(forms, degrees, i: int, leading):
     """The Macaulay rows of degree i, generator by generator: f_g times every
-    monomial of degree i - deg f_g, F_p coefficients as plain residues.
+    monomial of degree i - deg f_g.
 
     The row m * f_g is left out when m is a leading monomial of I_<g, the
     ideal of the generators before g: `leading[g][d]` holds those of degree
@@ -615,7 +632,6 @@ def _macaulay_rows(forms, degrees, i: int, leading):
     Also returns the index of each generator's first row.
     """
     n = forms[0].n_vars
-    prime = not forms[0].field.is_rational
     ambient = monomial_basis(n, i)
     index = {m.exponents: c for c, m in enumerate(ambient)}
     rows = []
@@ -625,8 +641,7 @@ def _macaulay_rows(forms, degrees, i: int, leading):
         if e > i:
             continue
         skip = leading[g][i - e]
-        terms = [(mon.exponents, coeff.val if prime else coeff)
-                 for mon, coeff in f.terms.items()]
+        terms = [(mon.exponents, coeff) for mon, coeff in f.terms.items()]
         for k, mult in enumerate(monomial_basis(n, i - e)):
             if k in skip:
                 continue
@@ -640,7 +655,8 @@ def _macaulay_rows(forms, degrees, i: int, leading):
 
 def _macaulay_pieces(forms, degrees):
     """The pieces of the quotient in degree order, without end, from the rows
-    that the F5 criterion keeps.
+    that the F5 criterion keeps: the route over Q, where reduced rows carry
+    large rationals (over F_p see _fp_pieces).
 
     After degree d, leading[g][d] is read off the echelon: the pivots whose
     rows came from generators before g, which by stable pivoting are the
@@ -658,9 +674,122 @@ def _macaulay_pieces(forms, degrees):
         yield _Piece(i, ambient, ech, field)
 
 
+def _factor(exps) -> tuple[int, tuple]:
+    """(j, m) with x_j * m the monomial and x_j its first variable."""
+    j = next(j for j, e in enumerate(exps) if e)
+    return j, exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+
+
+def _fp_pieces(forms, degrees):
+    """The pieces of the quotient over F_p in degree order, without end, each
+    read off the reduced rows of the degree below.
+
+    The basis monomials form an order ideal, so those of degree i lie in S,
+    the products x_j * b of the variables with the basis monomials b of
+    degree i - 1.  Any other monomial M is x_j * m for a pivot m of degree
+    i - 1, with j the first variable of M, and m is congruent to minus its
+    `coeffs` row, so M is congruent to a vector over S: its representative.
+    The ideal in degree i is spanned by x_j times the reduced rows of degree
+    i - 1 and by the generators of degree i.  Their representatives are the
+    rows of one echelon over S, less those that are 0, such as x_j times
+    the row of m when x_j * m is factored as x_j * m.  The non-pivots of
+    that echelon are the basis monomials of degree i, and the reduced row
+    of any other M is M less the normal form of its representative
+    (Mourrain, AAECC 1999; F4 reduces by earlier rows the same way,
+    Faugere, JPAA 1999).  The reduced echelon is unique, so every piece is
+    the one a full Macaulay matrix gives.  Values stay residues mod p and
+    are boxed once, in the piece's Echelon.
+    """
+    field = forms[0].field
+    p, n = field.p, forms[0].n_vars
+    zero = Fp(0, p)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    generators = {}
+    for f, e in zip(forms, degrees):
+        generators.setdefault(e, []).append(
+            [(m.exponents, c.val) for m, c in f.terms.items()])
+    yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
+                 field)
+    # the basis monomials of the degree below, and its reduced rows: pivot
+    # monomial -> coeffs row as residues
+    basis, reduced = [(0,) * n], {}
+    for i in count(1):
+        ambient = monomial_basis(n, i)
+        index = {m.exponents: c for c, m in enumerate(ambient)}
+        products = [[index[tuple(map(add, b, u))] for b in basis]
+                    for u in units]
+        S = sorted(set().union(*products))
+        pos = {c: k for k, c in enumerate(S)}
+        # shift[j][t]: the position in S of x_j * basis[t]
+        shift = [[pos[c] for c in row] for row in products]
+        # reps[c]: the representative of monomial c as (position, residue)
+        # pairs, and first[c] the first variable of a monomial outside S
+        reps, first = [], {}
+        for c, mon in enumerate(ambient):
+            k = pos.get(c)
+            if k is None:
+                j, below = _factor(mon.exponents)
+                first[c] = j
+                reps.append([(q, p - v) for q, v in zip(shift[j],
+                                                        reduced[below]) if v])
+            else:
+                reps.append([(k, 1)])
+
+        rows = []
+        for m, row in reduced.items():
+            for j, u in enumerate(units):
+                c = index[tuple(map(add, m, u))]
+                if first.get(c) == j:
+                    continue
+                vec = [0] * len(S)
+                for k, v in chain(reps[c], zip(shift[j], row)):
+                    vec[k] += v
+                rows.append(vec)
+        for terms in generators.get(i, ()):
+            vec = [0] * len(S)
+            for exps, s in terms:
+                for k, v in reps[index[exps]]:
+                    vec[k] += s * v
+            rows.append(vec)
+        rows = [row for row in ([v % p for v in vec] for vec in rows)
+                if any(row)]
+        ech = echelon_rows(rows, len(S), field)
+
+        # negated[k]: minus the normal form of position k of S, so the
+        # reduced row of monomial c is the sum of v * negated[k] over reps[c]
+        h = len(ech.nonpivots)
+        pivot_rows = {k: (row, [v.val for v in row])
+                      for k, row in zip(ech.pivots, ech.coeffs)}
+        negated = {k: ints for k, (_, ints) in pivot_rows.items()}
+        for t, k in enumerate(ech.nonpivots):
+            negated[k] = [p - 1 if r == t else 0 for r in range(h)]
+        nonpivots = [S[k] for k in ech.nonpivots]
+        pivots, coeffs, next_reduced = [], [], {}
+        for c, mon in enumerate(ambient):
+            k = pos.get(c)
+            if k is None:
+                acc = [0] * h
+                for q, v in reps[c]:
+                    acc = [a + v * w for a, w in zip(acc, negated[q])]
+                ints = [v % p for v in acc]
+                boxed = [Fp(v, p) if v else zero for v in ints]
+            elif k in pivot_rows:
+                boxed, ints = pivot_rows[k]
+            else:
+                continue
+            pivots.append(c)
+            coeffs.append(boxed)
+            next_reduced[mon.exponents] = ints
+        yield _Piece(i, ambient, Echelon(len(ambient), field, pivots,
+                                         nonpivots, coeffs), field)
+        basis = [ambient[c].exponents for c in nonpivots]
+        reduced = next_reduced
+
+
 def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:
     """The eager build over the forms' own field, with both checks."""
-    pieces = _macaulay_pieces(forms, degrees)
+    pieces = (_macaulay_pieces if forms[0].field.is_rational
+              else _fp_pieces)(forms, degrees)
     built = []
     # zip reads expected first, so no piece above the socle degree is drawn
     for h, piece in zip(expected, pieces):

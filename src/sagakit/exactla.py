@@ -36,11 +36,11 @@ between its residues and its packed int in C: `array.tobytes` and
 `frombytes`, with each item byte-swapped on a little-endian host.  Only a
 slot wider than 8 bytes (p = 2^31 - 1 over more than three rows, say)
 keeps its exact width and a conversion slot by slot.  An input row of
-plain ints in [0, p), as Macaulay rows are, is read into an array whole;
-any other row (`Fp` values, negative ints, ints >= p) is reduced entry by
-entry first.  Once packed, entries are reduced mod p only where they are
-read: a lead, a pivot row when it is normalized, a row after
-back-substitution.
+plain ints in [0, p), as the rows that build an algebra's F_p pieces are,
+is read into an array whole; any other row (`Fp` values, negative ints,
+ints >= p) is reduced entry by entry first.  Once packed, entries are
+reduced mod p only where they are read: a lead, a pivot row when it is
+normalized, a row after back-substitution.
 Back-substitution works on the pivot rows packed again over the non-pivot
 columns only, since a reduced row is 0 at every other pivot column.  The
 reduced row echelon form is unique, so the result is the one cell-by-cell
@@ -146,7 +146,8 @@ class Echelon:
     non-pivot columns only (the row is 1 at its own pivot and 0 at every
     other pivot column), which is all that reduction and kernel extraction
     need.  `origins[i]` is the index, in the rows as passed (zero rows
-    included), of the input row the i-th pivot row came from.
+    included), of the input row the i-th pivot row came from; it is None
+    for an echelon assembled from other data, which has no input rows.
     """
 
     ncols: int
@@ -154,7 +155,7 @@ class Echelon:
     pivots: list
     nonpivots: list
     coeffs: list
-    origins: list
+    origins: list | None = None
 
     @property
     def rank(self) -> int:

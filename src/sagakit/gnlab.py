@@ -42,7 +42,8 @@ class SLPEvidence(Exception):
 
 
 class DegenerateAlgebra(Exception):
-    """Powers of random degree-1 elements keep vanishing."""
+    """Powers of degree-1 elements vanish, for every element or for each of
+    many random draws."""
 
 
 @dataclass
@@ -62,11 +63,22 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
     Draws integer x until x^k is nonzero, then picks a random nonzero y in
     the kernel of multiplication by x^k on degree 1.  Raises SLPEvidence
     when that kernel is trivial and DegenerateAlgebra when x^k keeps
-    vanishing across consecutive draws.
+    vanishing across consecutive draws, or before any draw when it vanishes
+    for every x because k is at least the characteristic p and the p-th
+    power of every degree-1 basis class is 0.
     """
     N = algebra.socle_degree
     if not 1 <= k <= N - 2:
         raise AlgebraError(f"exponent {k} outside 1..{N - 2}")
+    # in characteristic p, x^p is the sum of c^p * b^p over the degree-1
+    # basis classes b, so every x^k with k >= p vanishes once each b^p does
+    p = algebra.field.p
+    if p and p <= k and all(algebra.power(b, p).is_zero
+                            for b in algebra.basis(1)):
+        raise DegenerateAlgebra(
+            f"x^{k} vanishes for every degree-1 x over {algebra.field}: "
+            f"b^{p} is 0 for each degree-1 basis class b, and x^{p} is the "
+            f"sum of c^{p} * b^{p}")
     rng = rng_for(seed, 0)
     xpow = None
     x = None

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              NotRegularSequence, _checked_regular_sequence,
-                             _macaulay_rows, expected_ci_hilbert,
+                             _fp_pieces, _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
@@ -563,12 +564,13 @@ F32003 = FieldSpec.prime(32003)
 
 @st.composite
 def generator_sequences(draw):
-    """n forms in n variables, 2 <= n <= 5, over F_7, F_101, F_32003 or Q,
-    with mixed degrees: dense or sparse random forms (regular for most
-    draws), one form a multiple of another (not regular), or no form with
-    a pure power of x0 (the point (1, 0, ..., 0) is a common zero, so not
-    Artinian)."""
-    field = draw(st.sampled_from([FieldSpec.prime(7), FieldSpec.prime(101),
+    """n forms in n variables, 2 <= n <= 5, over F_2, F_3, F_7, F_101,
+    F_32003 or Q, with mixed degrees: dense or sparse random forms (regular
+    for most draws), one form a multiple of another (not regular), or no
+    form with a pure power of x0 (the point (1, 0, ..., 0) is a common zero,
+    so not Artinian)."""
+    field = draw(st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(3),
+                                  FieldSpec.prime(7), FieldSpec.prime(101),
                                   F32003, RATIONAL]))
     n = draw(st.integers(2, 4 if field.is_rational else 5))
     top = {2: 4, 3: 3, 4: 3, 5: 2}[n]
@@ -644,6 +646,19 @@ def test_skipped_rows_build_the_same_echelon(case):
                 want.pivots, want.nonpivots, want.coeffs)
 
 
+@given(generator_sequences().filter(lambda case: case[0][0].field.p))
+@settings(max_examples=100, deadline=None)
+def test_fp_pieces_equal_the_full_echelon_past_a_failure(case):
+    # the pieces read off the degree below equal the echelon of every
+    # Macaulay row through degree N + 1, regular or not
+    forms, degrees = case
+    N = sum(d - 1 for d in degrees)
+    for i, piece in enumerate(islice(_fp_pieces(forms, degrees), N + 2)):
+        got, want = piece.echelon, _all_rows_echelon(forms, degrees, i)
+        assert (got.ncols, got.pivots, got.nonpivots, got.coeffs) == (
+            want.ncols, want.pivots, want.nonpivots, want.coeffs)
+
+
 def _ci6_fp_style():
     # six quadrics in six variables, every coefficient nonzero in -9..9
     rng = random.Random(6)
@@ -653,13 +668,14 @@ def _ci6_fp_style():
             for _ in range(6)]
 
 
-@pytest.mark.parametrize("name", ["quadric_ci5", "ci6_fp_style",
-                                  "quadric_ci5_q"])
-def test_kept_rows_equal_the_rank(monkeypatch, name):
-    # for a regular sequence no kept Macaulay row reduces to zero
-    forms = {"quadric_ci5": lambda: gens(QUADRIC_CI5.split(";"), 5, F32003),
-             "ci6_fp_style": _ci6_fp_style,
-             "quadric_ci5_q": lambda: gens(QUADRIC_CI5.split(";"), 5)}[name]()
+REGULAR = {"quadric_ci5": lambda: gens(QUADRIC_CI5.split(";"), 5, F32003),
+           "ci6_fp_style": _ci6_fp_style,
+           "quadric_ci5_q": lambda: gens(QUADRIC_CI5.split(";"), 5)}
+
+
+def _count_echelons(monkeypatch):
+    """(rows, rank, columns) of every echelon the algebra module runs, split
+    by field: True for Q, False for F_p."""
     calls = {False: [], True: []}
     real = algebra_module.echelon_rows
 
@@ -669,18 +685,49 @@ def test_kept_rows_equal_the_rank(monkeypatch, name):
         return ech
 
     monkeypatch.setattr(algebra_module, "echelon_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["quadric_ci5_q"])
+def test_kept_rows_equal_the_rank(monkeypatch, name):
+    # for a regular sequence no kept Macaulay row over Q reduces to zero
+    forms = REGULAR[name]()
+    calls = _count_echelons(monkeypatch)
     a = from_regular_sequence(forms)
-    # over Q the F_p shadow is built first and the Q pieces on first read
+    # the F_p shadow is built first and the Q pieces on first read
     a.to_json_dict()
     n = len(forms)
-    for rational in {False, forms[0].field.is_rational}:
-        assert len(calls[rational]) == a.socle_degree + 1
-        for i, (kept, rank, ncols) in enumerate(calls[rational]):
-            assert kept == rank == ncols - a.hilbert[i]
-        # every Macaulay row of the socle degree would be
-        # n * C(n + N - 3, N - 2)
-        assert calls[rational][-1][0] < n * comb(n + a.socle_degree - 3,
-                                                 a.socle_degree - 2)
+    assert len(calls[True]) == a.socle_degree + 1
+    for i, (kept, rank, ncols) in enumerate(calls[True]):
+        assert kept == rank == ncols - a.hilbert[i]
+    # every Macaulay row of the socle degree would be
+    # n * C(n + N - 3, N - 2)
+    assert calls[True][-1][0] < n * comb(n + a.socle_degree - 3,
+                                         a.socle_degree - 2)
+
+
+@pytest.mark.parametrize("name", ["quadric_ci5", "ci6_fp_style",
+                                  "quadric_ci5_q"])
+def test_fp_echelons_read_off_the_degree_below(monkeypatch, name):
+    # over F_p, degree i is one echelon over S, the products of the variables
+    # with the basis monomials of degree i - 1, on the products of the
+    # variables with the reduced rows of degree i - 1 and the generators of
+    # degree i; degree 0 needs none
+    forms = REGULAR[name]()
+    calls = _count_echelons(monkeypatch)
+    a = from_regular_sequence(forms)
+    fp = a if a.shadow is None else a.shadow
+    n = len(forms)
+    degrees = [f.homogeneous_degree() for f in forms]
+    variables = [Monomial(tuple(int(k == j) for k in range(n)))
+                 for j in range(n)]
+    assert len(calls[False]) == fp.socle_degree
+    for i, (nrows, rank, ncols) in enumerate(calls[False], start=1):
+        below = fp.piece(i - 1)
+        S = {m * x for m in below.basis_monomials for x in variables}
+        assert ncols == len(S) <= n * fp.hilbert[i - 1]
+        assert rank == len(S) - fp.hilbert[i]
+        assert nrows <= n * below.echelon.rank + degrees.count(i)
 
 
 def _pairing_cases(monomial_ci, perazzo_alg):
@@ -710,3 +757,43 @@ def test_pairing_reads_socle_coordinates_of_products(monomial_ci, perazzo_alg,
         assert m.entries == [[alg.multiply(a, b).coords[0]
                               for b in alg.basis(N - s)]
                              for a in alg.basis(s)]
+        assert m.entries == _boxed_pairing(alg, s)
+
+
+def _boxed_pairing(alg, s):
+    """The pairing matrix in field arithmetic, one boxed product per pair of
+    terms: phi(r_a * r_b), phi the socle coordinate on the top monomials."""
+    top = alg.piece(alg.socle_degree)
+    phi, = top.echelon.kernel_basis()
+    if top.basis_inverse is not None:
+        phi = [top.basis_inverse.entries[0][0] * v for v in phi]
+    return [[sum((c * c2 * phi[top.index[m * m2]]
+                  for m, c in a.terms.items() for m2, c2 in b.terms.items()),
+                 alg.field.zero())
+             for b in alg.piece(alg.socle_degree - s).basis_reps]
+            for a in alg.piece(s).basis_reps]
+
+
+@given(st.sampled_from([RATIONAL, FieldSpec.prime(5), F32003]),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)),
+                min_size=10, max_size=10),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_int_pairing_equals_boxed_pairing(field, coeffs, pin):
+    # a cubic in three variables with fractional coefficients over Q, and
+    # optionally a pinned socle representative with a scaled coordinate
+    terms = {m: field.from_fraction(num, den) for m, (num, den)
+             in zip(monomial_basis(3, 3), coeffs)}
+    form = Polynomial(3, field, terms)
+    try:
+        alg = from_inverse_system(form)
+    except AlgebraError:
+        return
+    if pin:
+        rep = alg.piece(3).basis_reps[0].scale(field.from_fraction(3, 2))
+        alg = alg.with_degree_basis(3, [rep])
+    for s in range(alg.socle_degree + 1):
+        entries = alg.pairing_check(s)[1].entries
+        assert entries == _boxed_pairing(alg, s)
+        assert all(type(v) is type(field.one()) for row in entries
+                   for v in row)

@@ -514,6 +514,15 @@ class TestInputErrors:
                    f"an exponent >= {p}, so every degree-{d} contraction of "
                    "the form is 0\n")
 
+    @pytest.mark.parametrize("text", ["x0^3*x1 + x0*x1*x2*x3",
+                                      "x0^2*x1*x2 + x0*x1*x2*x3"])
+    def test_gamma_power_vanishing_in_characteristic_p(self, capsys, text):
+        # every x^2 is 0 over F_2 here, so no random draw is made
+        assert run(capsys, "gamma", text, "--field", "fp:2") == (
+            2, "", "error: x^2 vanishes for every degree-1 x over fp:2: b^2 "
+                   "is 0 for each degree-1 basis class b, and x^2 is the sum "
+                   "of c^2 * b^2\n")
+
     def test_composite_modulus_past_64_bits_rejected(self, capsys):
         # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
         code, out, err = run(capsys, "analyze", "x0^2;x1^2;x2^2", "--field",

@@ -8,9 +8,10 @@ import pytest
 import sagakit.algebra as algebra_module
 import sagakit.gnlab as gnlab_module
 import sagakit.lefschetz as lefschetz_module
-from sagakit.algebra import AlgebraError, from_regular_sequence
+from sagakit.algebra import (AlgebraError, from_inverse_system,
+                             from_regular_sequence)
 from sagakit.exactla import Matrix, det_ff, rank_kernel
-from sagakit.gnlab import (SLPEvidence, check_ggn, check_k1_bound,
+from sagakit.gnlab import (DegenerateAlgebra, SLPEvidence, check_ggn, check_k1_bound,
                            check_ker_coker, composed_gn_map, corrupt_sample,
                            degenerate_pair_search, gn_map_check,
                            perazzo_fixture, printed_gn_map, sample_gamma,
@@ -32,6 +33,34 @@ class TestSampleGamma:
             assert s.kernel_dim_at_x == 1
             assert not s.y.is_zero
             assert perazzo_alg.multiply(s.x, s.y).is_zero
+
+    @pytest.mark.parametrize("text", ["x0^3*x1 + x0*x1*x2*x3",
+                                      "x0^2*x1*x2 + x0*x1*x2*x3"])
+    def test_structural_vanishing_raises_before_any_draw(self, monkeypatch,
+                                                         text):
+        # over F_2, x^2 = sum c^2 b^2 and every b^2 is 0 in (1, 4, 6, 4, 1)
+        alg = from_inverse_system(poly(text, 4, FieldSpec.prime(2)))
+        assert alg.hilbert == (1, 4, 6, 4, 1)
+        draws = []
+        real = alg.random_element
+        monkeypatch.setattr(alg, "random_element",
+                            lambda *a, **kw: draws.append(a) or real(*a, **kw))
+        with pytest.raises(DegenerateAlgebra, match="for every degree-1 x"):
+            sample_gamma(alg, 2, seed=0)
+        assert draws == []
+
+    def test_small_characteristic_with_a_live_square_still_draws(self):
+        # over F_2 the classes of x_i^2 in k[x]/(x0^3, x1^3, x2^3) are not 0
+        field = FieldSpec.prime(2)
+        alg = from_regular_sequence([poly(f"x{i}^3", 3, field)
+                                     for i in range(3)])
+        try:
+            sample = sample_gamma(alg, 2, seed=0)
+        except SLPEvidence as exc:
+            x = exc.x
+        else:
+            x = sample.x
+        assert not alg.power(x, 2).is_zero
 
     def test_monomial_ci_gives_evidence(self, monomial_ci):
         # the top-range fiber is empty over random x: injectivity evidence

@@ -11,8 +11,7 @@ from .algebra import (AlgebraElement, AlgebraError, DegreeOverflowError,
                       GradedAlgebra, NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece, catalecticant, contract, is_cone
-from .exactla import (KernelResult, Matrix, MatrixError, coords_in_span,
-                      det_ff, rank_kernel)
+from .exactla import Matrix, MatrixError, coords_in_span, det_ff
 from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
                     GammaSample, SLPEvidence, check_ggn, check_k1_bound,
                     check_ker_coker, degenerate_pair_search, gn_map_check,
@@ -31,7 +30,7 @@ __all__ = [
     "AlgebraElement", "AlgebraError", "DEFAULT_SEED",
     "DegenerateAlgebra", "DegeneratePair", "DegreeOverflowError",
     "ExperimentReport", "FieldMismatchError", "FieldSpec", "Fp", "GammaSample",
-    "GradedAlgebra", "HessianReport", "KernelResult", "Matrix", "MatrixError",
+    "GradedAlgebra", "HessianReport", "Matrix", "MatrixError",
     "Monomial", "NotRegularSequence", "PolyError", "PolyParseError",
     "Polynomial", "ProbeReport", "RATIONAL", "SLP", "SLPEvidence", "WLP",
     "annihilator_piece", "catalecticant", "check_ggn", "check_k1_bound",
@@ -39,6 +38,6 @@ __all__ = [
     "det_ff", "from_inverse_system", "from_regular_sequence",
     "gn_map_check", "hessian", "hessian_slp_crosscheck", "is_cone",
     "lefschetz_probe", "monomial_basis", "parse_poly", "perazzo_algebra",
-    "perazzo_fixture", "perazzo_form", "rank_kernel",
+    "perazzo_fixture", "perazzo_form",
     "sample_gamma", "tangent_kernel_check", "theorem_c_experiment",
 ]

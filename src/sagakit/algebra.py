@@ -5,10 +5,10 @@ polynomial ring: each graded piece stores the reduced row echelon form of
 the ideal piece, and the quotient basis is the set of non-pivot monomials
 (deterministic, so serialized bases are stable across runs).  Two
 constructions are provided: the annihilator presentation from a single form
-(via catalecticant kernels) and the quotient by a regular sequence, which is
-accepted exactly when the computed Hilbert function matches the expected
-complete-intersection series and the quotient vanishes one degree above the
-socle.
+(one catalecticant elimination per degree) and the quotient by a regular
+sequence, which is accepted exactly when the computed Hilbert function
+matches the expected complete-intersection series and the quotient vanishes
+one degree above the socle.
 
 Every regular-sequence build takes the degrees in order.  Over F_p, piece
 i is read off the reduced rows of piece i-1: the basis monomials of degree
@@ -72,7 +72,7 @@ from itertools import chain, count, islice
 from math import comb, prod
 from operator import add
 
-from .apolarity import catalecticant, contract, rank_kernel
+from .apolarity import annihilator_echelon, contract
 from .exactla import Echelon, Matrix, echelon_rows, invert
 from .polyring import (FieldMismatchError, FieldSpec, Fp, Monomial,
                        Polynomial, monomial_basis)
@@ -417,7 +417,8 @@ class GradedAlgebra:
                  for m, c in a for m2, c2 in b) for b in right], den)
             for a in left], self.field)
         square = self.dim(s) == self.dim(N - s)
-        ok = square and rank_kernel(matrix).rank == self.dim(s)
+        ok = square and echelon_rows(matrix.entries, matrix.cols,
+                                     self.field).rank == self.dim(s)
         return ok, matrix
 
     def hilbert_symmetric(self) -> bool:
@@ -450,7 +451,8 @@ class GradedAlgebra:
         for i in range(top + 1):
             old = self.piece(i)
             rows = old.echelon.full_rows()
-            for kv in rank_kernel(self.mul_map(alpha, i)).kernel_basis:
+            m = self.mul_map(alpha, i)
+            for kv in echelon_rows(m.entries, m.cols, self.field).kernel_basis():
                 lifted = self.lift(AlgebraElement(i, tuple(kv)))
                 if not lifted.is_zero:
                     rows.append(lifted.coefficient_vector(old.ambient))
@@ -522,7 +524,8 @@ class GradedAlgebra:
 
 
 def from_inverse_system(form: Polynomial) -> GradedAlgebra:
-    """The algebra of differential operators modulo the annihilator of a form."""
+    """The algebra of differential operators modulo the annihilator of a
+    form, piece i read off one elimination of the degree-i catalecticant."""
     d = form.homogeneous_degree()
     if form.is_zero:
         raise AlgebraError("zero form has no inverse-system algebra")
@@ -536,16 +539,8 @@ def from_inverse_system(form: Polynomial) -> GradedAlgebra:
             f"no degree-{d} socle over {form.field}: each term has an exponent "
             f">= {p}, so every degree-{d} contraction of the form is 0")
     n = form.n_vars
-    pieces = []
-    for i in range(d + 1):
-        cat = catalecticant(form, i)
-        kernel = rank_kernel(cat)
-        ambient = cat.col_labels
-        ech = echelon_rows(kernel.kernel_basis, len(ambient), form.field)
-        piece = _Piece(i, ambient, ech, form.field)
-        if piece.dim != kernel.rank:
-            raise AlgebraError("internal: annihilator dimension mismatch")
-        pieces.append(piece)
+    pieces = [_Piece(i, monomial_basis(n, i), annihilator_echelon(form, i),
+                     form.field) for i in range(d + 1)]
     return GradedAlgebra(n, form.field, pieces,
                          {"kind": "inverse_system", "form": form})
 

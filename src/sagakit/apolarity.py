@@ -6,12 +6,14 @@ iterated differentiation, with no combinatorial rescaling: the coefficient
 picked up by y^k acting on x^e is the falling factorial e(e-1)...(e-k+1).
 The degree-i catalecticant of a form G is the matrix of contraction
 restricted to degree-i operator monomials; its kernel is the degree-i piece
-of the annihilator of G.
+of the annihilator of G, and one elimination of it, columns reversed, gives
+that kernel's reduced echelon.
 """
 
-from math import perm
+from math import perm, prod
+from operator import add
 
-from .exactla import Matrix, rank_kernel
+from .exactla import Echelon, Matrix, echelon_rows
 from .polyring import Monomial, PolyError, Polynomial, monomial_basis
 
 
@@ -45,41 +47,60 @@ def contract(op: Polynomial, form: Polynomial) -> Polynomial:
 def catalecticant(form: Polynomial, i: int) -> Matrix:
     """Matrix of the contraction map from degree-i operators into degree d-i.
 
-    Columns are labeled by the degree-i operator monomials, rows by the
-    degree-(d-i) monomials of the target; entry (m', m) is the coefficient
-    of m' in m applied to the form.
+    Columns follow the degree-i operator monomials m, rows the degree-(d-i)
+    monomials m' of the target, both in `monomial_basis` order; entry
+    (m', m) is the coefficient of m' in m applied to the form, which is
+    f_(m+m') times the product over t of perm((m+m')_t, m_t).
     """
     d = form.homogeneous_degree()
     if form.is_zero or d is None:
         raise PolyError("catalecticant needs a nonzero homogeneous form")
     if not 0 <= i <= d:
         raise PolyError(f"source degree {i} out of range 0..{d}")
-    n = form.n_vars
-    field = form.field
-    cols = monomial_basis(n, i)
-    rows = monomial_basis(n, d - i)
-    row_index = {m: r for r, m in enumerate(rows)}
-    entries = [[field.zero()] * len(cols) for _ in rows]
-    for c, op_mon in enumerate(cols):
-        image = contract(Polynomial.from_monomial(op_mon, field), form)
-        for mon, coeff in image.terms.items():
-            entries[row_index[mon]][c] = coeff
-    return Matrix(entries, field, row_labels=rows, col_labels=cols)
+    zero = form.field.zero()
+    terms = {m.exponents: c for m, c in form.terms.items()}
+    cols = [m.exponents for m in monomial_basis(form.n_vars, i)]
+    entries = []
+    for row_mon in monomial_basis(form.n_vars, d - i):
+        row = []
+        for col in cols:
+            e = tuple(map(add, row_mon.exponents, col))
+            f = terms.get(e)
+            row.append(f * prod(map(perm, e, col)) if f else zero)
+        entries.append(row)
+    return Matrix(entries, form.field)
+
+
+def annihilator_echelon(form: Polynomial, i: int) -> Echelon:
+    """Reduced echelon of the degree-i annihilator, over the degree-i
+    monomials, from one elimination of the catalecticant, columns reversed.
+
+    Read in column order, a reduced row of it is 1 at its pivot q, its last
+    nonzero column, and a_(q,c) at free columns c < q.  So the kernel's
+    reduced rows are e_c - sum over pivots q > c of a_(q,c) * e_q, one per
+    free column c: its pivots are the free columns, its non-pivots the
+    catalecticant's pivots.
+    """
+    cat = catalecticant(form, i)
+    last = cat.cols - 1
+    rev = echelon_rows([row[::-1] for row in cat.entries], cat.cols, cat.field)
+    coeffs = [[-row[j] for row in reversed(rev.coeffs)]
+              for j in reversed(range(len(rev.nonpivots)))]
+    return Echelon(cat.cols, cat.field,
+                   [last - c for c in reversed(rev.nonpivots)],
+                   [last - c for c in reversed(rev.pivots)], coeffs)
 
 
 def annihilator_piece(form: Polynomial, i: int) -> list[Polynomial]:
     """A basis of the degree-i operators annihilating the form.
 
-    Returned as operator polynomials read off the deterministic kernel basis
-    of the catalecticant; compare annihilators by span, not by basis.
+    Returned as operator polynomials read off the reduced rows of
+    `annihilator_echelon`; compare annihilators by span, not by basis.
     """
-    cat = catalecticant(form, i)
-    cols = cat.col_labels
-    basis = []
-    for vec in rank_kernel(cat).kernel_basis:
-        basis.append(Polynomial(form.n_vars, form.field,
-                                {m: c for m, c in zip(cols, vec) if c}))
-    return basis
+    cols = monomial_basis(form.n_vars, i)
+    return [Polynomial(form.n_vars, form.field,
+                       {m: c for m, c in zip(cols, row) if c})
+            for row in annihilator_echelon(form, i).full_rows()]
 
 
 def is_cone(form: Polynomial) -> bool:
@@ -87,4 +108,4 @@ def is_cone(form: Polynomial) -> bool:
     d = form.homogeneous_degree()
     if form.is_zero or d is None or d < 1:
         raise PolyError("cone test needs a nonzero homogeneous form of degree >= 1")
-    return bool(annihilator_piece(form, 1))
+    return annihilator_echelon(form, 1).rank > 0

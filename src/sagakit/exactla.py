@@ -62,31 +62,20 @@ class MatrixError(ValueError):
 
 
 class Matrix:
-    """A dense exact matrix, optionally with row/column labels.
+    """A dense exact matrix."""
 
-    Labels typically carry the monomials of the graded pieces a map is
-    written against; they must match the dimensions when present.
-    """
+    __slots__ = ("rows", "cols", "entries", "field")
 
-    __slots__ = ("rows", "cols", "entries", "field", "row_labels", "col_labels")
-
-    def __init__(self, entries, field: FieldSpec = RATIONAL,
-                 row_labels=None, col_labels=None):
+    def __init__(self, entries, field: FieldSpec = RATIONAL):
         entries = [list(r) for r in entries]
         nrows = len(entries)
         ncols = len(entries[0]) if entries else 0
         if any(len(r) != ncols for r in entries):
             raise MatrixError("ragged rows")
-        if row_labels is not None and len(row_labels) != nrows:
-            raise MatrixError("row label count mismatch")
-        if col_labels is not None and len(col_labels) != ncols:
-            raise MatrixError("column label count mismatch")
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -104,7 +93,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([list(col) for col in zip(*self.entries)] if self.entries else [],
-                      self.field, self.col_labels, self.row_labels)
+                      self.field)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -127,15 +116,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
-
-
-@dataclass
-class KernelResult:
-    """Rank and a deterministic kernel basis of a matrix."""
-
-    rank: int
-    kernel_basis: list
-    pivot_columns: list
 
 
 @dataclass
@@ -434,13 +414,6 @@ def echelon_rows(rows, ncols: int, field: FieldSpec) -> Echelon:
     if field.is_rational:
         return _echelon_rational(rows, ncols)
     return _echelon_prime(rows, ncols, field)
-
-
-def rank_kernel(m: Matrix) -> KernelResult:
-    """Rank, pivot columns, and a deterministic kernel basis of m."""
-    ech = echelon_rows(m.entries, m.cols, m.field)
-    return KernelResult(rank=ech.rank, kernel_basis=ech.kernel_basis(),
-                        pivot_columns=list(ech.pivots))
 
 
 MAX_SYMBOLIC_DET = 6

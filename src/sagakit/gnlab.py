@@ -21,7 +21,7 @@ from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
-from .exactla import Matrix, coords_in_span, det_ff, rank_kernel
+from .exactla import Matrix, coords_in_span, det_ff, echelon_rows
 from .lefschetz import SLP, hessian, lefschetz_probe
 from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                        monomial_basis, parse_poly, scalar_str)
@@ -90,7 +90,8 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
     else:
         raise DegenerateAlgebra(
             f"x^{k} vanished for 32 consecutive random draws")
-    kernel = rank_kernel(algebra.mul_map(xpow, 1)).kernel_basis
+    m = algebra.mul_map(xpow, 1)
+    kernel = echelon_rows(m.entries, m.cols, m.field).kernel_basis()
     if not kernel:
         raise SLPEvidence(x, k)
     while True:
@@ -153,6 +154,10 @@ def _equigenerated_degree(algebra: GradedAlgebra) -> int:
     return e + 1  # generators live in degree d - 1
 
 
+def _kernel_dim(m: Matrix) -> int:
+    return m.cols - echelon_rows(m.entries, m.cols, m.field).rank
+
+
 def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     """Degree of eta bounds (d-2) times the degree-1 kernel dimension."""
     if eta.is_zero:
@@ -161,8 +166,7 @@ def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     h = eta.degree
     if not 1 <= h <= algebra.socle_degree - 1:
         raise AlgebraError(f"degree {h} outside 1..{algebra.socle_degree - 1}")
-    dim = len(rank_kernel(algebra.mul_map(eta, 1)).kernel_basis)
-    return h >= (d - 2) * dim
+    return h >= (d - 2) * _kernel_dim(algebra.mul_map(eta, 1))
 
 
 def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
@@ -178,8 +182,7 @@ def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
     prev = algebra.power(y, a - 1)
     if prev.is_zero:
         raise AlgebraError(f"precondition violated: y^{a - 1} = 0")
-    dim = len(rank_kernel(algebra.mul_map(prev, 1)).kernel_basis)
-    return (d - 2) * dim <= a - 1
+    return (d - 2) * _kernel_dim(algebra.mul_map(prev, 1)) <= a - 1
 
 
 # -- finite-field degenerate-pair search -------------------------------------
@@ -248,12 +251,13 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
             if not any(xc):
                 continue
             x = algebra.element(1, xc)
-            kernel = rank_kernel(algebra.mul_map(x, 2)).kernel_basis
+            m = algebra.mul_map(x, 2)
+            kernel = echelon_rows(m.entries, m.cols, field).kernel_basis()
             if not kernel:
                 continue
             q = algebra.element(2, kernel[0])
-            dim_k1 = len(rank_kernel(algebra.mul_map(q, 1)).kernel_basis)
-            dim_k2 = len(rank_kernel(algebra.mul_map(q, 2)).kernel_basis)
+            dim_k1 = _kernel_dim(algebra.mul_map(q, 1))
+            dim_k2 = _kernel_dim(algebra.mul_map(q, 2))
             return DegeneratePair(x=x, q=q, dim_k1_q=dim_k1, dim_k2_q=dim_k2,
                                   line=line, root=s)
     return None

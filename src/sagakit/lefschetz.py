@@ -20,9 +20,10 @@ probe returns the Q rank and finds the same first witness.
 
 The hessian verdict evaluates the second partials at one seeded integer
 point first (mapped into F_p over F_p).  A nonzero determinant there proves
-that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it is 0, the
-determinant is expanded symbolically, so the verdict is exact over every
-field, including a small F_p on whose points a nonzero hessian can vanish.
+that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it is 0, a
+cone's hessian vanishes, and any other form's determinant is expanded, so
+the verdict is exact over every field, including a small F_p on whose points
+a nonzero hessian can vanish.
 The symbolic determinant of a report is otherwise computed on first read.
 """
 
@@ -32,6 +33,7 @@ from math import factorial
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
+from .apolarity import is_cone
 from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
 from .polyring import (Monomial, PolyError, Polynomial, monomial_basis,
                        scalar_str)
@@ -226,11 +228,12 @@ def hessian(form: Polynomial) -> HessianReport:
     """Exact hessian matrix and verdict (at most 6 variables).
 
     The determinant is taken at one seeded integer point first; a nonzero
-    value there means the hessian does not vanish.  If it is 0, the symbolic
-    determinant settles the verdict.  Otherwise `.det` is expanded on first
-    read.
+    value there means the hessian does not vanish.  If it is 0, a cone's
+    hessian vanishes (sum c_i * d_i f = 0 gives H c = 0), and the symbolic
+    determinant settles any other form.  `.det` is expanded on first read.
     """
-    if form.homogeneous_degree() is None:
+    d = form.homogeneous_degree()
+    if d is None:
         raise PolyError("hessian report expects a nonzero homogeneous form")
     if form.n_vars > MAX_SYMBOLIC_DET:
         raise PolyError(
@@ -240,7 +243,7 @@ def hessian(form: Polynomial) -> HessianReport:
     point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)
     report = HessianReport(matrix, vanishes=False)
     if not det_ff(_hessian_at(entries, point, form.field)):
-        report.vanishes = report.det.is_zero
+        report.vanishes = (d > 0 and is_cone(form)) or report.det.is_zero
     return report
 
 

@@ -3,10 +3,13 @@
 Everything here goes through sympy (symbolic differentiation, exact ranks)
 or brute-force enumeration, never through the package's own reduction or
 elimination code, so oracle and implementation can only agree by computing
-the same mathematics.  The two stepping references at the end are the one
-exception: they build multiplication by L^m from the package's one-degree
-maps, a basis vector at a time, so they check the route through powers of L
-against L applied m times.
+the same mathematics.  The references at the end are the exception.  The
+two stepping references build multiplication by L^m from the package's
+one-degree maps, a basis vector at a time, so they check the route through
+powers of L against L applied m times.  The annihilator reference builds a
+catalecticant one `contract` per column, takes its kernel vectors and
+eliminates them a second time, so it checks the one-elimination
+annihilator echelon against the long way round.
 """
 
 import itertools
@@ -14,8 +17,9 @@ from fractions import Fraction
 
 import sympy as sp
 
-from sagakit.exactla import echelon_rows
-from sagakit.polyring import Monomial, Polynomial
+from sagakit.apolarity import contract
+from sagakit.exactla import Matrix, echelon_rows
+from sagakit.polyring import Monomial, Polynomial, monomial_basis
 
 
 def sym_vars(n, letter="x"):
@@ -231,3 +235,29 @@ def stepped_symbolic_matrix(algebra, k, m):
                                             for mon, vec in col.items()})
              for col in columns]
             for r in range(algebra.dim(k + m))]
+
+
+def echelon_of(m):
+    """The package's reduced echelon of a Matrix's rows."""
+    return echelon_rows(m.entries, m.cols, m.field)
+
+
+def contract_catalecticant(form, i):
+    """The degree-i catalecticant of a form, one `contract` per column."""
+    n, field = form.n_vars, form.field
+    cols = monomial_basis(n, i)
+    rows = monomial_basis(n, form.homogeneous_degree() - i)
+    row_index = {m: r for r, m in enumerate(rows)}
+    entries = [[field.zero()] * len(cols) for _ in rows]
+    for c, op_mon in enumerate(cols):
+        image = contract(Polynomial.from_monomial(op_mon, field), form)
+        for mon, coeff in image.terms.items():
+            entries[row_index[mon]][c] = coeff
+    return Matrix(entries, field)
+
+
+def annihilator_echelon_reference(form, i):
+    """The degree-i annihilator echelon the long way: full-width kernel
+    vectors of the contract-built catalecticant, eliminated again."""
+    cat = contract_catalecticant(form, i)
+    return echelon_rows(echelon_of(cat).kernel_basis(), cat.cols, cat.field)

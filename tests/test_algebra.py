@@ -14,12 +14,12 @@ from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
-from sagakit.exactla import echelon_rows, rank_kernel
+from sagakit.exactla import echelon_rows
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
 
-from oracles import inverse_system_hilbert
+from oracles import echelon_of, inverse_system_hilbert
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
@@ -74,7 +74,7 @@ class TestFromInverseSystem:
 
     def test_dims_match_catalecticant_ranks(self, perazzo_f, perazzo_alg):
         for i in range(4):
-            rank = rank_kernel(catalecticant(perazzo_f, i)).rank
+            rank = echelon_of(catalecticant(perazzo_f, i)).rank
             assert perazzo_alg.hilbert[i] == rank
 
 
@@ -165,7 +165,7 @@ class TestMulMap:
         x0 = monomial_ci.reduce(poly("x0", 5))
         m = monomial_ci.mul_map(x0, 1)
         assert (m.rows, m.cols) == (10, 5)
-        assert rank_kernel(m).rank == 4
+        assert echelon_of(m).rank == 4
 
     def test_zero_multiplier(self, monomial_ci):
         zero = monomial_ci.zero_element(1)
@@ -176,7 +176,7 @@ class TestMulMap:
         rng = random.Random(11)
         for _ in range(8):
             x = perazzo_alg.random_element(1, rng)
-            rank = rank_kernel(perazzo_alg.mul_map(x, 1)).rank
+            rank = echelon_of(perazzo_alg.mul_map(x, 1)).rank
             assert rank <= 4
 
     def test_degree_overflow(self, perazzo_alg):
@@ -721,8 +721,13 @@ def test_fp_echelons_read_off_the_degree_below(monkeypatch, name):
     degrees = [f.homogeneous_degree() for f in forms]
     variables = [Monomial(tuple(int(k == j) for k in range(n)))
                  for j in range(n)]
-    assert len(calls[False]) == fp.socle_degree
-    for i, (nrows, rank, ncols) in enumerate(calls[False], start=1):
+    # the last echelon is the rank of the pairing A_1 x A_(N-1) that proves
+    # the quotient Artinian
+    *pieces, pairing = calls[False]
+    h1 = fp.dim(1)
+    assert pairing == (h1, h1, fp.dim(fp.socle_degree - 1))
+    assert len(pieces) == fp.socle_degree
+    for i, (nrows, rank, ncols) in enumerate(pieces, start=1):
         below = fp.piece(i - 1)
         S = {m * x for m in below.basis_monomials for x in variables}
         assert ncols == len(S) <= n * fp.hilbert[i - 1]

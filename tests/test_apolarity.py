@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sagakit.apolarity import (annihilator_piece, catalecticant, contract,
-                               is_cone)
-from sagakit.exactla import coords_in_span, rank_kernel
-from sagakit.polyring import (PolyError, Polynomial, RATIONAL,
-                              monomial_basis, parse_poly)
+from sagakit.apolarity import (annihilator_echelon, annihilator_piece,
+                               catalecticant, contract, is_cone)
+from sagakit.exactla import coords_in_span
+from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
+                              RATIONAL, monomial_basis, parse_poly)
 
-from oracles import apply_operator, poly_to_dict, sympify_form
+from oracles import (annihilator_echelon_reference, apply_operator,
+                     contract_catalecticant, echelon_of, poly_to_dict,
+                     sympify_form)
+from test_lefschetz import dense_form, linear_change
 
 PERAZZO = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -79,11 +83,11 @@ class TestCatalecticant:
     def test_pure_power_rank_one(self):
         g = parse_poly("x0^3", 3)
         for i in range(4):
-            assert rank_kernel(catalecticant(g, i)).rank == 1
+            assert echelon_of(catalecticant(g, i)).rank == 1
 
     def test_perazzo_degree_two(self, perazzo_f):
         cat = catalecticant(perazzo_f, 2)
-        assert rank_kernel(cat).rank == 5
+        assert echelon_of(cat).rank == 5
 
     def test_perazzo_degree_three(self, perazzo_f):
         # oracle: contract all 35 cubic operator monomials symbolically
@@ -92,9 +96,10 @@ class TestCatalecticant:
                    if apply_operator(m.exponents, expr, 5) != 0]
         assert nonzero == [(1, 0, 0, 2, 0), (0, 1, 0, 1, 1), (0, 0, 1, 0, 2)]
         cat = catalecticant(perazzo_f, 3)
-        assert rank_kernel(cat).rank == 1
+        assert echelon_of(cat).rank == 1
         assert cat.rows == 1  # image lives in the constants
-        cols_nonzero = [cat.col_labels[c].exponents
+        cols = monomial_basis(5, 3)
+        cols_nonzero = [cols[c].exponents
                         for c in range(cat.cols)
                         if cat.entries[0][c]]
         assert cols_nonzero == nonzero
@@ -104,9 +109,9 @@ class TestCatalecticant:
             catalecticant(perazzo_f, 4)
 
     def test_labels_match_dimensions(self, perazzo_f):
+        # columns: the 5 linear operators; rows: the 15 quadric monomials
         cat = catalecticant(perazzo_f, 1)
-        assert len(cat.col_labels) == cat.cols == 5
-        assert len(cat.row_labels) == cat.rows == 15
+        assert (cat.rows, cat.cols) == (15, 5)
 
 
 PERAZZO_ANN2 = ["x0^2", "x0*x1", "x0*x2", "x0*x4", "x1^2", "x1*x2", "x2^2",
@@ -144,7 +149,7 @@ class TestAnnihilator:
             for i in range(4):
                 cat = catalecticant(g, i)
                 assert (len(annihilator_piece(g, i))
-                        + rank_kernel(cat).rank) == cat.cols
+                        + echelon_of(cat).rank) == cat.cols
 
     def test_rank_symmetry(self):
         rng = random.Random(13)
@@ -154,8 +159,8 @@ class TestAnnihilator:
             if g.is_zero:
                 continue
             for i in range(5):
-                r1 = rank_kernel(catalecticant(g, i)).rank
-                r2 = rank_kernel(catalecticant(g, 4 - i)).rank
+                r1 = echelon_of(catalecticant(g, i)).rank
+                r2 = echelon_of(catalecticant(g, 4 - i)).rank
                 assert r1 == r2
 
 
@@ -169,3 +174,50 @@ class TestIsCone:
     def test_fermat_cubic_four_vars(self):
         # supports of the four partials are disjoint, hence independent
         assert not is_cone(parse_poly("x0^3 + x1^3 + x2^3 + x3^3", 4))
+
+
+PRIMES = [FieldSpec.prime(p) for p in (2, 3, 7, 32003)]
+
+
+@st.composite
+def inverse_system_forms(draw):
+    """Forms of degree 1-5 in 1-5 variables: dense over Q (fractional
+    coefficients) and F_p, cones in mixed coordinates, and forms over F_2
+    and F_3 with a term whose exponent is at least p."""
+    kind = draw(st.sampled_from(["dense", "cone", "power"]))
+    if kind == "power":
+        field = draw(st.sampled_from(PRIMES[:2]))
+        d = draw(st.integers(field.p, 5))
+    else:
+        field = draw(st.sampled_from([RATIONAL] + PRIMES))
+        d = draw(st.integers(1, 5 if kind == "dense" else 4))
+    n = draw(st.integers(2 if kind == "cone" else 1, 5 if d < 5 else 4))
+    k = draw(st.integers(1, n - 1)) if kind == "cone" else n
+    coeff = (st.fractions(-3, 3, max_denominator=4) if field.is_rational
+             else st.integers(-3, 3))
+    size = len(monomial_basis(k, d))
+    form = dense_form(draw(st.lists(coeff, min_size=size, max_size=size)),
+                      k, d, field)
+    if kind == "cone":
+        form = linear_change(form, n, draw(st.integers(0, 2**32)))
+    elif kind == "power":
+        j = draw(st.integers(0, n - 1))
+        e = draw(st.integers(field.p, d))
+        exps = [0] * n
+        exps[j] += e
+        exps[(j + 1) % n] += d - e
+        form = form + Polynomial(n, field, {Monomial(exps): 1})
+    assume(not form.is_zero)
+    return form
+
+
+@given(inverse_system_forms())
+@settings(max_examples=60, deadline=None)
+def test_annihilator_echelon_matches_the_long_way(form):
+    for i in range(form.homogeneous_degree() + 1):
+        assert catalecticant(form, i) == contract_catalecticant(form, i)
+        got = annihilator_echelon(form, i)
+        want = annihilator_echelon_reference(form, i)
+        assert got.pivots == want.pivots
+        assert got.nonpivots == want.nonpivots
+        assert got.coeffs == want.coeffs

@@ -8,7 +8,7 @@ import sagakit.algebra as algebra_module
 import sagakit.exactla as exactla_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import from_inverse_system, from_regular_sequence
-from sagakit.exactla import Matrix, det_ff, rank_kernel
+from sagakit.exactla import Matrix, det_ff
 from sagakit.lefschetz import (SLP, WLP, HessianReport, hessian,
                                hessian_slp_crosscheck,
                                lefschetz_probe, second_partials,
@@ -19,8 +19,8 @@ from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
 
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 
-from oracles import (hessian_det, poly_to_dict, stepped_map_rank,
-                     stepped_symbolic_matrix)
+from oracles import (echelon_of, hessian_det, poly_to_dict,
+                     stepped_map_rank, stepped_symbolic_matrix)
 from test_cli import QUADRIC_CI4
 
 
@@ -78,12 +78,12 @@ class TestProbe:
         assert report.witness is not None
         # the witness is a genuine certificate: recompute its rank directly
         power = monomial_ci.power(report.witness, 3)
-        assert rank_kernel(monomial_ci.mul_map(power, 1)).rank == 5
+        assert echelon_of(monomial_ci.mul_map(power, 1)).rank == 5
 
     def test_monomial_ci_all_ones_witness(self, monomial_ci):
         L = monomial_ci.element(1, [1, 1, 1, 1, 1])
         cube = monomial_ci.power(L, 3)
-        assert rank_kernel(monomial_ci.mul_map(cube, 1)).rank == 5
+        assert echelon_of(monomial_ci.mul_map(cube, 1)).rank == 5
 
     def test_perazzo_slp1_fails_with_certificate(self, perazzo_alg):
         report = lefschetz_probe(perazzo_alg, SLP, 1, trials=16, seed=9)
@@ -121,9 +121,9 @@ class TestProbe:
         for _ in range(5):
             L = monomial_ci.random_element(1, rng)
             square = monomial_ci.power(L, 2)
-            r_composite = rank_kernel(monomial_ci.mul_map(square, 1)).rank
-            r_first = rank_kernel(monomial_ci.mul_map(L, 1)).rank
-            r_second = rank_kernel(monomial_ci.mul_map(L, 2)).rank
+            r_composite = echelon_of(monomial_ci.mul_map(square, 1)).rank
+            r_first = echelon_of(monomial_ci.mul_map(L, 1)).rank
+            r_second = echelon_of(monomial_ci.mul_map(L, 2)).rank
             assert r_composite <= min(r_first, r_second)
 
     @pytest.mark.parametrize("name,k,m", [("monomial_ci", 1, 3),
@@ -385,13 +385,22 @@ class TestHessianPath:
         assert report.vanishes and symbolic_calls == [5]
         assert report.det.is_zero and symbolic_calls == [5]
 
-    def test_cone_needs_the_symbolic_determinant(self, symbolic_calls):
-        g = dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3], 3, 3)
-        form = linear_change(g, 5, seed=2)
-        assert len(form.terms) == len(monomial_basis(5, 3))
-        report = hessian(form)
-        assert report.vanishes and symbolic_calls == [5]
-        assert report.det.is_zero and symbolic_calls == [5]
+    @pytest.mark.parametrize("field", [RATIONAL, F7])
+    def test_cone_is_settled_without_the_symbolic_determinant(
+            self, field, symbolic_calls):
+        # a relation sum c_i * d_i f = 0 gives H c = 0; expanding the 6x6
+        # determinant of the quartic cone takes tens of seconds
+        rng = random.Random(11)
+        cubic = dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3], 3, 3, field)
+        quartic = dense_form([rng.choice([-3, -2, -1, 1, 2, 3])
+                              for _ in monomial_basis(5, 4)], 5, 4, field)
+        for g, n in ((cubic, 5), (quartic, 6)):
+            form = linear_change(g, n, seed=2)
+            # mixed coordinates: more terms than a form in n - 1 variables
+            d = g.homogeneous_degree()
+            assert len(form.terms) > len(monomial_basis(n - 1, d))
+            assert hessian(form).vanishes
+        assert symbolic_calls == []
 
     @pytest.mark.parametrize("field,calls", [(F7, [4]), (RATIONAL, [])])
     def test_small_field_falls_back_on_a_nonzero_hessian(self, field, calls,
@@ -417,7 +426,8 @@ class TestHessianPath:
             eager = det_ff(Matrix(second_partials(form), field))
             assert report.det == eager and report.det == eager
             # one expansion for the eager value, and one for the report: in
-            # hessian() when the point gives 0, else on the first read
+            # hessian() when the point gives 0 on a non-cone, else on the
+            # first read
             assert len(symbolic_calls) == before + 2
 
     def test_report_expands_det_once_on_first_read(self, perazzo_f,

@@ -3,15 +3,23 @@
 The tracer in perfbench/tracer.py replaces functions and methods by name; a
 renamed or removed one would only show up when the benchmark runs.  The
 tracer module is loaded from its file, and only its name tables are read.
+The inverse-system build must also reach the wrapped catalecticant and
+echelon through the names the tracer replaces, once per degree.
 """
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import sagakit.algebra as algebra_module
+import sagakit.apolarity as apolarity
 import sagakit.cli as cli
+import sagakit.exactla as exactla
+from sagakit.polyring import FieldSpec, RATIONAL, parse_poly
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -44,3 +52,27 @@ def test_commands_are_the_traced_cmd_functions():
     for name, fn in cli._COMMANDS.items():
         assert fn is getattr(cli, f"cmd_{name}")
         assert ("cli", f"cmd_{name}") in tracer.FUNCTIONS
+
+
+def test_inverse_system_makes_one_elimination_per_degree(monkeypatch):
+    # wrapped as the tracer wraps them: at every sagakit module name that
+    # holds the function, so calls through imported names count too
+    calls = Counter()
+    for real in (apolarity.catalecticant, exactla.echelon_rows):
+        def counted(*args, _real=real):
+            calls[_real.__name__] += 1
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if ((name == "sagakit" or name.startswith("sagakit."))
+                    and vars(module).get(real.__name__) is real):
+                monkeypatch.setattr(module, real.__name__, counted)
+    for text, n, field in (("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2", 5, RATIONAL),
+                           ("x0^4 + 3*x0*x1^2*x2 - x2^4 + x1*x2^3", 3,
+                            FieldSpec.prime(7))):
+        calls.clear()
+        form = parse_poly(text, n, field)
+        d = form.homogeneous_degree()
+        algebra_module.from_inverse_system(form)
+        assert calls == {"catalecticant": d + 1, "echelon_rows": d + 1}

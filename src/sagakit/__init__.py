@@ -11,7 +11,7 @@ from .algebra import (AlgebraElement, AlgebraError, DegreeOverflowError,
                       GradedAlgebra, NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece, catalecticant, contract, is_cone
-from .exactla import Matrix, MatrixError, coords_in_span, det_ff
+from .exactla import Matrix, MatrixError, det_ff
 from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
                     GammaSample, SLPEvidence, check_ggn, check_k1_bound,
                     check_ker_coker, degenerate_pair_search, gn_map_check,
@@ -34,7 +34,7 @@ __all__ = [
     "Monomial", "NotRegularSequence", "PolyError", "PolyParseError",
     "Polynomial", "ProbeReport", "RATIONAL", "SLP", "SLPEvidence", "WLP",
     "annihilator_piece", "catalecticant", "check_ggn", "check_k1_bound",
-    "check_ker_coker", "contract", "coords_in_span", "degenerate_pair_search",
+    "check_ker_coker", "contract", "degenerate_pair_search",
     "det_ff", "from_inverse_system", "from_regular_sequence",
     "gn_map_check", "hessian", "hessian_slp_crosscheck", "is_cone",
     "lefschetz_probe", "monomial_basis", "parse_poly", "perazzo_algebra",

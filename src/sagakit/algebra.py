@@ -40,42 +40,50 @@ since its rows need their leading monomials), and the F_p algebra is kept
 as the algebra's `shadow` for the probes in `lefschetz`.  Any miss mod p
 falls back to the eager Q build, from the same F5 rows.
 
+Every piece's echelon holds its reduced rows as ints over one denominator
+(see `exactla`), and the code below reads those ints directly; field values
+are made only where a result leaves the algebra.
+
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
 x_j times every basis class of degree i, read off the echelon of degree i+1
 (Mourrain, AAECC 1999): x_j times a term c*m of a representative is c times
-the class of the monomial x_j*m, a unit vector when x_j*m is a basis
-monomial and minus the `coeffs` row of its pivot otherwise.  Indexing by
-variables serves cones too, where degree 1 has fewer classes.  The tables
-hold ints over one denominator per degree: residues over F_p, and over Q
-every entry times the lcm of the entries' denominators.  A product converts
-each factor to ints once, walks the terms of one factor's representatives
-as chains of int table steps, reduced mod p once per step over F_p and not
-at all over Q (delayed reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008),
-and normalizes each entry of the result once, to a Fraction or an Fp.
+the class of the monomial x_j*m, den times a unit vector when x_j*m is a
+basis monomial and minus the `coeffs` row of its pivot otherwise, a lookup
+with no reduction.  Indexing by variables serves cones too, where degree 1
+has fewer classes.  The tables hold ints over one denominator per degree:
+residues over F_p, and over Q every entry times the lcm of the entries'
+denominators.  A product converts each factor to ints once, walks the terms
+of one factor's representatives as chains of int table steps, reduced mod p
+once per step over F_p and not at all over Q (delayed reduction; Dumas,
+Giorgi and Pernet, ACM TOMS 2008), and normalizes each entry of the result
+once, to a Fraction or an Fp.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
-the degree-N monomials, which the socle echelon gives in closed form (its
-kernel vector).  The pairing of a and b is phi of the product of their
-representatives, so it needs no table step (Macaulay duality); phi and the
+the degree-N monomials, which the socle echelon gives in closed form as
+ints (its kernel vector).  The pairing of a and b is phi of the product of
+their representatives, so it needs no table step (Macaulay duality); the
 representatives' coefficients are converted to ints once, and each entry
 is normalized once.
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
-the pinned basis.  This is how fixture conventions for distinguished bases
-are honored without touching the underlying reduction data.
+the pinned basis.  The inverse of the representatives' coordinates is
+stored once, as ints over one denominator, and the tables and the pairing
+read the classes through it.  This is how fixture conventions for
+distinguished bases are honored without touching the underlying reduction
+data.
 """
 
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from math import comb, prod
-from operator import add
+from math import comb, gcd, prod
+from operator import add, mul
 
 from .apolarity import annihilator_echelon, contract
 from .exactla import Echelon, Matrix, echelon_rows, invert
-from .polyring import (FieldMismatchError, FieldSpec, Fp, Monomial,
-                       Polynomial, monomial_basis)
+from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
+                       monomial_basis)
 from .seeding import random_int_coords
 
 # The prime of the modular-first build: below 2^15, so products of residues
@@ -145,22 +153,49 @@ class _Piece:
         self.basis_monomials = [ambient[c] for c in ech.nonpivots]
         self.basis_reps = [Polynomial.from_monomial(m, field)
                            for m in self.basis_monomials]
-        self.basis_inverse = None  # set when a custom basis is pinned
+        # (rows, den) when a custom basis is pinned: rows[r][c] / den is
+        # entry (r, c) of the inverse of the pinned representatives' columns
+        self.basis_inverse = None
 
     @property
     def dim(self) -> int:
         return len(self.basis_monomials)
 
+    def pin(self, vecs: list) -> tuple[list, int]:
+        """Int coordinate vectors on the non-pivot monomials, taken into the
+        pinned basis, and the factor their denominator gains: vecs and 1
+        when no basis is pinned."""
+        if self.basis_inverse is None:
+            return vecs, 1
+        rows, den = self.basis_inverse
+        return [[sum(map(mul, row, vec)) for row in rows] for vec in vecs], den
+
     def coords(self, terms) -> list:
         """Coordinates of the class of the sum of c*m over the (m, c) in
         terms, the monomials m distinct and of this degree."""
-        vec = [self.echelon.field.zero()] * len(self.ambient)
+        field = self.echelon.field
+        vec = [field.zero()] * len(self.ambient)
         for m, c in terms:
             vec[self.index[m]] = c
         canonical = self.echelon.residual(vec)
-        if self.basis_inverse is not None:
-            canonical = self.basis_inverse.mul_vector(canonical)
-        return canonical
+        if self.basis_inverse is None:
+            return canonical
+        ints, den = field.to_ints(canonical)
+        (ints,), factor = self.pin([ints])
+        return field.from_ints(ints, den * factor)
+
+    def classes(self) -> tuple[dict, int]:
+        """The class of every monomial of this degree, keyed by exponents, as
+        int vectors over one denominator: den times a unit vector for a
+        basis monomial, minus the `coeffs` row of its pivot for any other
+        (its reduced row is 1 at the pivot), in the pinned basis if any."""
+        ech = self.echelon
+        vecs = {c: [-v for v in row] for c, row in zip(ech.pivots, ech.coeffs)}
+        for t, c in enumerate(ech.nonpivots):
+            vecs[c] = [ech.den * (r == t) for r in range(self.dim)]
+        pinned, factor = self.pin(list(vecs.values()))
+        return ({self.ambient[c].exponents: v for c, v in zip(vecs, pinned)},
+                ech.den * factor)
 
 
 class GradedAlgebra:
@@ -283,18 +318,31 @@ class GradedAlgebra:
     # -- multiplication ---------------------------------------------------
 
     def _table(self, i: int) -> tuple[list, int]:
-        """The variable tables of degree i and their denominator, built once."""
+        """The variable tables of degree i and their denominator, built once
+        from the classes of degree i+1 and divided by their content."""
         if self._tables[i] is None:
             reps, up = self.piece(i).basis_reps, self.piece(i + 1)
-            ints, den = self.field.to_ints([
-                v for j in range(self.n_vars) for rep in reps
-                for v in up.coords((Monomial(e + (k == j) for k, e in
-                                             enumerate(m.exponents)), c)
-                                   for m, c in rep.terms.items())])
-            cols = iter(ints)
-            self._tables[i] = ([[list(islice(cols, self.hilbert[i + 1]))
-                                 for _ in reps] for _ in range(self.n_vars)],
-                               den)
+            classes, den = up.classes()
+            ints, d = self.field.to_ints(
+                [c for rep in reps for c in rep.terms.values()])
+            cs = iter(ints)
+            terms = [[(m.exponents, next(cs)) for m in rep.terms]
+                     for rep in reps]
+            cols = []
+            for j in range(self.n_vars):
+                for rep in terms:
+                    acc = [0] * up.dim
+                    for exps, c in rep:
+                        cls = classes[tuple(e + (t == j)
+                                            for t, e in enumerate(exps))]
+                        acc = [a + c * v for a, v in zip(acc, cls)]
+                    cols.append(acc)
+            g = gcd(den * d, *chain(*cols))
+            p = self.field.p
+            cols = iter([[v // g % p if p else v // g for v in col]
+                         for col in cols])
+            self._tables[i] = ([list(islice(cols, len(reps)))
+                                for _ in range(self.n_vars)], den * d // g)
         return self._tables[i]
 
     def _times(self, a: AlgebraElement, vecs: list, i: int, k: int = 1):
@@ -386,23 +434,18 @@ class GradedAlgebra:
         r_a, r_b of the two basis classes, where phi is the socle coordinate
         on the degree-N monomials: a Gorenstein pairing is one linear
         functional on A_N (Macaulay duality).  With one non-pivot column the
-        socle echelon gives phi in closed form, 1 at that column and
-        -coeffs[i][0] at pivot i, which is its one kernel vector.
+        socle echelon gives phi in closed form, its one kernel vector: den
+        at that column and -coeffs[i][0] at pivot i, over den (`classes`).
         """
         N = self.socle_degree
         if not 0 <= s <= N:
             raise AlgebraError(f"degree {s} outside 0..{N}")
         if self.socle_dim() != 1:
             raise AlgebraError("pairing needs a one-dimensional socle")
-        top = self.piece(N)
-        phi, = top.echelon.kernel_basis()
-        if top.basis_inverse is not None:
-            scale = top.basis_inverse.entries[0][0]
-            phi = [scale * v for v in phi]
         # phi and the representatives' coefficients as ints over one
         # denominator each, and each entry normalized once
-        phi, den = self.field.to_ints(phi)
-        phi = {m.exponents: v for m, v in zip(top.ambient, phi) if v}
+        classes, den = self.piece(N).classes()
+        phi = {m: v for m, (v,) in classes.items() if v}
         sides = []
         for reps in (self.piece(s).basis_reps, self.piece(N - s).basis_reps):
             coeffs, d = self.field.to_ints(
@@ -482,7 +525,11 @@ class GradedAlgebra:
                     f"degree {degree} over the algebra's ring")
             columns.append(new_piece.coords(rep.terms.items()))
         new_piece.basis_reps = list(reps)
-        new_piece.basis_inverse = invert(Matrix(columns, self.field).transpose())
+        inverse = invert(Matrix(columns, self.field).transpose())
+        ints, den = self.field.to_ints(list(chain(*inverse.entries)))
+        ints = iter(ints)
+        new_piece.basis_inverse = ([list(islice(ints, piece.dim))
+                                    for _ in reps], den)
         pieces = [self.piece(d) for d in range(self.socle_degree + 1)]
         pieces[degree] = new_piece
         return GradedAlgebra(self.n_vars, self.field, pieces, self.presentation)
@@ -692,12 +739,11 @@ def _fp_pieces(forms, degrees):
     of any other M is M less the normal form of its representative
     (Mourrain, AAECC 1999; F4 reduces by earlier rows the same way,
     Faugere, JPAA 1999).  The reduced echelon is unique, so every piece is
-    the one a full Macaulay matrix gives.  Values stay residues mod p and
-    are boxed once, in the piece's Echelon.
+    the one a full Macaulay matrix gives.  Values stay plain residues mod
+    p throughout, the form every F_p Echelon holds.
     """
     field = forms[0].field
     p, n = field.p, forms[0].n_vars
-    zero = Fp(0, p)
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     generators = {}
     for f, e in zip(forms, degrees):
@@ -706,7 +752,7 @@ def _fp_pieces(forms, degrees):
     yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
                  field)
     # the basis monomials of the degree below, and its reduced rows: pivot
-    # monomial -> coeffs row as residues
+    # monomial -> coeffs row
     basis, reduced = [(0,) * n], {}
     for i in count(1):
         ambient = monomial_basis(n, i)
@@ -752,33 +798,26 @@ def _fp_pieces(forms, degrees):
 
         # negated[k]: minus the normal form of position k of S, so the
         # reduced row of monomial c is the sum of v * negated[k] over reps[c]
+        # (a position of S is its own representative, so a pivot of S gets
+        # its own row back, and the non-pivots of S are the basis)
         h = len(ech.nonpivots)
-        pivot_rows = {k: (row, [v.val for v in row])
-                      for k, row in zip(ech.pivots, ech.coeffs)}
-        negated = {k: ints for k, (_, ints) in pivot_rows.items()}
+        negated = dict(zip(ech.pivots, ech.coeffs))
         for t, k in enumerate(ech.nonpivots):
             negated[k] = [p - 1 if r == t else 0 for r in range(h)]
         nonpivots = [S[k] for k in ech.nonpivots]
-        pivots, coeffs, next_reduced = [], [], {}
-        for c, mon in enumerate(ambient):
-            k = pos.get(c)
-            if k is None:
-                acc = [0] * h
-                for q, v in reps[c]:
-                    acc = [a + v * w for a, w in zip(acc, negated[q])]
-                ints = [v % p for v in acc]
-                boxed = [Fp(v, p) if v else zero for v in ints]
-            elif k in pivot_rows:
-                boxed, ints = pivot_rows[k]
-            else:
+        pivots, coeffs = [], []
+        for c, rep in enumerate(reps):
+            if c in nonpivots:
                 continue
+            acc = [0] * h
+            for q, v in rep:
+                acc = [a + v * w for a, w in zip(acc, negated[q])]
             pivots.append(c)
-            coeffs.append(boxed)
-            next_reduced[mon.exponents] = ints
+            coeffs.append([v % p for v in acc])
         yield _Piece(i, ambient, Echelon(len(ambient), field, pivots,
                                          nonpivots, coeffs), field)
         basis = [ambient[c].exponents for c in nonpivots]
-        reduced = next_reduced
+        reduced = {ambient[c].exponents: row for c, row in zip(pivots, coeffs)}
 
 
 def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:

@@ -82,13 +82,15 @@ def annihilator_echelon(form: Polynomial, i: int) -> Echelon:
     catalecticant's pivots.
     """
     cat = catalecticant(form, i)
-    last = cat.cols - 1
+    last, p = cat.cols - 1, cat.field.p
     rev = echelon_rows([row[::-1] for row in cat.entries], cat.cols, cat.field)
-    coeffs = [[-row[j] for row in reversed(rev.coeffs)]
+    # the same ints over the same den, negated, so still canonical
+    coeffs = [[-row[j] % p if p else -row[j] for row in reversed(rev.coeffs)]
               for j in reversed(range(len(rev.nonpivots)))]
     return Echelon(cat.cols, cat.field,
                    [last - c for c in reversed(rev.nonpivots)],
-                   [last - c for c in reversed(rev.pivots)], coeffs)
+                   [last - c for c in reversed(rev.pivots)], coeffs,
+                   den=rev.den)
 
 
 def annihilator_piece(form: Polynomial, i: int) -> list[Polynomial]:

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Q and F_p.
 
-Rank, kernel bases, determinants and coordinate solves all run through one
+Rank, kernel bases, determinants and inverses all run through one
 deterministic elimination per field: pivots are chosen leftmost-column
 first, earliest row first, with no randomization, so kernel bases and
 quotient-space bases are reproducible across runs.  Over Q the forward pass
@@ -8,8 +8,10 @@ is fraction-free (Bareiss single-step division on integer rows) to keep
 intermediate entries small, and so is the back-substitution: reduced row i
 times the last pivot D is integral (minors over D, by Cramer's rule), and it
 is D times forward row i less multiples of the reduced rows below, divided
-exactly by row i's own pivot; each entry then costs one Fraction(v, D)
-(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992).  A
+exactly by row i's own pivot (Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, 1992).  Those ints, and D, divided by their common content
+and signed so that D > 0, are the echelon's rows: ints over one denominator,
+the lcm of the entries' denominators, so equal echelons have equal ints.  A
 determinant is read from the forward pass, before back-substitution: the
 sign of its row moves times its last pivot over Q (Bareiss 1968), or times
 the product of its leads over F_p.
@@ -44,7 +46,12 @@ normalized, a row after back-substitution.
 Back-substitution works on the pivot rows packed again over the non-pivot
 columns only, since a reduced row is 0 at every other pivot column.  The
 reduced row echelon form is unique, so the result is the one cell-by-cell
-elimination gives.
+elimination gives.  Its rows are kept as residues in [0, p), over the
+denominator 1.
+
+So an echelon holds ints on both fields, and its callers read them
+directly; field values (Fraction or Fp) are made only at the edges:
+`residual`, `kernel_basis`, `full_rows` and `invert` return them.
 """
 
 import sys
@@ -125,9 +132,14 @@ class Echelon:
     `coeffs[i]` holds the entries of the i-th reduced pivot row at the
     non-pivot columns only (the row is 1 at its own pivot and 0 at every
     other pivot column), which is all that reduction and kernel extraction
-    need.  `origins[i]` is the index, in the rows as passed (zero rows
-    included), of the input row the i-th pivot row came from; it is None
-    for an echelon assembled from other data, which has no input rows.
+    need, as ints over the denominator `den`: the entry is coeffs[i][j] /
+    den.  Over F_p they are residues in [0, p) and den is 1; over Q den is
+    the positive lcm of the entries' denominators.  That form is canonical:
+    two echelons of one row space hold equal ints, and compare equal when
+    their origins agree.  `origins[i]` is the index, in the rows as passed
+    (zero rows included), of the input row the i-th pivot row came from; it
+    is None for an echelon assembled from other data, which has no input
+    rows.
     """
 
     ncols: int
@@ -136,48 +148,45 @@ class Echelon:
     nonpivots: list
     coeffs: list
     origins: list | None = None
+    den: int = 1
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def residual(self, vec):
-        """Coordinates of vec modulo the row space, along the non-pivot columns."""
+        """Coordinates of vec, field values (ints too, over Q), modulo the
+        row space, along the non-pivot columns."""
         if len(vec) != self.ncols:
             raise MatrixError(f"vector length {len(vec)} != {self.ncols}")
-        out = [vec[c] for c in self.nonpivots]
-        for i, p in enumerate(self.pivots):
-            v = vec[p]
+        ints, den = self.field.to_ints(vec)
+        out = [self.den * ints[c] for c in self.nonpivots]
+        for p, row in zip(self.pivots, self.coeffs):
+            v = ints[p]
             if v:
-                row = self.coeffs[i]
-                for j in range(len(out)):
-                    if row[j]:
-                        out[j] = out[j] - v * row[j]
-        return out
+                out = [a - v * b for a, b in zip(out, row)]
+        return self.field.from_ints(out, den * self.den)
 
     def kernel_basis(self):
         """One kernel vector per non-pivot column (full width, deterministic)."""
-        zero, one = self.field.zero(), self.field.one()
         basis = []
         for j, free_col in enumerate(self.nonpivots):
-            vec = [zero] * self.ncols
-            vec[free_col] = one
-            for i, p in enumerate(self.pivots):
-                if self.coeffs[i][j]:
-                    vec[p] = -self.coeffs[i][j]
-            basis.append(vec)
+            vec = [0] * self.ncols
+            vec[free_col] = self.den
+            for p, row in zip(self.pivots, self.coeffs):
+                vec[p] = -row[j]
+            basis.append(self.field.from_ints(vec, self.den))
         return basis
 
     def full_rows(self):
         """Reconstruct the reduced rows at full width."""
-        zero, one = self.field.zero(), self.field.one()
         rows = []
-        for i, p in enumerate(self.pivots):
-            row = [zero] * self.ncols
-            row[p] = one
-            for j, c in enumerate(self.nonpivots):
-                row[c] = self.coeffs[i][j]
-            rows.append(row)
+        for p, row in zip(self.pivots, self.coeffs):
+            vec = [0] * self.ncols
+            vec[p] = self.den
+            for c, v in zip(self.nonpivots, row):
+                vec[c] = v
+            rows.append(self.field.from_ints(vec, self.den))
         return rows
 
 
@@ -262,9 +271,12 @@ def _echelon_rational(rows, ncols) -> Echelon:
             if f:
                 acc = [x - f * y for x, y in zip(acc, work[j])]
         work[i] = [x // row[pivots[i]] for x in acc]
-    coeffs = [RATIONAL.from_ints(work[i], last) for i in range(len(pivots))]
+    # the rows over last, divided by their content shared with it and
+    # signed so that the denominator is positive
+    g = gcd(last, *chain(*work[:len(pivots)])) * (-1 if last < 0 else 1)
+    coeffs = [[x // g for x in work[i]] for i in range(len(pivots))]
     return Echelon(ncols, RATIONAL, pivots, nonpivots, coeffs,
-                   [kept[k] for k in origins])
+                   [kept[k] for k in origins], last // g)
 
 
 # An unsigned array typecode for each item size; a slot of one of these
@@ -393,7 +405,6 @@ def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
     pivset = set(pivots)
     nonpivots = [c for c in range(ncols) if c not in pivset]
     nfree = len(nonpivots)
-    zero = Fp(0, p)
     coeffs = [None] * len(pivots)
     for i in range(len(pivots) - 1, -1, -1):
         col = pivots[i]
@@ -403,9 +414,8 @@ def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
             lead = vals[pivots[j] - col]
             if lead:
                 acc += (p - lead) * work[j]
-        free = [v % p for v in _unpack(acc, nfree, width)]
-        work[i] = _pack(free, width)
-        coeffs[i] = [Fp(v, p) if v else zero for v in free]
+        coeffs[i] = [v % p for v in _unpack(acc, nfree, width)]
+        work[i] = _pack(coeffs[i], width)
     return Echelon(ncols, field, pivots, nonpivots, coeffs, origins)
 
 
@@ -474,31 +484,6 @@ def det_ff(m: Matrix):
     return sign * work[-1][-1] / factor
 
 
-def coords_in_span(vec, basis) -> list | None:
-    """Coordinates of vec in the span of basis vectors, or None if outside.
-
-    All vectors must share one length; the solve is exact, and free
-    coordinates (when the basis is dependent) are set to zero.
-    """
-    vec = list(vec)
-    basis = [list(b) for b in basis]
-    if any(len(b) != len(vec) for b in basis):
-        raise MatrixError("basis vector length mismatch")
-    if not basis:
-        return [] if not any(vec) else None
-    field = _infer_field(vec, basis)
-    k = len(basis)
-    augmented = [[basis[j][i] for j in range(k)] + [vec[i]]
-                 for i in range(len(vec))]
-    ech = echelon_rows(augmented, k + 1, field)
-    if k in ech.pivots:
-        return None
-    coords = [field.zero()] * k
-    for i, p in enumerate(ech.pivots):
-        coords[p] = ech.coeffs[i][-1]
-    return coords
-
-
 def invert(m: Matrix) -> Matrix:
     """Exact inverse of a square full-rank matrix."""
     if not m.is_square():
@@ -511,11 +496,6 @@ def invert(m: Matrix) -> Matrix:
     if ech.pivots != list(range(n)):
         raise MatrixError("matrix is singular")
     # the pivots are the first n columns, so coeffs hold the inverse
-    return Matrix(ech.coeffs, m.field)
+    return Matrix([m.field.from_ints(row, ech.den) for row in ech.coeffs],
+                  m.field)
 
-
-def _infer_field(vec, basis):
-    for x in chain(vec, *basis):
-        if isinstance(x, Fp):
-            return FieldSpec.prime(x.p)
-    return RATIONAL

@@ -21,7 +21,7 @@ from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       NotRegularSequence, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
-from .exactla import Matrix, coords_in_span, det_ff, echelon_rows
+from .exactla import Matrix, det_ff, echelon_rows
 from .lefschetz import SLP, hessian, lefschetz_probe
 from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                        monomial_basis, parse_poly, scalar_str)
@@ -474,9 +474,9 @@ def perazzo_fixture(seed: int = DEFAULT_SEED, *,
     listed = [Polynomial(5, field, {Monomial(m): c for m, c in terms.items()})
               for terms in _ANN2_TERMS]
     listed_vecs = [q.coefficient_vector(ambient) for q in listed]
-    forward = all(coords_in_span(v, ann_vecs) is not None for v in listed_vecs)
-    backward = all(coords_in_span(v, listed_vecs) is not None for v in ann_vecs)
-    report.record("ann2_span_equality", forward and backward)
+    ranks = [echelon_rows(vecs, len(ambient), field).rank
+             for vecs in (ann_vecs, listed_vecs, ann_vecs + listed_vecs)]
+    report.record("ann2_span_equality", len(set(ranks)) == 1)
 
     report.record("hilbert_vector", algebra.hilbert == (1, 5, 5, 1),
                   detail={"hilbert": list(algebra.hilbert)})

@@ -21,9 +21,12 @@ probe returns the Q rank and finds the same first witness.
 The hessian verdict evaluates the second partials at one seeded integer
 point first (mapped into F_p over F_p).  A nonzero determinant there proves
 that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it is 0, a
-cone's hessian vanishes, and any other form's determinant is expanded, so
-the verdict is exact over every field, including a small F_p on whose points
-a nonzero hessian can vanish.
+cone's hessian vanishes.  Over Q, in at most 4 variables and degree >= 2,
+the hessian vanishes only for a cone: the Gordan-Noether theorem, which the
+source paper reproves, and which fails in characteristic p.  A linear form
+has a zero hessian without being a cone, so it is left out.  Any other
+form's determinant is expanded, so the verdict is exact over every field,
+including a small F_p on whose points a nonzero hessian can vanish.
 The symbolic determinant of a report is otherwise computed on first read.
 """
 
@@ -229,8 +232,10 @@ def hessian(form: Polynomial) -> HessianReport:
 
     The determinant is taken at one seeded integer point first; a nonzero
     value there means the hessian does not vanish.  If it is 0, a cone's
-    hessian vanishes (sum c_i * d_i f = 0 gives H c = 0), and the symbolic
-    determinant settles any other form.  `.det` is expanded on first read.
+    hessian vanishes (sum c_i * d_i f = 0 gives H c = 0).  Over Q a form of
+    degree >= 2 in at most 4 variables that is not a cone has a nonzero
+    hessian (Gordan and Noether 1876), and the symbolic determinant settles
+    any other form.  `.det` is expanded on first read.
     """
     d = form.homogeneous_degree()
     if d is None:
@@ -243,7 +248,9 @@ def hessian(form: Polynomial) -> HessianReport:
     point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)
     report = HessianReport(matrix, vanishes=False)
     if not det_ff(_hessian_at(entries, point, form.field)):
-        report.vanishes = (d > 0 and is_cone(form)) or report.det.is_zero
+        gordan_noether = form.field.is_rational and form.n_vars <= 4 and d >= 2
+        report.vanishes = (d > 0 and is_cone(form)) or (
+            not gordan_noether and report.det.is_zero)
     return report
 
 

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import islice
-from math import comb
+from itertools import chain, islice
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from sagakit.algebra import (AlgebraError, DegreeOverflowError,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
-from sagakit.exactla import echelon_rows
+from sagakit.exactla import Echelon, echelon_rows
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
@@ -351,29 +351,57 @@ def _pin_degree_one(alg):
     return alg.with_degree_basis(1, gens(texts, 5, alg.field))
 
 
-@pytest.fixture(scope="module",
-                params=["monomial_ci", "perazzo", "cube_cone", "quadric_ci_fp",
-                        "monomial_ci_ann_x0", "monomial_ci_pinned_degree1",
-                        "quadric_ci_fp_pinned_degree1",
-                        "perazzo_pinned_socle"])
-def table_algebra(request, monomial_ci, perazzo_alg):
-    if request.param == "monomial_ci":
+TABLE_ALGEBRAS = ["monomial_ci", "perazzo", "cube_cone", "quadric_ci_fp",
+                  "monomial_ci_ann_x0", "monomial_ci_pinned_degree1",
+                  "quadric_ci_fp_pinned_degree1", "perazzo_pinned_socle"]
+
+
+def _table_algebra(name, monomial_ci, perazzo_alg):
+    if name == "monomial_ci":
         return monomial_ci
-    if request.param == "perazzo":
+    if name == "perazzo":
         return perazzo_alg
-    if request.param == "cube_cone":
+    if name == "cube_cone":
         return from_inverse_system(
             get_entry("coordinate_cube_cone").polynomials())
-    if request.param == "quadric_ci_fp":
+    if name == "quadric_ci_fp":
         return _quadric_ci_fp()
-    if request.param == "monomial_ci_ann_x0":
+    if name == "monomial_ci_ann_x0":
         return monomial_ci.quotient_by_ann(monomial_ci.reduce(poly("x0", 5)))
-    if request.param == "monomial_ci_pinned_degree1":
+    if name == "monomial_ci_pinned_degree1":
         return _pin_degree_one(monomial_ci)
-    if request.param == "quadric_ci_fp_pinned_degree1":
+    if name == "quadric_ci_fp_pinned_degree1":
         return _pin_degree_one(_quadric_ci_fp())
     socle_rep, = perazzo_alg.piece(3).basis_reps
     return perazzo_alg.with_degree_basis(3, [socle_rep.scale(3)])
+
+
+@pytest.fixture(scope="module", params=TABLE_ALGEBRAS)
+def table_algebra(request, monomial_ci, perazzo_alg):
+    return _table_algebra(request.param, monomial_ci, perazzo_alg)
+
+
+@pytest.mark.parametrize("name", TABLE_ALGEBRAS)
+def test_tables_and_pairings_read_the_echelon_without_residual(monkeypatch,
+                                                               name):
+    # fresh algebras, so every table is built under the patch: the class of
+    # x_j * m is read off the pivot rows, and phi off the socle echelon
+    alg = _table_algebra(name, from_regular_sequence(monomial_quadric_ci()),
+                         perazzo_algebra())
+
+    def refuse(*args):
+        raise AssertionError("Echelon.residual inside a product or pairing")
+
+    monkeypatch.setattr(Echelon, "residual", refuse)
+    rng = random.Random(12)
+    N = alg.socle_degree
+    x = alg.random_element(1, rng)
+    for k in range(N + 1):
+        alg.power(x, k)
+    for i in range(N):
+        alg.mul_map(x, i)
+    assert alg.is_standard()
+    assert all(alg.pairing_check(s)[0] for s in range(N + 1))
 
 
 class TestTablesMatchPolynomialProducts:
@@ -460,6 +488,15 @@ def _den5_algebras():
 def test_den5_tables_have_denominator_five():
     alg = _den5_algebras()[0]
     assert [alg._table(i)[1] for i in range(3)] == [1, 5, 5]
+    # each denominator is the lcm of its entries' denominators, pinned
+    # bases included, and the F_p tables hold residues
+    for alg in _den5_algebras():
+        p = alg.field.p
+        for i in range(alg.socle_degree):
+            ints, den = alg._table(i)
+            entries = list(chain(*chain(*ints)))
+            assert gcd(den, *entries) == 1
+            assert not p or (den == 1 and all(0 <= v < p for v in entries))
 
 
 @st.composite
@@ -642,8 +679,8 @@ def test_skipped_rows_build_the_same_echelon(case):
         assert failure is None
         for i, want in enumerate(echelons):
             got = algebra.piece(i).echelon
-            assert (got.pivots, got.nonpivots, got.coeffs) == (
-                want.pivots, want.nonpivots, want.coeffs)
+            assert (got.pivots, got.nonpivots, got.coeffs, got.den) == (
+                want.pivots, want.nonpivots, want.coeffs, want.den)
 
 
 @given(generator_sequences().filter(lambda case: case[0][0].field.p))
@@ -655,8 +692,9 @@ def test_fp_pieces_equal_the_full_echelon_past_a_failure(case):
     N = sum(d - 1 for d in degrees)
     for i, piece in enumerate(islice(_fp_pieces(forms, degrees), N + 2)):
         got, want = piece.echelon, _all_rows_echelon(forms, degrees, i)
-        assert (got.ncols, got.pivots, got.nonpivots, got.coeffs) == (
-            want.ncols, want.pivots, want.nonpivots, want.coeffs)
+        assert (got.ncols, got.pivots, got.nonpivots, got.coeffs,
+                got.den) == (want.ncols, want.pivots, want.nonpivots,
+                             want.coeffs, want.den)
 
 
 def _ci6_fp_style():
@@ -771,7 +809,8 @@ def _boxed_pairing(alg, s):
     top = alg.piece(alg.socle_degree)
     phi, = top.echelon.kernel_basis()
     if top.basis_inverse is not None:
-        phi = [top.basis_inverse.entries[0][0] * v for v in phi]
+        ((scale,),), den = top.basis_inverse
+        phi = [alg.field.from_fraction(scale, den) * v for v in phi]
     return [[sum((c * c2 * phi[top.index[m * m2]]
                   for m, c in a.terms.items() for m2, c2 in b.terms.items()),
                  alg.field.zero())

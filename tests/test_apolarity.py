@@ -1,11 +1,12 @@
 import random
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sagakit.apolarity import (annihilator_echelon, annihilator_piece,
                                catalecticant, contract, is_cone)
-from sagakit.exactla import coords_in_span
+from sagakit.exactla import echelon_rows
 from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
                               RATIONAL, monomial_basis, parse_poly)
 
@@ -129,10 +130,10 @@ class TestAnnihilator:
         ann_vecs = [a.coefficient_vector(ambient) for a in ann]
         listed_vecs = [op(t, 5).coefficient_vector(ambient)
                        for t in PERAZZO_ANN2]
-        assert all(coords_in_span(v, ann_vecs) is not None
-                   for v in listed_vecs)
-        assert all(coords_in_span(v, listed_vecs) is not None
-                   for v in ann_vecs)
+        # equal spans: rank A = rank B = rank of A and B together
+        assert [echelon_rows(vecs, len(ambient), RATIONAL).rank
+                for vecs in (ann_vecs, listed_vecs, ann_vecs + listed_vecs)
+                ] == [10, 10, 10]
 
     def test_cube_in_two_vars(self):
         ann = annihilator_piece(parse_poly("x0^3", 2), 1)
@@ -220,4 +221,25 @@ def test_annihilator_echelon_matches_the_long_way(form):
         want = annihilator_echelon_reference(form, i)
         assert got.pivots == want.pivots
         assert got.nonpivots == want.nonpivots
-        assert got.coeffs == want.coeffs
+        assert (got.coeffs, got.den) == (want.coeffs, want.den)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_catalecticant_is_a_scaled_transpose_of_its_dual(n, d, data):
+    # entry (m', m) of Cat_i is f_(m+m') (m+m')! / m'!, so over Q
+    # Cat_i = diag(1/m'!) * Cat_(d-i)^T * diag(m!), and h_i = h_(d-i)
+    size = len(monomial_basis(n, d))
+    form = dense_form(data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                                         min_size=size, max_size=size)), n, d)
+    assume(not form.is_zero)
+
+    def fact(m):
+        return prod(map(factorial, m.exponents))
+
+    for i in range(d + 1):
+        dual = catalecticant(form, d - i).entries
+        assert catalecticant(form, i).entries == [
+            [dual[c][r] * fact(m) / fact(m2)
+             for c, m in enumerate(monomial_basis(n, i))]
+            for r, m2 in enumerate(monomial_basis(n, d - i))]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from sagakit.apolarity import catalecticant
 from sagakit.exactla import (_TYPECODES, Matrix, MatrixError,
                              _echelon_rational, _pack, _residues,
-                             _slot_bytes, _unpack, coords_in_span, det_ff,
-                             echelon_rows, invert)
+                             _slot_bytes, _unpack, det_ff, echelon_rows,
+                             invert)
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               parse_poly)
 
@@ -129,28 +130,6 @@ class TestDeterminant:
             det_ff(Matrix(entries))
 
 
-class TestCoordsInSpan:
-    def test_combination(self):
-        b1 = [1, 0, 2]
-        b2 = [0, 1, -1]
-        v = [1, 2, 0]  # b1 + 2*b2
-        assert coords_in_span(v, [b1, b2]) == [1, 2]
-
-    def test_outside_span(self):
-        assert coords_in_span([0, 0, 1], [[1, 0, 0], [0, 1, 0]]) is None
-
-    def test_zero_vector(self):
-        assert coords_in_span([0, 0], [[1, 0], [0, 1]]) == [0, 0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MatrixError):
-            coords_in_span([1, 0], [[1, 0, 0]])
-
-    def test_empty_basis(self):
-        assert coords_in_span([0, 0], []) == []
-        assert coords_in_span([1, 0], []) is None
-
-
 class TestEchelonInvert:
     def test_residual_kills_row_space(self):
         rows = [[1, 2, 0, 1], [0, 1, 1, -1]]
@@ -244,7 +223,7 @@ def assert_matches_oracle(rows, ncols, p):
     pivots, nonpivots, coeffs = rref_mod_p(rows, ncols, p)
     assert ech.pivots == pivots
     assert ech.nonpivots == nonpivots
-    assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+    assert (ech.coeffs, ech.den) == (coeffs, 1)
 
 
 @st.composite
@@ -302,7 +281,7 @@ def test_echelon_prime_integer_rows_reduce_mod_p():
     ech = echelon_rows([[7, 14], [8, 3], [-6, 10]], 2, f7)
     pivots, nonpivots, coeffs = rref_mod_p([[8, 3], [-6, 10]], 2, 7)
     assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
-    assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+    assert (ech.coeffs, ech.den) == (coeffs, 1)
 
 
 def oracle_origins(rows, ncols, p):
@@ -361,7 +340,7 @@ def test_echelon_prime_reads_fp_residue_and_unreduced_rows_alike(case):
                        unreduced):
         ech = echelon_rows(given_rows, ncols, field)
         assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
-        assert [[c.val for c in row] for row in ech.coeffs] == coeffs
+        assert (ech.coeffs, ech.den) == (coeffs, 1)
         assert ech.origins == origins
 
 
@@ -461,8 +440,40 @@ def test_origins_give_the_pivots_of_every_prefix(case):
 def test_rational_back_substitution_matches_gauss_jordan(case):
     rows, ncols, _ = case
     ech = _echelon_rational(rows, ncols)
-    assert (ech.pivots, ech.nonpivots, ech.coeffs) == rref_rational(rows, ncols)
-    assert all(type(x) is Fraction for row in ech.coeffs for x in row)
+    assert (ech.pivots, ech.nonpivots,
+            [RATIONAL.from_ints(row, ech.den) for row in ech.coeffs]
+            ) == rref_rational(rows, ncols)
+    assert all(type(x) is int for row in ech.coeffs for x in row)
+
+
+@given(rows_with_zero_rows())
+@settings(max_examples=200, deadline=None)
+@example(([[0, 0], [Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]], 2,
+          RATIONAL))
+@example(([[Fraction(-3), Fraction(-6)]], 2, RATIONAL))
+@example(([[Fp(3, 7), Fp(5, 7)], [Fp(6, 7), Fp(3, 7)]], 2, FieldSpec.prime(7)))
+def test_echelon_rows_are_canonical_ints_over_one_denominator(case):
+    # the ints over den are the oracle's values, den is the positive lcm of
+    # their denominators (1 over F_p), and residues lie in [0, p); so the
+    # echelon of the reduced rows, another basis of the same span, is equal
+    rows, ncols, field = case
+    ech = echelon_rows(rows, ncols, field)
+    assert all(type(x) is int for row in ech.coeffs for x in row)
+    values = [field.from_ints(row, ech.den) for row in ech.coeffs]
+    if field.is_rational:
+        assert (ech.pivots, ech.nonpivots, values) == rref_rational(rows, ncols)
+        assert ech.den == lcm(*(v.denominator for row in values for v in row))
+    else:
+        p = field.p
+        assert (ech.pivots, ech.nonpivots, [[v.val for v in row]
+                                            for row in values]) == rref_mod_p(
+            [[x.val for x in row] for row in rows], ncols, p)
+        assert ech.den == 1
+        assert all(0 <= x < p for row in ech.coeffs for x in row)
+    again = echelon_rows(ech.full_rows(), ncols, field)
+    assert again.origins == list(range(ech.rank))
+    again.origins = ech.origins
+    assert again == ech
 
 
 class TestPivotMoves:

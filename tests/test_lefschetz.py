@@ -8,6 +8,7 @@ import sagakit.algebra as algebra_module
 import sagakit.exactla as exactla_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import from_inverse_system, from_regular_sequence
+from sagakit.apolarity import is_cone
 from sagakit.exactla import Matrix, det_ff
 from sagakit.lefschetz import (SLP, WLP, HessianReport, hessian,
                                hessian_slp_crosscheck,
@@ -18,6 +19,7 @@ from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
                               RATIONAL, monomial_basis, parse_poly)
 
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
+from sagakit.seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 from oracles import (echelon_of, hessian_det, poly_to_dict,
                      stepped_map_rank, stepped_symbolic_matrix)
@@ -412,6 +414,31 @@ class TestHessianPath:
         form = (x[0] - x[2]) ** 3 + x[1] ** 3 + x[2] ** 3 + x[3] ** 3
         assert not hessian(form).vanishes
         assert symbolic_calls == calls
+
+    @pytest.mark.parametrize("field,calls",
+                             [(RATIONAL, []), (FieldSpec.prime(32003), [4])])
+    def test_gordan_noether_settles_four_variables_over_q(self, field, calls,
+                                                          symbolic_calls):
+        # (p1*x0 - p0*x1)^2 * x1 + x2^3 + x3^3 is not a cone, and its linear
+        # factor, so its hessian, vanishes at the seeded point (p0, p1, ...).
+        # Over Q a non-cone in at most 4 variables has a nonzero hessian;
+        # the theorem fails in characteristic p, so F_p still expands
+        p0, p1, _, _ = random_int_coords(rng_for(DEFAULT_SEED, 0), 4,
+                                         -1000, 1000)
+        x = [Polynomial.variable(i, 4, field) for i in range(4)]
+        form = ((x[0].scale(p1) - x[1].scale(p0)) ** 2 * x[1] + x[2] ** 3
+                + x[3] ** 3)
+        assert not is_cone(form)
+        assert not det_ff(Matrix([[e.eval_at([p0, p1, 0, 0]) for e in row]
+                                  for row in second_partials(form)], field))
+        assert not hessian(form).vanishes
+        assert symbolic_calls == calls
+
+    def test_linear_form_is_left_to_the_symbolic_determinant(self,
+                                                             symbolic_calls):
+        # x0 is no cone, yet its 1x1 hessian is 0: Gordan-Noether needs d >= 2
+        assert hessian(poly("3*x0", 1)).vanishes
+        assert symbolic_calls == [1]
 
     @pytest.mark.parametrize("field", [RATIONAL, F7])
     def test_lazy_det_equals_eager_expansion(self, field, symbolic_calls):

@@ -4,7 +4,8 @@ The tracer in perfbench/tracer.py replaces functions and methods by name; a
 renamed or removed one would only show up when the benchmark runs.  The
 tracer module is loaded from its file, and only its name tables are read.
 The inverse-system build must also reach the wrapped catalecticant and
-echelon through the names the tracer replaces, once per degree.
+echelon through the names the tracer replaces, once per degree, and
+`GradedAlgebra.reduce` must reach the wrapped `Echelon.residual`.
 """
 
 import importlib
@@ -76,3 +77,25 @@ def test_inverse_system_makes_one_elimination_per_degree(monkeypatch):
         d = form.homogeneous_degree()
         algebra_module.from_inverse_system(form)
         assert calls == {"catalecticant": d + 1, "echelon_rows": d + 1}
+
+
+def test_reduce_reaches_the_traced_residual(monkeypatch):
+    # the method the tracer names exactla.residual, wrapped on its class as
+    # the tracer wraps it, is what reduce runs: once per reduction
+    (mod, cls, attr), = [key for key, name in tracer.METHODS.items()
+                         if name == "exactla.residual"]
+    owner = getattr(importlib.import_module(f"sagakit.{mod}"), cls)
+    real = getattr(owner, attr)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    for field in (RATIONAL, FieldSpec.prime(7)):
+        algebra = algebra_module.from_inverse_system(
+            parse_poly("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2", 5, field))
+        calls.clear()
+        e = algebra.reduce(parse_poly("x0*x3 + 3*x1*x4", 5, field))
+        assert len(calls) == 1 and e.degree == 2 and not e.is_zero

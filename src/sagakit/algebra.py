@@ -17,7 +17,10 @@ every other monomial is congruent to a vector over those products, and one
 echelon over them, on x_j times the reduced rows of degree i-1 and the
 generators of degree i, gives the piece (`_fp_pieces`; Mourrain, AAECC
 1999).  Its width is at most n * h_(i-1), not the C(n+i-1, i) monomials of
-degree i.
+degree i.  Of the products x_j * r with one leading monomial M, only one
+per component of Buchberger's chain criterion in degree one reaches it:
+x_a * r and x_b * r' are joined when M / (x_a * x_b) is a pivot of degree
+i-2 (Buchberger 1979; Gebauer and Moller, JSC 1988).
 
 Over Q the reduced rows carry large rationals, so a Q piece is one
 Macaulay matrix that leaves out the rows m * f_g whose multiplier m is a
@@ -76,7 +79,7 @@ data.
 """
 
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, combinations, count, islice
 from math import comb, gcd, prod
 from operator import add, mul
 
@@ -722,6 +725,14 @@ def _factor(exps) -> tuple[int, tuple]:
     return j, exps[:j] + (exps[j] - 1,) + exps[j + 1:]
 
 
+def _root(link, c, j):
+    """The variable that stands for decomposition j of monomial c: its
+    component's smallest, following link (see _fp_pieces)."""
+    while (c, j) in link:
+        j = link[c, j]
+    return j
+
+
 def _fp_pieces(forms, degrees):
     """The pieces of the quotient over F_p in degree order, without end, each
     read off the reduced rows of the degree below.
@@ -731,29 +742,42 @@ def _fp_pieces(forms, degrees):
     degree i - 1.  Any other monomial M is x_j * m for a pivot m of degree
     i - 1, with j the first variable of M, and m is congruent to minus its
     `coeffs` row, so M is congruent to a vector over S: its representative.
-    The ideal in degree i is spanned by x_j times the reduced rows of degree
-    i - 1 and by the generators of degree i.  Their representatives are the
-    rows of one echelon over S, less those that are 0, such as x_j times
-    the row of m when x_j * m is factored as x_j * m.  The non-pivots of
-    that echelon are the basis monomials of degree i, and the reduced row
-    of any other M is M less the normal form of its representative
-    (Mourrain, AAECC 1999; F4 reduces by earlier rows the same way,
-    Faugere, JPAA 1999).  The reduced echelon is unique, so every piece is
-    the one a full Macaulay matrix gives.  Values stay plain residues mod
-    p throughout, the form every F_p Echelon holds.
+    The ideal in degree i is spanned by x_j times the reduced rows r_m of
+    degree i - 1 and by the generators of degree i.  Their representatives
+    are the rows of one echelon over S.  The non-pivots of that echelon are
+    the basis monomials of degree i, and the reduced row of any other M is M
+    less the normal form of its representative (Mourrain, AAECC 1999; F4
+    reduces by earlier rows the same way, Faugere, JPAA 1999).
+
+    Most products x_j * r_m are left out, by Buchberger's chain criterion in
+    degree one (Buchberger 1979; Gebauer and Moller, JSC 1988).  The row
+    x_j * r_m has leading monomial M = x_j * m, since r_m is m plus later
+    basis monomials and the columns are graded-lex.  When u = M / (x_a * x_b)
+    is a pivot of degree i - 2, expanding x_b * r_u and x_a * r_u in the
+    reduced rows of degree i - 1 shows that x_a * r_(x_b * u) less
+    x_b * r_(x_a * u) is a combination of rows whose leading monomials come
+    after M.  So, by induction from the last M, one row per connected
+    component of these pairs spans the rest of the component, and the
+    component that holds M's first variable needs none when M lies outside
+    S, since that row's representative is 0.  This holds for any forms,
+    regular or not, and the reduced echelon is unique, so every piece is
+    the one a full Macaulay matrix gives.  Values stay plain residues mod p
+    throughout, the form every F_p Echelon holds.
     """
     field = forms[0].field
     p, n = field.p, forms[0].n_vars
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    pairs = [(a, b, tuple(map(add, units[a], units[b])))
+             for a, b in combinations(range(n), 2)]
     generators = {}
     for f, e in zip(forms, degrees):
         generators.setdefault(e, []).append(
             [(m.exponents, c.val) for m, c in f.terms.items()])
     yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
                  field)
-    # the basis monomials of the degree below, and its reduced rows: pivot
-    # monomial -> coeffs row
-    basis, reduced = [(0,) * n], {}
+    # the basis monomials of the degree below, its reduced rows (pivot
+    # monomial -> coeffs row) and the pivot monomials of degree i - 2
+    basis, reduced, lower = [(0,) * n], {}, ()
     for i in count(1):
         ambient = monomial_basis(n, i)
         index = {m.exponents: c for c, m in enumerate(ambient)}
@@ -775,12 +799,22 @@ def _fp_pieces(forms, degrees):
                                                         reduced[below]) if v])
             else:
                 reps.append([(k, 1)])
+        # link[c, j]: a smaller variable in the component of decomposition
+        # j of monomial c, joined through a pivot u of degree i - 2; only the
+        # decompositions missing from link are the rows kept
+        link = {}
+        for u in lower:
+            for a, b, ab in pairs:
+                c = index[tuple(map(add, u, ab))]
+                ra, rb = _root(link, c, a), _root(link, c, b)
+                if ra != rb:
+                    link[c, max(ra, rb)] = min(ra, rb)
 
         rows = []
         for m, row in reduced.items():
             for j, u in enumerate(units):
                 c = index[tuple(map(add, m, u))]
-                if first.get(c) == j:
+                if (c, j) in link or first.get(c) == j:
                     continue
                 vec = [0] * len(S)
                 for k, v in chain(reps[c], zip(shift[j], row)):
@@ -796,27 +830,33 @@ def _fp_pieces(forms, degrees):
                 if any(row)]
         ech = echelon_rows(rows, len(S), field)
 
-        # negated[k]: minus the normal form of position k of S, so the
-        # reduced row of monomial c is the sum of v * negated[k] over reps[c]
-        # (a position of S is its own representative, so a pivot of S gets
-        # its own row back, and the non-pivots of S are the basis)
+        # negated[k]: minus the normal form of position k of S.  A pivot of
+        # S gets its own row back and the non-pivots of S are the basis; a
+        # monomial x_j * m outside S, m the pivot of row r, gets the sum of
+        # -r[t] * negated[k] over the positions k of x_j * basis[t]
         h = len(ech.nonpivots)
         negated = dict(zip(ech.pivots, ech.coeffs))
         for t, k in enumerate(ech.nonpivots):
             negated[k] = [p - 1 if r == t else 0 for r in range(h)]
-        nonpivots = [S[k] for k in ech.nonpivots]
+        free = set(ech.nonpivots)
         pivots, coeffs = [], []
-        for c, rep in enumerate(reps):
-            if c in nonpivots:
+        for c, mon in enumerate(ambient):
+            k = pos.get(c)
+            if k in free:
                 continue
-            acc = [0] * h
-            for q, v in rep:
-                acc = [a + v * w for a, w in zip(acc, negated[q])]
+            if k is None:
+                j, below = _factor(mon.exponents)
+                row = reduced[below]
+                coeffs.append([-sum(map(mul, row, col)) % p for col in
+                               zip(*[negated[q] for q in shift[j]])])
+            else:
+                coeffs.append(negated[k])
             pivots.append(c)
-            coeffs.append([v % p for v in acc])
+        nonpivots = [S[k] for k in ech.nonpivots]
         yield _Piece(i, ambient, Echelon(len(ambient), field, pivots,
                                          nonpivots, coeffs), field)
         basis = [ambient[c].exponents for c in nonpivots]
+        lower = reduced
         reduced = {ambient[c].exponents: row for c, row in zip(pivots, coeffs)}
 
 

@@ -107,7 +107,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         # the partials of a cone are dependent: h_1 < n
         report["cone"] = algebra.dim(1) < form.n_vars
         if form.n_vars <= MAX_SYMBOLIC_DET:
-            report["hessian_vanishes"] = hessian(form).vanishes
+            report["hessian_vanishes"] = hessian(form, report["cone"]).vanishes
         else:
             report["hessian_vanishes"] = None
             notes.append(f"hessian skipped: more than {MAX_SYMBOLIC_DET} variables")

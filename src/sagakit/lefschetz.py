@@ -227,7 +227,7 @@ def _hessian_at(partials, point, field) -> Matrix:
     return Matrix([[e.eval_at(point) for e in row] for row in partials], field)
 
 
-def hessian(form: Polynomial) -> HessianReport:
+def hessian(form: Polynomial, cone: bool | None = None) -> HessianReport:
     """Exact hessian matrix and verdict (at most 6 variables).
 
     The determinant is taken at one seeded integer point first; a nonzero
@@ -235,7 +235,9 @@ def hessian(form: Polynomial) -> HessianReport:
     hessian vanishes (sum c_i * d_i f = 0 gives H c = 0).  Over Q a form of
     degree >= 2 in at most 4 variables that is not a cone has a nonzero
     hessian (Gordan and Noether 1876), and the symbolic determinant settles
-    any other form.  `.det` is expanded on first read.
+    any other form.  `.det` is expanded on first read.  A caller that knows
+    whether the form is a cone passes it as `cone`; otherwise `is_cone`
+    decides, when the point gives 0.
     """
     d = form.homogeneous_degree()
     if d is None:
@@ -249,7 +251,8 @@ def hessian(form: Polynomial) -> HessianReport:
     report = HessianReport(matrix, vanishes=False)
     if not det_ff(_hessian_at(entries, point, form.field)):
         gordan_noether = form.field.is_rational and form.n_vars <= 4 and d >= 2
-        report.vanishes = (d > 0 and is_cone(form)) or (
+        cone = d > 0 and (is_cone(form) if cone is None else cone)
+        report.vanishes = cone or (
             not gordan_noether and report.det.is_zero)
     return report
 

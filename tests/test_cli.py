@@ -144,8 +144,8 @@ class TestAnalyze:
 
     def test_catalecticants_built_once_per_degree(self, capsys, monkeypatch):
         # the cone verdict is read from h_1 of the algebra, not from a
-        # second degree-1 catalecticant; the one after the algebra's four is
-        # the hessian's cone check, since the hessian vanishes at its point
+        # second degree-1 catalecticant, and the hessian, which vanishes at
+        # its point, is handed that verdict instead of checking again
         degrees = []
         real = apolarity_module.catalecticant
 
@@ -156,7 +156,7 @@ class TestAnalyze:
         monkeypatch.setattr(apolarity_module, "catalecticant", counted)
         code, out, _ = run(capsys, "analyze", PERAZZO)
         assert code == 0 and json.loads(out)["cone"] is False
-        assert degrees == [0, 1, 2, 3, 1]
+        assert degrees == [0, 1, 2, 3]
 
     def test_corpus_input(self, capsys):
         code, out, _ = run(capsys, "analyze", "--corpus", "binary_product")

@@ -56,11 +56,19 @@ basis monomial and minus the `coeffs` row of its pivot otherwise, a lookup
 with no reduction.  Indexing by variables serves cones too, where degree 1
 has fewer classes.  The tables hold ints over one denominator per degree:
 residues over F_p, and over Q every entry times the lcm of the entries'
-denominators.  A product converts each factor to ints once, walks the terms
-of one factor's representatives as chains of int table steps, reduced mod p
-once per step over F_p and not at all over Q (delayed reduction; Dumas,
-Giorgi and Pernet, ACM TOMS 2008), and normalizes each entry of the result
-once, to a Fraction or an Fp.
+denominators.  Beside each dense table, every column is also kept once as
+its nonzero (row, value) pairs, and the terms of each degree's basis
+representatives are converted to ints over one denominator once, pinned
+bases included.  A product is then a sum of paths of steps through those
+sparse columns, one variable per step for each term of a factor's
+representatives; a degree-1 factor collapses to one int weight per
+variable, so each of its steps costs the nonzero table entries it reads.
+Each step is reduced mod p once over F_p and not at all over Q (delayed
+reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and each entry of the
+result is normalized once, to a Fraction or an Fp.  `mul_map(alpha, i, m)`
+takes m such steps of alpha on the unit vectors of degree i, so the map of
+alpha^m never forms the class alpha^m, and `power` takes no step for the
+exponents 0 and 1.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form as
@@ -225,6 +233,10 @@ class GradedAlgebra:
         # _tables[i] = (ints, den): ints[j][c] / den are the coordinates of
         # x_j times basis class c of degree i, filled by _table(i)
         self._tables = [None] * self.socle_degree
+        # the same tables as sparse columns, filled by _columns(i), and the
+        # int terms of each degree's representatives, filled by _rep_terms(d)
+        self._sparse = [None] * self.socle_degree
+        self._reps = [None] * (self.socle_degree + 1)
 
     # -- basic structure ----------------------------------------------
 
@@ -324,13 +336,9 @@ class GradedAlgebra:
         """The variable tables of degree i and their denominator, built once
         from the classes of degree i+1 and divided by their content."""
         if self._tables[i] is None:
-            reps, up = self.piece(i).basis_reps, self.piece(i + 1)
+            terms, d = self._rep_terms(i)
+            up = self.piece(i + 1)
             classes, den = up.classes()
-            ints, d = self.field.to_ints(
-                [c for rep in reps for c in rep.terms.values()])
-            cs = iter(ints)
-            terms = [[(m.exponents, next(cs)) for m in rep.terms]
-                     for rep in reps]
             cols = []
             for j in range(self.n_vars):
                 for rep in terms:
@@ -344,46 +352,81 @@ class GradedAlgebra:
             p = self.field.p
             cols = iter([[v // g % p if p else v // g for v in col]
                          for col in cols])
-            self._tables[i] = ([list(islice(cols, len(reps)))
+            self._tables[i] = ([list(islice(cols, len(terms)))
                                 for _ in range(self.n_vars)], den * d // g)
         return self._tables[i]
 
+    def _columns(self, i: int) -> tuple[list, int]:
+        """The variable tables of degree i as sparse columns over the same
+        denominator: cols[j][c] holds the (row, value) pairs of the nonzero
+        entries of column c of table j."""
+        if self._sparse[i] is None:
+            ints, den = self._table(i)
+            self._sparse[i] = ([[[(r, t) for r, t in enumerate(col) if t]
+                                 for col in table] for table in ints], den)
+        return self._sparse[i]
+
+    def _rep_terms(self, d: int) -> tuple[list, int]:
+        """The terms (exponents, c) of each basis representative of degree d,
+        the c ints over one denominator, converted once."""
+        if self._reps[d] is None:
+            reps = self.piece(d).basis_reps
+            ints, den = self.field.to_ints(
+                [c for rep in reps for c in rep.terms.values()])
+            cs = iter(ints)
+            self._reps[d] = ([[(m.exponents, next(cs)) for m in rep.terms]
+                              for rep in reps], den)
+        return self._reps[d]
+
     def _times(self, a: AlgebraElement, vecs: list, i: int, k: int = 1):
         """a^k times each int coordinate vector of degree i in vecs, and the
-        factor their denominator gains: a term c*m of a representative, times
-        a's coordinate u, is a chain of table steps scaled by u*c, where u and
-        c are ints over one denominator den."""
-        reps = self.piece(a.degree).basis_reps
-        ints, den = self.field.to_ints(
-            list(a.coords) + [c for rep in reps for c in rep.terms.values()])
-        cs = iter(ints[len(reps):])
-        terms = [(chain, s) for chain, s in (
-            ([j for j, e in enumerate(m.exponents) for _ in range(e)],
-             u * next(cs)) for u, rep in zip(ints, reps) for m in rep.terms) if s]
-        p = None if self.field.is_rational else self.field.p
+        factor their denominator gains.
+
+        a is a sum of paths of table steps, each scaled by an int: a term
+        c*m of a representative, times a's coordinate u, is the path of the
+        variables of m scaled by u*c.  A step multiplies by a weighted sum of
+        variables and reads only the nonzero entries of their columns; a
+        degree-1 factor is one step, with one int weight per variable."""
+        coords, den = self.field.to_ints(a.coords)
+        reps, d = self._rep_terms(a.degree)
+        p = self.field.p
+        if a.degree == 1:
+            weights = [0] * self.n_vars
+            for u, rep in zip(coords, reps):
+                for exps, c in rep:
+                    weights[exps.index(1)] += u * c
+            if p:
+                weights = [w % p for w in weights]
+            paths = [([[(j, w) for j, w in enumerate(weights) if w]], 1)]
+        else:
+            paths = [([[(j, 1)] for j, e in enumerate(exps) for _ in range(e)],
+                      u * c) for u, rep in zip(coords, reps) if u
+                     for exps, c in rep]
         factor = 1
         for _ in range(k):
-            tables = [self._table(d) for d in range(i, i + a.degree)]
-            factor *= den * den * prod(d for _, d in tables)
-            i += a.degree
+            steps = [self._columns(t) for t in range(i, i + a.degree)]
+            factor *= den * d * prod(t for _, t in steps)
+            dims = self.hilbert[i + 1:i + 1 + a.degree]
             out = []
             for vec in vecs:
-                acc = [0] * self.hilbert[i]
-                for chain, s in terms:
+                acc = [0] * self.hilbert[i + a.degree]
+                for path, s in paths:
                     w = vec
-                    for j, (table, _) in zip(chain, tables):
-                        nxt = [0] * len(table[j][0])
-                        for v, col in zip(w, table[j]):
+                    for h, weighted, (cols, _) in zip(dims, path, steps):
+                        nxt = [0] * h
+                        for c, v in enumerate(w):
                             if v:
-                                for r, t in enumerate(col):
-                                    if t:
-                                        nxt[r] += v * t
+                                for j, wj in weighted:
+                                    vw = v * wj
+                                    for r, t in cols[j][c]:
+                                        nxt[r] += vw * t
                         w = nxt if p is None else [x % p for x in nxt]
                     for r, v in enumerate(w):
                         if v:
                             acc[r] += s * v
                 out.append(acc)
             vecs = out
+            i += a.degree
         return vecs, factor
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -400,7 +443,8 @@ class GradedAlgebra:
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
         """k-th power of a degree-1 element: k multiplications by x, each one
-        linear step through the variable tables, on one int vector."""
+        sparse step through the variable tables, on one int vector.  x^0 is
+        the unit and x^1 is x normalized, with no table step."""
         if x.degree != 1:
             raise AlgebraError("power expects a degree-1 element")
         if k < 0:
@@ -408,19 +452,28 @@ class GradedAlgebra:
         if k > self.socle_degree:
             raise DegreeOverflowError(
                 f"exponent {k} above socle degree {self.socle_degree}")
+        if k == 0:
+            return self.unit()
+        if k == 1:
+            return AlgebraElement(1, tuple(self.field.from_ints(
+                *self.field.to_ints(x.coords))))
         (out,), factor = self._times(x, [[1]], 0, k)
         return AlgebraElement(k, tuple(self.field.from_ints(out, factor)))
 
-    def mul_map(self, alpha: AlgebraElement, i: int) -> Matrix:
-        """Matrix of multiplication by alpha from degree i to degree i+deg(alpha)."""
-        target = i + alpha.degree
+    def mul_map(self, alpha: AlgebraElement, i: int, m: int = 1) -> Matrix:
+        """Matrix of multiplication by alpha^m from degree i to degree
+        i + m*deg(alpha): m steps of alpha through the tables on the unit
+        vectors of degree i, so the class alpha^m is never formed."""
+        if m < 0:
+            raise AlgebraError("negative exponent")
+        target = i + m * alpha.degree
         if target > self.socle_degree:
             raise DegreeOverflowError(
                 f"multiplication map lands in degree {target}, above socle "
                 f"degree {self.socle_degree}")
         h = self.dim(i)
         cols, factor = self._times(
-            alpha, [[int(r == c) for r in range(h)] for c in range(h)], i)
+            alpha, [[int(r == c) for r in range(h)] for c in range(h)], i, m)
         return Matrix([self.field.from_ints(row, factor) for row in zip(*cols)],
                       self.field)
 
@@ -449,15 +502,8 @@ class GradedAlgebra:
         # denominator each, and each entry normalized once
         classes, den = self.piece(N).classes()
         phi = {m: v for m, (v,) in classes.items() if v}
-        sides = []
-        for reps in (self.piece(s).basis_reps, self.piece(N - s).basis_reps):
-            coeffs, d = self.field.to_ints(
-                [c for rep in reps for c in rep.terms.values()])
-            cs = iter(coeffs)
-            sides.append([[(m.exponents, next(cs)) for m in rep.terms]
-                          for rep in reps])
-            den *= d
-        left, right = sides
+        (left, d), (right, d2) = self._rep_terms(s), self._rep_terms(N - s)
+        den *= d * d2
         matrix = Matrix([self.field.from_ints(
             [sum(c * c2 * phi.get(tuple(map(add, m, m2)), 0)
                  for m, c in a for m2, c2 in b) for b in right], den)

@@ -106,14 +106,23 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
 
 def corrupt_sample(algebra: GradedAlgebra, sample: GammaSample,
                    seed: int = DEFAULT_SEED) -> GammaSample:
-    """Negative control: replace y with a vector outside the fiber."""
+    """Negative control: replace y with a vector outside the fiber.
+
+    Raises AlgebraError when x^k is 0, since then every y lies in the fiber,
+    and DegenerateAlgebra when x^k * y vanishes for 32 consecutive draws.
+    """
     rng = rng_for(seed, 1)
     xpow = algebra.power(sample.x, sample.k)
-    while True:
+    if xpow.is_zero:
+        raise AlgebraError(
+            f"x^{sample.k} is 0, so every y lies in the fiber over [x]")
+    for _ in range(32):
         y = algebra.random_element(1, rng)
         if not algebra.multiply(xpow, y).is_zero:
             return GammaSample(k=sample.k, x=sample.x, y=y,
                                kernel_dim_at_x=sample.kernel_dim_at_x)
+    raise DegenerateAlgebra(
+        f"x^{sample.k} * y vanished for 32 consecutive random draws")
 
 
 def check_ker_coker(algebra: GradedAlgebra, sample: GammaSample) -> bool:

@@ -3,8 +3,9 @@
 The probes are randomized-witness tests for generic statements: a single
 exact witness certifies that the generic multiplication map has maximal
 rank, while failure across all trials is (strong) evidence only.  A probe
-reads one multiplication map: `mul_map` of the class L^m from `power`, so
-every product runs through the algebra's variable tables.  For small square
+reads one multiplication map, that of L^m, as `mul_map(L, k, m)`: m steps
+of L through the algebra's variable tables, with no class L^m formed
+first (Maeno and Watanabe, Illinois J. Math. 2009).  For small square
 cases failure is upgraded to proof by expanding the determinant of the
 multiplication map symbolically in the coordinates t of the probing linear
 form and checking that it is the zero polynomial.  That map is the sum,
@@ -98,9 +99,10 @@ def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
 
 def _map_rank(algebra: GradedAlgebra, k: int, m: int,
               L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k: the rank of `mul_map`
-    of the class L^m from `power`, both chains of variable-table steps."""
-    step = algebra.mul_map(algebra.power(L, m), k)
+    """Rank of multiplication by L^m from degree k: the rank of
+    `mul_map(L, k, m)`, m sparse steps of L through the variable tables on
+    each basis vector of degree k, with no class L^m formed first."""
+    step = algebra.mul_map(L, k, m)
     return echelon_rows(step.entries, step.cols, algebra.field).rank
 
 

@@ -10,7 +10,7 @@ pivot choices and golden outputs reproducible.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import lcm
 
 
@@ -307,13 +307,26 @@ def _exponent_tuples(k: int, rem: int):
             yield (e,) + rest
 
 
+@cache
+def _monomials(n_vars: int, d: int) -> tuple:
+    """The monomials of `monomial_basis`, built once per (n_vars, d) and
+    without validation: `_exponent_tuples` makes only tuples of ints >= 0."""
+    out = []
+    for t in _exponent_tuples(n_vars, d):
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "exponents", t)
+        out.append(m)
+    return tuple(out)
+
+
 def monomial_basis(n_vars: int, d: int) -> list[Monomial]:
-    """All degree-d monomials in n_vars variables, graded-lex order, largest first."""
+    """All degree-d monomials in n_vars variables, graded-lex order, largest
+    first, as a fresh list."""
     if n_vars < 1:
         raise PolyError("need at least one variable")
     if d < 0:
         raise PolyError("negative degree")
-    return [Monomial(t) for t in _exponent_tuples(n_vars, d)]
+    return list(_monomials(n_vars, d))
 
 
 class Polynomial:

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
-from sagakit.algebra import (AlgebraError, DegreeOverflowError,
-                             NotRegularSequence, _checked_regular_sequence,
+from sagakit.algebra import (AlgebraElement, AlgebraError,
+                             DegreeOverflowError, NotRegularSequence, _checked_regular_sequence,
                              _fp_pieces, _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
 from sagakit.exactla import Echelon, echelon_rows
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
+from sagakit.lefschetz import SLP, WLP, lefschetz_probe
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
 
@@ -404,6 +405,17 @@ def test_tables_and_pairings_read_the_echelon_without_residual(monkeypatch,
     assert all(alg.pairing_check(s)[0] for s in range(N + 1))
 
 
+DEN5_ALGEBRAS = ["den5_q", "den5_fp7", "den5_fp32003", "den5_q_pinned"]
+
+
+@pytest.fixture(scope="module", params=TABLE_ALGEBRAS + DEN5_ALGEBRAS)
+def product_algebra(request, monomial_ci, perazzo_alg):
+    """The table algebras and the denominator-5 cubics of _den5_algebras."""
+    if request.param in DEN5_ALGEBRAS:
+        return _den5_algebras()[DEN5_ALGEBRAS.index(request.param)]
+    return _table_algebra(request.param, monomial_ci, perazzo_alg)
+
+
 class TestTablesMatchPolynomialProducts:
     """Table-based products against reduce(lift(a) * lift(b))."""
 
@@ -438,6 +450,71 @@ class TestTablesMatchPolynomialProducts:
                 for c, b in enumerate(alg.basis(i)):
                     want = alg.reduce(alg.lift(alpha) * alg.lift(b), e + i)
                     assert tuple(row[c] for row in m.entries) == want.coords
+
+    def test_mul_map_of_a_power(self, product_algebra):
+        # every column of the map of alpha^m against the polynomial oracle
+        alg = product_algebra
+        rng = random.Random(13)
+        N = alg.socle_degree
+        for e in range(N + 1):
+            alpha = alg.random_element(e, rng)
+            for m in range(N // max(e, 1) + 1):
+                for i in range(N + 1 - m * e):
+                    step = alg.mul_map(alpha, i, m)
+                    for c, b in enumerate(alg.basis(i)):
+                        want = alg.reduce(alg.lift(alpha) ** m * alg.lift(b),
+                                          i + m * e)
+                        assert (tuple(row[c] for row in step.entries)
+                                == want.coords)
+
+    def test_mul_map_of_L_is_the_map_of_its_power(self, product_algebra):
+        alg = product_algebra
+        rng = random.Random(14)
+        N = alg.socle_degree
+        for _ in range(2):
+            L = alg.random_element(1, rng)
+            for m in range(N + 1):
+                for k in range(N + 1 - m):
+                    assert (alg.mul_map(L, k, m).entries
+                            == alg.mul_map(alg.power(L, m), k).entries)
+        with pytest.raises(AlgebraError):
+            alg.mul_map(L, 0, -1)
+        with pytest.raises(DegreeOverflowError):
+            alg.mul_map(L, 1, N)
+
+    def test_trivial_powers_take_no_table_step(self, monkeypatch,
+                                               product_algebra):
+        alg = product_algebra
+
+        def refuse(*args):
+            raise AssertionError("table step in a trivial power")
+
+        monkeypatch.setattr(algebra_module.GradedAlgebra, "_table", refuse)
+        monkeypatch.setattr(algebra_module.GradedAlgebra, "_columns", refuse)
+        x = alg.random_element(1, random.Random(15))
+        assert alg.power(x, 0) == alg.unit()
+        assert alg.power(x, 1) == x
+        if alg.field.is_rational:
+            # int coordinates come back as normalized Fractions
+            ints = AlgebraElement(1, tuple(range(1, alg.dim(1) + 1)))
+            power = alg.power(ints, 1)
+            assert power.coords == ints.coords
+            assert all(type(c) is Fraction for c in power.coords)
+
+    def test_probe_makes_no_power_call(self, monkeypatch, product_algebra):
+        alg = product_algebra
+
+        def refuse(*args):
+            raise AssertionError("power inside a probe")
+
+        N = alg.socle_degree
+        probes = [(SLP, k) for k in range(N // 2 + 1)] + [(WLP, k)
+                                                          for k in range(N)]
+        want = [lefschetz_probe(alg, kind, k, trials=2).to_json_dict()
+                for kind, k in probes]
+        monkeypatch.setattr(algebra_module.GradedAlgebra, "power", refuse)
+        assert [lefschetz_probe(alg, kind, k, trials=2).to_json_dict()
+                for kind, k in probes] == want
 
     @pytest.mark.parametrize("name", ["monomial_ci", "perazzo_pinned"])
     def test_products_do_no_polynomial_arithmetic(self, monkeypatch, name):

@@ -369,7 +369,7 @@ class TestGamma:
 
 
 class TestGoldenReports:
-    """sha256 of the JSON report bytes of sixteen reference runs, and of the
+    """sha256 of the JSON report bytes of eighteen reference runs, and of the
     error text of one rejected input.
 
     Any change to a report's bytes, however it arises, fails here.  The first
@@ -385,12 +385,16 @@ class TestGoldenReports:
     mixed-degree CI over F_32003) and the error text (a sequence over Q that
     is not regular, built eagerly after the miss mod p) before Macaulay rows
     were skipped by the F5 criterion and pairings read from the socle
-    functional; the last two (the five-variable quadric CI and the
+    functional; the next two (the five-variable quadric CI and the
     mixed-degree CI, both over Q) before the lazy Q pieces took the F5 rows
     too; the next (the five-variable quadric CI over F_(2^31 - 1), whose
     packed slots are wider than any array item) before F_p rows were
-    converted through arrays; the last (gamma samples of a cubic whose
-    variable tables have denominator 5) before products ran on ints.
+    converted through arrays; the next (gamma samples of a cubic whose
+    variable tables have denominator 5) before products ran on ints; the
+    last two (a cone, where degree 1 has fewer classes than variables, and
+    gamma samples of the cubic over F_32003) before products walked only
+    the nonzero table entries and probes read multiplication by L^m
+    straight from the tables.
     """
 
     GOLDEN = [
@@ -426,6 +430,10 @@ class TestGoldenReports:
          "d21f63464b1350553109167bfcc3ad43d4ad7065c8efcc9c3922b41c049d8496"),
         (["gamma", PERAZZO_DEN5, "--trials", "16"],
          "35669ae3f77ac4d05ab317c99c3347ffe97ba5a1a9e73131fbf715ef39701eaa"),
+        (["analyze", "--corpus", "coordinate_cube_cone"],
+         "edbc630fe6ae07be86e28e97cd814fdc022cdf3aa7084844dcff6de9e05f6cc7"),
+        (["gamma", PERAZZO, "--field", "fp:32003", "--trials", "8"],
+         "1972dca44da32317c22c0253542b8d7832c4b981d40cb47f74085ddb54e40572"),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN,
@@ -437,7 +445,8 @@ class TestGoldenReports:
                                   "analyze_mixed_ci4_fp32003",
                                   "analyze_ci5_q", "analyze_mixed_ci4_q",
                                   "analyze_ci5_fp2147483647",
-                                  "gamma_den5"])
+                                  "gamma_den5", "analyze_cone",
+                                  "gamma_fp32003"])
     def test_report_sha256(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -11,7 +11,8 @@ import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import (AlgebraError, from_inverse_system,
                              from_regular_sequence)
 from sagakit.exactla import Matrix, det_ff
-from sagakit.gnlab import (DegenerateAlgebra, SLPEvidence, check_ggn, check_k1_bound,
+from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
+                           check_ggn, check_k1_bound,
                            check_ker_coker, composed_gn_map, corrupt_sample,
                            degenerate_pair_search, gn_map_check,
                            perazzo_fixture, printed_gn_map, sample_gamma,
@@ -105,6 +106,29 @@ class TestIdentities:
             bad = corrupt_sample(perazzo_alg, s, seed=seed + 100)
             assert not check_ker_coker(perazzo_alg, bad)
             assert not check_ggn(perazzo_alg, bad)
+
+    def test_corrupt_sample_rejects_a_vanishing_power(self, perazzo_alg):
+        # x^2 = 0 puts every y in the fiber; no draw may be attempted
+        x = perazzo_alg.element(1, [1, 2, 3, 0, 0])
+        assert perazzo_alg.power(x, 2).is_zero
+        sample = GammaSample(k=2, x=x, y=x, kernel_dim_at_x=5)
+        with pytest.raises(AlgebraError, match=r"x\^2 is 0"):
+            corrupt_sample(perazzo_alg, sample)
+
+    def test_corrupt_sample_gives_up_after_32_draws(self, monkeypatch,
+                                                     perazzo_alg):
+        # every draw returns the sample's own y, which lies in the fiber
+        sample = sample_gamma(perazzo_alg, 1, seed=0)
+        draws = []
+
+        def in_fiber(degree, rng):
+            draws.append(degree)
+            return sample.y
+
+        monkeypatch.setattr(perazzo_alg, "random_element", in_fiber)
+        with pytest.raises(DegenerateAlgebra, match="32 consecutive"):
+            corrupt_sample(perazzo_alg, sample)
+        assert draws == [1] * 32
 
 
 class TestKernelBounds:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -123,6 +124,28 @@ class TestMonomialBasis:
     def test_strictly_decreasing(self):
         basis = monomial_basis(4, 3)
         assert all(a > b for a, b in zip(basis, basis[1:]))
+
+    def test_equals_the_validated_construction(self):
+        # the cached, unvalidated monomials against Monomial(...) of every
+        # exponent tuple of degree d, largest first
+        for n_vars in range(1, 7):
+            for d in range(7):
+                tuples = sorted((t for t in product(range(d + 1),
+                                                    repeat=n_vars)
+                                 if sum(t) == d), reverse=True)
+                basis = monomial_basis(n_vars, d)
+                assert basis == [Monomial(t) for t in tuples]
+                assert [m.exponents for m in basis] == tuples
+
+    def test_each_call_returns_a_fresh_list(self):
+        basis = monomial_basis(3, 2)
+        basis.pop()
+        assert len(monomial_basis(3, 2)) == 6
+        assert monomial_basis(3, 2) is not monomial_basis(3, 2)
+
+    def test_monomial_still_rejects_negative_exponents(self):
+        with pytest.raises(PolyError, match="negative exponent"):
+            Monomial((1, -1, 2))
 
 
 class TestEval:

@@ -56,13 +56,13 @@ basis monomial and minus the `coeffs` row of its pivot otherwise, a lookup
 with no reduction.  Indexing by variables serves cones too, where degree 1
 has fewer classes.  The tables hold ints over one denominator per degree:
 residues over F_p, and over Q every entry times the lcm of the entries'
-denominators.  Beside each dense table, every column is also kept once as
-its nonzero (row, value) pairs, and the terms of each degree's basis
-representatives are converted to ints over one denominator once, pinned
-bases included.  A product is then a sum of paths of steps through those
-sparse columns, one variable per step for each term of a factor's
-representatives; a degree-1 factor collapses to one int weight per
-variable, so each of its steps costs the nonzero table entries it reads.
+denominators; each column keeps only its nonzero (row, value) pairs.  The
+terms of each degree's basis representatives are converted to ints over
+one denominator once, pinned bases included.  A product is then a sum of
+paths of steps through those columns, one variable per step for each term
+of a factor's representatives; a degree-1 factor collapses to one int
+weight per variable, so each of its steps costs the nonzero table entries
+it reads.
 Each step is reduced mod p once over F_p and not at all over Q (delayed
 reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and each entry of the
 result is normalized once, to a Fraction or an Fp.  `mul_map(alpha, i, m)`
@@ -88,7 +88,7 @@ data.
 
 from dataclasses import dataclass
 from itertools import chain, combinations, count, islice
-from math import comb, gcd, prod
+from math import gcd, prod
 from operator import add, mul
 
 from .apolarity import annihilator_echelon, contract
@@ -230,10 +230,7 @@ class GradedAlgebra:
         self.hilbert = tuple(hilbert)
         # the same algebra mod SHADOW_PRIME, when a modular-first build kept it
         self.shadow = shadow
-        # _tables[i] = (ints, den): ints[j][c] / den are the coordinates of
-        # x_j times basis class c of degree i, filled by _table(i)
-        self._tables = [None] * self.socle_degree
-        # the same tables as sparse columns, filled by _columns(i), and the
+        # the variable tables of each degree, filled by _columns(i), and the
         # int terms of each degree's representatives, filled by _rep_terms(d)
         self._sparse = [None] * self.socle_degree
         self._reps = [None] * (self.socle_degree + 1)
@@ -332,10 +329,12 @@ class GradedAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def _table(self, i: int) -> tuple[list, int]:
-        """The variable tables of degree i and their denominator, built once
-        from the classes of degree i+1 and divided by their content."""
-        if self._tables[i] is None:
+    def _columns(self, i: int) -> tuple[list, int]:
+        """The variable tables of degree i as sparse columns over one
+        denominator: cols[j][c] holds the (row, value) pairs of the nonzero
+        coordinates of x_j times basis class c, built once from the classes
+        of degree i+1 and divided by their content."""
+        if self._sparse[i] is None:
             terms, d = self._rep_terms(i)
             up = self.piece(i + 1)
             classes, den = up.classes()
@@ -350,20 +349,14 @@ class GradedAlgebra:
                     cols.append(acc)
             g = gcd(den * d, *chain(*cols))
             p = self.field.p
-            cols = iter([[v // g % p if p else v // g for v in col]
-                         for col in cols])
-            self._tables[i] = ([list(islice(cols, len(terms)))
+            # reduced before zeros are dropped: a pinned representative's
+            # terms can sum to a nonzero multiple of p
+            scaled = ([v // g % p if p else v // g for v in col]
+                      for col in cols)
+            cols = iter([[(r, t) for r, t in enumerate(col) if t]
+                         for col in scaled])
+            self._sparse[i] = ([list(islice(cols, len(terms)))
                                 for _ in range(self.n_vars)], den * d // g)
-        return self._tables[i]
-
-    def _columns(self, i: int) -> tuple[list, int]:
-        """The variable tables of degree i as sparse columns over the same
-        denominator: cols[j][c] holds the (row, value) pairs of the nonzero
-        entries of column c of table j."""
-        if self._sparse[i] is None:
-            ints, den = self._table(i)
-            self._sparse[i] = ([[[(r, t) for r, t in enumerate(col) if t]
-                                 for col in table] for table in ints], den)
         return self._sparse[i]
 
     def _rep_terms(self, d: int) -> tuple[list, int]:
@@ -521,7 +514,12 @@ class GradedAlgebra:
         for i in range(self.socle_degree):
             h_next = self.dim(i + 1)
             # the variables span degree 1, so the (scaled) table columns do
-            stacked = [col for table in self._table(i)[0] for col in table]
+            stacked = []
+            for col in chain(*self._columns(i)[0]):
+                dense = [0] * h_next
+                for r, t in col:
+                    dense[r] = t
+                stacked.append(dense)
             if echelon_rows(stacked, h_next, self.field).rank < h_next:
                 return False
         return True
@@ -641,23 +639,13 @@ def from_inverse_system(form: Polynomial) -> GradedAlgebra:
                          {"kind": "inverse_system", "form": form})
 
 
-def expected_ci_hilbert(degrees, n_vars: int) -> list[int]:
-    """Coefficients of prod(1 - t^e) / (1 - t)^n_vars through the socle degree."""
-    N = sum(e - 1 for e in degrees)
-    numer = [0] * (sum(degrees) + 1)
-    numer[0] = 1
+def expected_ci_hilbert(degrees) -> list[int]:
+    """Coefficients of the product of 1 + t + ... + t^(e-1) over the degrees
+    e, which is prod(1 - t^e) / (1 - t)^n for n forms in n variables."""
+    out = [1]
     for e in degrees:
-        nxt = list(numer)
-        for k in range(len(numer) - e):
-            nxt[k + e] -= numer[k]
-        numer = nxt
-    out = []
-    for i in range(N + 1):
-        total = 0
-        for j in range(min(i, len(numer) - 1) + 1):
-            if numer[j]:
-                total += numer[j] * comb(n_vars - 1 + i - j, i - j)
-        out.append(total)
+        out = [sum(out[max(0, i - e + 1):i + 1])
+               for i in range(len(out) + e - 1)]
     return out
 
 
@@ -690,7 +678,7 @@ def from_regular_sequence(forms: list[Polynomial]) -> GradedAlgebra:
             raise AlgebraError(
                 "generators must be nonzero homogeneous of degree >= 1")
         degrees.append(e)
-    expected = expected_ci_hilbert(degrees, n)
+    expected = expected_ci_hilbert(degrees)
     if field.is_rational:
         shadow = _modular_shadow(forms, degrees, expected)
         if shadow is not None:

@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, product
 from math import comb, gcd
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraElement, AlgebraError,
-                             DegreeOverflowError, NotRegularSequence, _checked_regular_sequence,
+                             DegreeOverflowError, GradedAlgebra,
+                             NotRegularSequence, _Piece,
+                             _checked_regular_sequence,
                              _fp_pieces, _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant
@@ -86,8 +89,18 @@ class TestFromRegularSequence:
 
     def test_expected_series(self):
         # (1+t)^5 expanded
-        assert expected_ci_hilbert([2] * 5, 5) == [comb(5, i) for i in range(6)]
-        assert expected_ci_hilbert([2] * 4, 4) == [1, 4, 6, 4, 1]
+        assert expected_ci_hilbert([2] * 5) == [comb(5, i) for i in range(6)]
+        assert expected_ci_hilbert([2] * 4) == [1, 4, 6, 4, 1]
+
+    def test_expected_series_counts_monomial_ci_classes(self):
+        # the monomial CI prod x_k^(e_k) has the monomials x^a with every
+        # a_k < e_k as its basis, so h_i counts those with sum(a) = i
+        rng = random.Random(21)
+        for _ in range(40):
+            degrees = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+            counts = Counter(map(sum, product(*map(range, degrees))))
+            want = [counts[i] for i in range(sum(degrees) - len(degrees) + 1)]
+            assert expected_ci_hilbert(degrees) == want
 
     def test_missing_variable_rejected(self):
         bad = gens(["x0^2", "x0*x1", "x1^2", "x2^2", "x3^2"], 5)
@@ -107,7 +120,7 @@ class TestFromRegularSequence:
     def test_mixed_degrees(self):
         a = from_regular_sequence(gens(["x0^2", "x1^3", "x2^2"], 3))
         assert a.socle_degree == 4
-        assert a.hilbert == tuple(expected_ci_hilbert([2, 3, 2], 3))
+        assert a.hilbert == tuple(expected_ci_hilbert([2, 3, 2]))
         assert a.hilbert_symmetric()
 
     def test_prime_field(self):
@@ -288,6 +301,20 @@ class TestStructuralGates:
     def test_standardness(self, monomial_ci, perazzo_alg):
         assert monomial_ci.is_standard()
         assert perazzo_alg.is_standard()
+
+    @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)])
+    def test_algebra_not_generated_in_degree_one(self, field):
+        # Hilbert vector (1, 0, 1) in one variable: x0 lies in the ideal and
+        # x0^2 does not, so no product of degree-1 classes reaches degree 2
+        pieces = [_Piece(0, monomial_basis(1, 0),
+                         Echelon(1, field, [], [0], []), field),
+                  _Piece(1, monomial_basis(1, 1),
+                         Echelon(1, field, [0], [], [[]]), field),
+                  _Piece(2, monomial_basis(1, 2),
+                         Echelon(1, field, [], [0], []), field)]
+        alg = GradedAlgebra(1, field, pieces, {"kind": "hand_made"})
+        assert alg.hilbert == (1, 0, 1)
+        assert not alg.is_standard()
 
     def test_random_inverse_systems_are_gorenstein(self):
         rng = random.Random(55)
@@ -489,7 +516,6 @@ class TestTablesMatchPolynomialProducts:
         def refuse(*args):
             raise AssertionError("table step in a trivial power")
 
-        monkeypatch.setattr(algebra_module.GradedAlgebra, "_table", refuse)
         monkeypatch.setattr(algebra_module.GradedAlgebra, "_columns", refuse)
         x = alg.random_element(1, random.Random(15))
         assert alg.power(x, 0) == alg.unit()
@@ -564,16 +590,39 @@ def _den5_algebras():
 
 def test_den5_tables_have_denominator_five():
     alg = _den5_algebras()[0]
-    assert [alg._table(i)[1] for i in range(3)] == [1, 5, 5]
+    assert [alg._columns(i)[1] for i in range(3)] == [1, 5, 5]
     # each denominator is the lcm of its entries' denominators, pinned
-    # bases included, and the F_p tables hold residues
+    # bases included, the columns keep only nonzero entries, and the F_p
+    # tables hold residues
     for alg in _den5_algebras():
         p = alg.field.p
         for i in range(alg.socle_degree):
-            ints, den = alg._table(i)
-            entries = list(chain(*chain(*ints)))
-            assert gcd(den, *entries) == 1
-            assert not p or (den == 1 and all(0 <= v < p for v in entries))
+            cols, den = alg._columns(i)
+            entries = [t for col in chain(*cols) for _, t in col]
+            assert gcd(den, *entries) == 1 and all(entries)
+            assert not p or (den == 1 and all(0 < v < p for v in entries))
+
+
+def test_columns_drop_entries_that_vanish_mod_p():
+    # pin x0 + c*x1 with c chosen so that x_j * (x0 + c*x1) is a nonzero
+    # multiple of p in one row before reduction: that entry is 0 in F_p
+    alg = _quadric_ci_fp()
+    p = alg.field.p
+    classes, _ = alg.piece(2).classes()
+    j, r, u, v = next(
+        (j, r, u, v) for j in range(5)
+        for r, (u, v) in enumerate(zip(
+            classes[tuple((t == 0) + (t == j) for t in range(5))],
+            classes[tuple((t == 1) + (t == j) for t in range(5))]))
+        if u and v)
+    c = -u * pow(v, -1, p) % p
+    assert u + c * v and (u + c * v) % p == 0
+    pinned = alg.with_degree_basis(1, gens(
+        [f"x0 + {c}*x1", "x1", "x2", "x3", "x4"], 5, alg.field))
+    cols, den = pinned._columns(1)
+    assert den == 1
+    assert all(0 < t < p for col in chain(*cols) for _, t in col)
+    assert r not in dict(cols[j][0])
 
 
 @st.composite
@@ -741,7 +790,7 @@ def _all_rows_build(forms, degrees, expected):
 @settings(max_examples=150, deadline=None)
 def test_skipped_rows_build_the_same_echelon(case):
     forms, degrees = case
-    expected = expected_ci_hilbert(degrees, len(forms))
+    expected = expected_ci_hilbert(degrees)
     echelons, failure = _all_rows_build(forms, degrees, expected)
     builds = [lambda: _checked_regular_sequence(forms, degrees, expected)]
     if forms[0].field.is_rational:

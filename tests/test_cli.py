@@ -1,16 +1,22 @@
 import concurrent.futures
 import gc
 import hashlib
+import io
 import json
 import re
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity_module
 import sagakit.gnlab as gnlab_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.cli import main
+from sagakit.polyring import RATIONAL, Polynomial, monomial_basis
 
 PERAZZO = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -598,3 +604,134 @@ def test_analyze_leaves_no_monomial_basis_closure_for_the_collector(capsys):
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+class TestLeadingMinus:
+    """argparse reads an argument that starts with '-' and has no space as
+    an option; after '--' every argument is a positional."""
+
+    @staticmethod
+    def usage_error(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        return captured.err
+
+    def test_leading_minus_form_is_read_as_an_option(self, capsys):
+        err = self.usage_error(capsys, "analyze", "-2*x0^3")
+        assert "error: unrecognized arguments: -2*x0^3" in err
+
+    def test_form_after_the_separator(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--format", "text", "--",
+                           "-2*x0^3")
+        assert code == 0
+        assert out.startswith("input: -2*x0^3\n")
+
+    def test_flag_after_the_separator_is_a_positional(self, capsys):
+        err = self.usage_error(capsys, "analyze", "--", "-2*x0^3", "--format",
+                               "text")
+        assert "error: unrecognized arguments: --format text" in err
+
+
+# -- the CLI contract on generated argv ----------------------------------------
+
+FUZZ_FIELDS = ["rational", "fp:2", "fp:3", "fp:5", "fp:7", "fp:32003"]
+BAD_FIELDS = ["fp:4", "fp:1", "fp:0", "fp:-7", "fp:", "fp:x", "fp:2.5",
+              "real", "FP:7", ""]
+# fragments spliced into a valid form or joined on their own; most of them
+# break the parse, and a few (spaces, a leading sign) leave a valid form
+GARBAGE = ["^", "*", "+", "-", "/", "/0", "x", "y0", "x0^", "^-1", "**",
+           "(", ")", ";", "1/", ".5", "x-1", "2x", "  ", "\t", "#"]
+
+
+@st.composite
+def small_form(draw, n):
+    """A form in n <= 3 variables: degree at most 4, coefficients in -3..3,
+    now and then with a term of another degree."""
+    terms = {m: draw(st.integers(-3, 3))
+             for m in monomial_basis(n, draw(st.integers(1, 4)))}
+    if draw(st.integers(0, 7)) == 0:
+        terms[draw(st.sampled_from(monomial_basis(n, draw(
+            st.integers(0, 4)))))] = draw(st.integers(-3, 3))
+    return Polynomial(n, RATIONAL, {m: c for m, c in terms.items()
+                                    if c}).to_string()
+
+
+@st.composite
+def malformed(draw, text):
+    """text with garbage spliced in, or replaced by it."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(GARBAGE), max_size=4)))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(GARBAGE)) + text[at:]
+
+
+def sometimes(draw, valid, invalid):
+    """A draw of valid, or about one time in eight of invalid."""
+    return draw(invalid if draw(st.integers(0, 7)) == 7 else valid)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(["analyze", "gamma"]))
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        text = draw(small_form(n))
+    else:
+        count = n + sometimes(draw, st.just(0), st.sampled_from([-1, 1]))
+        text = ";".join(draw(small_form(n)) for _ in range(max(count, 1)))
+    text = sometimes(draw, st.just(text), malformed(text))
+    options = [("--trials", str(sometimes(draw, st.integers(1, 3),
+                                          st.integers(-2, 0)))),
+               ("--jobs", str(sometimes(draw, st.integers(1, 3),
+                                        st.just(0))))]
+    if draw(st.booleans()):
+        options.append(("--field", sometimes(
+            draw, st.sampled_from(FUZZ_FIELDS), st.sampled_from(BAD_FIELDS))))
+    if draw(st.booleans()):
+        options.append(("--nvars", str(sometimes(draw, st.just(n),
+                                                 st.integers(-1, n - 1)))))
+    if draw(st.booleans()):
+        options.append(("--seed", str(draw(st.one_of(
+            st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))))))
+    if command == "gamma" and draw(st.booleans()):
+        options.append(("--k", str(draw(st.integers(-3, 9)))))
+    if draw(st.booleans()):
+        options.append(("--format", draw(st.sampled_from(["json", "text"]))))
+    options = [word for pair in draw(st.permutations(options))
+               for word in pair]
+    # a leading '-' reads as an option unless the form follows '--'
+    if sometimes(draw, st.just(True), st.just(False)):
+        return [command, *options, "--", text]
+    return [command, text, *options]
+
+
+def test_fuzzed_argv_keeps_the_exit_contract(monkeypatch):
+    """Every generated argv exits 0, 1 or 2 (argparse's SystemExit counted
+    as its code) within the deadline, prints no traceback, and pairs an
+    exit of 2 with 'error:' on stderr; no worker pool is started."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    codes = Counter()
+
+    @given(fuzzed_argv())
+    @settings(max_examples=300, deadline=timedelta(seconds=10),
+              derandomize=True, database=None)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert code != 2 or "error:" in err.getvalue(), err.getvalue()
+        codes[code] += 1
+
+    check()
+    assert sum(codes.values()) >= 300
+    assert codes[0] >= sum(codes.values()) // 5, codes

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import sagakit.algebra as algebra_module
+import sagakit.apolarity as apolarity_module
 import sagakit.gnlab as gnlab_module
 import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import (AlgebraError, from_inverse_system,
@@ -287,6 +288,22 @@ class TestPerazzoFixture:
                     "gamma_component_equations", "gamma_y_on_conic",
                     "corrupted_samples_fail", "square_zero_iff_plane"}
         assert expected <= set(report.assertions)
+
+    def test_catalecticants_built_once_per_degree(self, monkeypatch,
+                                                  perazzo_alg):
+        # the cone verdict is read from h_1 of the algebra and handed to the
+        # hessian, so only the annihilator piece of degree 2 is eliminated
+        degrees = []
+        real = apolarity_module.catalecticant
+
+        def counted(form, i):
+            degrees.append(i)
+            return real(form, i)
+
+        monkeypatch.setattr(apolarity_module, "catalecticant", counted)
+        report = perazzo_fixture(seed=1729, algebra=perazzo_alg)
+        assert report.passed and report.assertions["not_a_cone"]
+        assert degrees == [2]
 
 
 class TestTheoremC:

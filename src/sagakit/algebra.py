@@ -506,9 +506,6 @@ class GradedAlgebra:
                                      self.field).rank == self.dim(s)
         return ok, matrix
 
-    def hilbert_symmetric(self) -> bool:
-        return self.hilbert == tuple(reversed(self.hilbert))
-
     def is_standard(self) -> bool:
         """Every piece is spanned by products of degree-1 classes."""
         for i in range(self.socle_degree):

@@ -69,6 +69,9 @@ def _parse_inputs(args, field: FieldSpec):
     if n_vars is None:
         n_vars = max(max_variable_index(t) for t in texts) + 1
         if n_vars < 1:
+            # no variable appears, so each input is a constant
+            if len(texts) == 1 and parse_poly(texts[0], 1, field).is_zero:
+                raise UsageError("zero form has no inverse-system algebra")
             raise UsageError("could not infer variable count; pass --nvars")
     elif n_vars < 1:
         raise UsageError("--nvars must be at least 1")

@@ -16,6 +16,8 @@ import concurrent.futures
 import os
 from dataclasses import asdict, dataclass
 from itertools import repeat
+from math import comb
+from operator import mul
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       NotRegularSequence, from_inverse_system,
@@ -68,6 +70,10 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
     power of every degree-1 basis class is 0.
     """
     N = algebra.socle_degree
+    if N <= 2:
+        raise AlgebraError(
+            f"no exponent k is valid: k must lie in 1..N-2, and the socle "
+            f"degree N is {N}")
     if not 1 <= k <= N - 2:
         raise AlgebraError(f"exponent {k} outside 1..{N - 2}")
     # in characteristic p, x^p is the sum of c^p * b^p over the degree-1
@@ -125,27 +131,46 @@ def corrupt_sample(algebra: GradedAlgebra, sample: GammaSample,
         f"x^{sample.k} * y vanished for 32 consecutive random draws")
 
 
+def _mixed_classes(algebra: GradedAlgebra,
+                   sample: GammaSample) -> list[AlgebraElement]:
+    """The classes x^(k+1-j) y^j for j = 1..k+1: those of degree s+1 are x
+    times each of degree s, then y times y^s, one table step each."""
+    x, y = sample.x, sample.y
+    row = [y]
+    for _ in range(sample.k):
+        row = ([algebra.multiply(x, m) for m in row]
+               + [algebra.multiply(y, row[-1])])
+    return row
+
+
 def check_ker_coker(algebra: GradedAlgebra, sample: GammaSample) -> bool:
     """All mixed powers x^i y^j with i + j = k+1, j >= 1 vanish."""
-    k = sample.k
-    for j in range(1, k + 2):
-        i = k + 1 - j
-        prod = algebra.multiply(algebra.power(sample.x, i),
-                                algebra.power(sample.y, j))
-        if not prod.is_zero:
-            return False
-    return True
+    return all(m.is_zero for m in _mixed_classes(algebra, sample))
 
 
 def check_ggn(algebra: GradedAlgebra, sample: GammaSample,
               t_values=GGN_DEFAULT_T) -> bool:
-    """(x + t y)^{k+1} equals x^{k+1} for every scalar t in t_values."""
-    k = sample.k
-    baseline = algebra.power(sample.x, k + 1)
+    """(x + t y)^{k+1} equals x^{k+1} for every scalar t in t_values.
+
+    By the binomial theorem the difference is the sum over j >= 1 of
+    C(k+1, j) t^j x^(k+1-j) y^j, one polynomial in t.  Its k+1 mixed classes
+    are formed once, as ints over one denominator, and each t = a/b is
+    decided from the sum of C(k+1, j) a^j b^(k+1-j) times class j, taken mod
+    p over F_p; no shifted element or fresh power is formed.
+    """
+    field, k = algebra.field, sample.k
+    mixed = _mixed_classes(algebra, sample)
+    ints, _ = field.to_ints([c for m in mixed for c in m.coords])
+    h, p = len(mixed[0].coords), field.p
     for t in t_values:
-        shifted = sample.x + sample.y.scale(algebra.field.coerce(t))
-        if algebra.power(shifted, k + 1) != baseline:
-            return False
+        (a,), b = field.to_ints([field.coerce(t)])
+        weights = [comb(k + 1, j) * a ** j * b ** (k + 1 - j)
+                   for j in range(1, k + 2)]
+        # ints[r::h] is coordinate r of every mixed class
+        for r in range(h):
+            v = sum(map(mul, weights, ints[r::h]))
+            if v % p if p else v:
+                return False
     return True
 
 

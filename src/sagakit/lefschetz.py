@@ -19,21 +19,25 @@ is at most the rank over Q: a rank mod p that reaches the largest possible
 rank is the rank over Q.  Only a lower rank is recomputed over Q, so every
 probe returns the Q rank and finds the same first witness.
 
-The hessian verdict evaluates the second partials at one seeded integer
-point first (mapped into F_p over F_p).  A nonzero determinant there proves
-that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it is 0, a
-cone's hessian vanishes.  Over Q, in at most 4 variables and degree >= 2,
-the hessian vanishes only for a cone: the Gordan-Noether theorem, which the
-source paper reproves, and which fails in characteristic p.  A linear form
-has a zero hessian without being a cone, so it is left out.  Any other
-form's determinant is expanded, so the verdict is exact over every field,
-including a small F_p on whose points a nonzero hessian can vanish.
-The symbolic determinant of a report is otherwise computed on first read.
+The hessian verdict reads the hessian at one seeded integer point first,
+straight from the form's terms as ints over one denominator (residues over
+F_p), with no second-partial polynomial built.  A nonzero determinant there
+proves that the hessian is nonzero (Schwartz 1980; Zippel 1979).  When it
+is 0, a cone's hessian vanishes.  Over Q, in at most 4 variables and
+degree >= 2, the hessian vanishes only for a cone: the Gordan-Noether
+theorem, which the source paper reproves, and which fails in
+characteristic p.  A linear form has a zero hessian without being a cone,
+so it is left out.  Any other form's determinant is expanded, so the
+verdict is exact over every field, including a small F_p on whose points a
+nonzero hessian can vanish.  A report's matrix of second partials, and its
+symbolic determinant, are otherwise built on first read.  The rank/hessian
+cross-check reads the hessian at its points from the same int evaluator.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from operator import mul
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
@@ -181,21 +185,34 @@ def symbolic_probe_determinant(algebra: GradedAlgebra, kind: str,
     return det_ff(Matrix(entries, algebra.field))
 
 
-@dataclass
 class HessianReport:
-    """Second-partial matrix of a form, whether its determinant vanishes
-    identically, and that determinant, expanded symbolically on first read.
+    """Whether a form's hessian determinant vanishes identically, with its
+    second-partial matrix and that determinant built on first read.
 
     repr and == show matrix and vanishes only: det is a function of matrix,
     and printing it would expand it.
     """
 
-    matrix: Matrix
-    vanishes: bool
+    def __init__(self, form: Polynomial, vanishes: bool):
+        self.form = form
+        self.vanishes = vanishes
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return Matrix(second_partials(self.form), self.form.field)
 
     @cached_property
     def det(self) -> Polynomial:
         return det_ff(self.matrix)
+
+    def __eq__(self, other):
+        return (isinstance(other, HessianReport)
+                and self.vanishes == other.vanishes
+                and self.matrix == other.matrix)
+
+    def __repr__(self):
+        return (f"HessianReport(matrix={self.matrix!r}, "
+                f"vanishes={self.vanishes!r})")
 
 
 def second_partials(form: Polynomial) -> list[list[Polynomial]]:
@@ -224,22 +241,59 @@ def second_partials(form: Polynomial) -> list[list[Polynomial]]:
     return out
 
 
-def _hessian_at(partials, point, field) -> Matrix:
-    """The second-partial matrix evaluated at a point."""
-    return Matrix([[e.eval_at(point) for e in row] for row in partials], field)
+def _point_hessian(form: Polynomial, point) -> tuple[list, int]:
+    """The second-partial matrix of a homogeneous form at a point, as int
+    rows over one denominator (residues over F_p, where it is 1).
+
+    With the coefficients and the point as ints, entry (i, j) is the sum over
+    the terms c*x^e of c * e_i * (e_j - [i == j]) times the point's value of
+    x^(e - u_i - u_j).  Each monomial of degree d-2 is valued once, and only
+    i <= j is summed, since the matrix is symmetric.
+    """
+    n, field, p = form.n_vars, form.field, form.field.p
+    d = form.homogeneous_degree()
+    xs, pden = field.to_ints([field.coerce(v) for v in point])
+    cs, den = field.to_ints(list(form.terms.values()))
+    rows = [[0] * n for _ in range(n)]
+    if d >= 2:
+        # an exponent vector read in base d + 1, so x^e / x_i is key - place[i]
+        place = [(d + 1) ** i for i in range(n)]
+        value = {}
+        for mon in monomial_basis(n, d - 2):
+            v = 1
+            for x, e in zip(xs, mon.exponents):
+                v *= x ** e
+            value[sum(map(mul, mon.exponents, place))] = v % p if p else v
+        for mon, c in zip(form.terms, cs):
+            e = mon.exponents
+            key = sum(map(mul, e, place))
+            support = [i for i in range(n) if e[i]]
+            for a, i in enumerate(support):
+                ci, ki, row = c * e[i], key - place[i], rows[i]
+                for j in support[a:]:
+                    f = e[j] - (i == j)
+                    if f:
+                        row[j] += ci * f * value[ki - place[j]]
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if p:
+        rows = [[v % p for v in row] for row in rows]
+    return rows, den * pden ** max(d - 2, 0)
 
 
 def hessian(form: Polynomial, cone: bool | None = None) -> HessianReport:
-    """Exact hessian matrix and verdict (at most 6 variables).
+    """Exact hessian verdict (at most 6 variables), with the matrix and its
+    determinant built on first read.
 
-    The determinant is taken at one seeded integer point first; a nonzero
-    value there means the hessian does not vanish.  If it is 0, a cone's
-    hessian vanishes (sum c_i * d_i f = 0 gives H c = 0).  Over Q a form of
-    degree >= 2 in at most 4 variables that is not a cone has a nonzero
-    hessian (Gordan and Noether 1876), and the symbolic determinant settles
-    any other form.  `.det` is expanded on first read.  A caller that knows
-    whether the form is a cone passes it as `cone`; otherwise `is_cone`
-    decides, when the point gives 0.
+    The determinant is taken at one seeded integer point first, on the int
+    matrix `_point_hessian` reads from the form's terms; a nonzero value
+    there means the hessian does not vanish.  If it is 0, a cone's hessian
+    vanishes (sum c_i * d_i f = 0 gives H c = 0).  Over Q a form of degree
+    >= 2 in at most 4 variables that is not a cone has a nonzero hessian
+    (Gordan and Noether 1876), and the symbolic determinant settles any
+    other form.  A caller that knows whether the form is a cone passes it as
+    `cone`; otherwise `is_cone` decides, when the point gives 0.
     """
     d = form.homogeneous_degree()
     if d is None:
@@ -247,11 +301,10 @@ def hessian(form: Polynomial, cone: bool | None = None) -> HessianReport:
     if form.n_vars > MAX_SYMBOLIC_DET:
         raise PolyError(
             f"symbolic hessian determinant limited to {MAX_SYMBOLIC_DET} variables")
-    entries = second_partials(form)
-    matrix = Matrix(entries, form.field)
     point = random_int_coords(rng_for(DEFAULT_SEED, 0), form.n_vars, -1000, 1000)
-    report = HessianReport(matrix, vanishes=False)
-    if not det_ff(_hessian_at(entries, point, form.field)):
+    rows, _ = _point_hessian(form, point)
+    report = HessianReport(form, vanishes=False)
+    if not det_ff(Matrix(rows, form.field)):
         gordan_noether = form.field.is_rational and form.n_vars <= 4 and d >= 2
         cone = d > 0 and (is_cone(form) if cone is None else cone)
         report.vanishes = cone or (
@@ -270,15 +323,14 @@ def hessian_slp_crosscheck(form: Polynomial, L_point, trials: int = 0,
     if d > MAX_SOCLE_FACTORIAL:
         raise PolyError(f"degree capped at {MAX_SOCLE_FACTORIAL}")
     algebra = from_inverse_system(form)
-    partials = second_partials(form)
     points = [list(L_point)]
     for t in range(trials):
         rng = rng_for(seed, t)
         points.append(random_int_coords(rng, form.n_vars))
-    return all(_crosscheck_at(algebra, form, partials, pt) for pt in points)
+    return all(_crosscheck_at(algebra, form, pt) for pt in points)
 
 
-def _crosscheck_at(algebra, form, partials, point) -> bool:
+def _crosscheck_at(algebra, form, point) -> bool:
     n = form.n_vars
     field = form.field
     if len(point) != n:
@@ -290,7 +342,8 @@ def _crosscheck_at(algebra, form, partials, point) -> bool:
             algebra.zero_element(1))
     power = algebra.power(L, d - 2)
     fact = field.from_int(factorial(d - 2))
-    hess = _hessian_at(partials, point, field).entries
+    rows, den = _point_hessian(form, point)
+    hess = [field.from_ints(row, den) for row in rows]
     for i in range(n):
         left_i = algebra.multiply(power, variables[i])
         for j in range(n):

@@ -9,7 +9,11 @@ one-degree maps, a basis vector at a time, so they check the route through
 powers of L against L applied m times.  The annihilator reference builds a
 catalecticant one `contract` per column, takes its kernel vectors and
 eliminates them a second time, so it checks the one-elimination
-annihilator echelon against the long way round.
+annihilator echelon against the long way round.  The point-hessian
+reference evaluates every `second_partials` polynomial with `eval_at`, and
+the power-shift references form each mixed power and each shifted power
+(x + t y)^(k+1) afresh, so they check the int readings against field
+arithmetic.
 """
 
 import itertools
@@ -19,6 +23,7 @@ import sympy as sp
 
 from sagakit.apolarity import contract
 from sagakit.exactla import Matrix, echelon_rows
+from sagakit.lefschetz import second_partials
 from sagakit.polyring import Monomial, Polynomial, monomial_basis
 
 
@@ -261,3 +266,29 @@ def annihilator_echelon_reference(form, i):
     vectors of the contract-built catalecticant, eliminated again."""
     cat = contract_catalecticant(form, i)
     return echelon_rows(echelon_of(cat).kernel_basis(), cat.cols, cat.field)
+
+
+def point_hessian_reference(form, point):
+    """The second-partial matrix of a form at a point, as field values: each
+    `second_partials` polynomial evaluated by `eval_at`."""
+    return [[e.eval_at(point) for e in row] for row in second_partials(form)]
+
+
+def stepped_ker_coker(algebra, sample):
+    """Every x^(k+1-j) * y^j with j >= 1 is 0, each from two fresh powers."""
+    k = sample.k
+    return all(algebra.multiply(algebra.power(sample.x, k + 1 - j),
+                                algebra.power(sample.y, j)).is_zero
+               for j in range(1, k + 2))
+
+
+def stepped_ggn(algebra, sample, t_values=(1, -1, 2, 7)):
+    """(x + t y)^(k+1) == x^(k+1) for each t, with the shifted element formed
+    by `scale` and `+` and its power taken afresh."""
+    k = sample.k
+    baseline = algebra.power(sample.x, k + 1)
+    for t in t_values:
+        shifted = sample.x + sample.y.scale(algebra.field.coerce(t))
+        if algebra.power(shifted, k + 1) != baseline:
+            return False
+    return True

@@ -538,6 +538,28 @@ class TestInputErrors:
                    "is 0 for each degree-1 basis class b, and x^2 is the sum "
                    "of c^2 * b^2\n")
 
+    @pytest.mark.parametrize("argv,n", [
+        (["gamma", "x0^2 + x1^2"], 2),
+        (["gamma", "x0^2 + x1^2", "--k", "1"], 2),
+        (["gamma", "x0^2;x1^2"], 2),
+        (["gamma", "3*x0"], 1),
+    ])
+    def test_gamma_with_no_valid_exponent(self, capsys, argv, n):
+        assert run(capsys, *argv) == (
+            2, "", "error: no exponent k is valid: k must lie in 1..N-2, and "
+                   f"the socle degree N is {n}\n")
+
+    @pytest.mark.parametrize("argv", [["analyze", "0"], ["gamma", "0"],
+                                      ["analyze", "0*7 - 0"],
+                                      ["analyze", "0*x2"]])
+    def test_zero_form_named_before_the_variable_count(self, capsys, argv):
+        assert run(capsys, *argv) == (
+            2, "", "error: zero form has no inverse-system algebra\n")
+
+    def test_nonzero_constant_asks_for_the_variable_count(self, capsys):
+        assert run(capsys, "analyze", "5") == (
+            2, "", "error: could not infer variable count; pass --nvars\n")
+
     def test_composite_modulus_past_64_bits_rejected(self, capsys):
         # 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
         code, out, err = run(capsys, "analyze", "x0^2;x1^2;x2^2", "--field",

@@ -1,9 +1,11 @@
 import concurrent.futures
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity_module
@@ -21,7 +23,8 @@ from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
                            _line_roots, _theorem_c_trial)
 from sagakit.polyring import FieldSpec, Fp, RATIONAL, parse_poly
 
-from oracles import echelon_of
+from oracles import echelon_of, stepped_ggn, stepped_ker_coker
+from test_lefschetz import perazzo_type
 
 F101 = FieldSpec.prime(101)
 
@@ -83,6 +86,64 @@ class TestSampleGamma:
         assert a.x == b.x and a.y == b.y
 
 
+F3 = FieldSpec.prime(3)
+
+
+@st.composite
+def gamma_cases(draw):
+    """Perazzo-type cubics and quartics x0*g0 + x1*g1 + x2*g2 (g_i forms in
+    x3, x4), most of which have gamma samples at k = N - 2, over Q and
+    F_32003, and quartics
+    over F_3, where k = 2 and C(3, 1) = C(3, 2) = 0; with t values that
+    include fractions and, over F_3, multiples of 3."""
+    field = draw(st.sampled_from([RATIONAL, FieldSpec.prime(32003), F3]))
+    d = 4 if field is F3 else draw(st.sampled_from([3, 4]))
+    form = perazzo_type(draw(st.lists(st.integers(-3, 3), min_size=3 * d,
+                                      max_size=3 * d)), d, field)
+    assume(not form.is_zero)
+    t_values = draw(st.lists(st.integers(-9, 9)
+                             | st.fractions(-3, 3, max_denominator=2),
+                             min_size=1, max_size=4))
+    return form, d - 2, t_values, draw(st.integers(0, 2**16))
+
+
+@given(gamma_cases())
+@settings(max_examples=60, deadline=None)
+def test_power_shift_checks_match_stepped_powers(case):
+    form, k, t_values, seed = case
+    try:
+        algebra = from_inverse_system(form)
+        sample = sample_gamma(algebra, k, seed=seed)
+    except (AlgebraError, SLPEvidence):
+        assume(False)
+    samples = [sample]
+    try:
+        samples.append(corrupt_sample(algebra, sample, seed=seed + 1))
+    except (AlgebraError, DegenerateAlgebra):
+        pass
+    for s in samples:
+        assert check_ker_coker(algebra, s) == stepped_ker_coker(algebra, s)
+        assert check_ggn(algebra, s) == stepped_ggn(algebra, s)
+        assert (check_ggn(algebra, s, t_values)
+                == stepped_ggn(algebra, s, t_values))
+
+
+def test_power_shift_over_f3_reads_only_the_cube_of_y():
+    # (x + t y)^3 = x^3 + t^3 y^3 in characteristic 3, so the check holds at
+    # t != 0 exactly when y^3 = 0, and a corrupted y can pass it
+    form = perazzo_type([1, -2, 3, 1, 2, -1, 1, 1, 2, -3, 1, 1], 4, F3)
+    algebra = from_inverse_system(form)
+    sample = sample_gamma(algebra, 2, seed=5)
+    bad = corrupt_sample(algebra, sample, seed=6)
+    # bad lies off the fiber, yet its cube is 0 too, so it passes
+    assert not check_ker_coker(algebra, bad) and check_ggn(algebra, bad)
+    for s in (sample, bad):
+        cube_zero = algebra.power(s.y, 3).is_zero
+        assert check_ggn(algebra, s, (1, 2, 4)) == cube_zero
+        assert check_ggn(algebra, s, (3, 0, 6))
+        assert check_ggn(algebra, s) == stepped_ggn(algebra, s)
+
+
 class TestIdentities:
     def test_ker_coker_on_samples(self, perazzo_alg):
         for seed in range(8):
@@ -96,6 +157,21 @@ class TestIdentities:
         for seed in range(8):
             s = sample_gamma(perazzo_alg, 1, seed=seed)
             assert check_ggn(perazzo_alg, s)
+
+    @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7),
+                                       FieldSpec.prime(32003)])
+    def test_ggn_at_a_fractional_t(self, field):
+        # x0*x1 = 0 and x0^2 = x1^2 here, so with x = x0 - x1/4 and y = x1,
+        # (x + t y)^2 = x^2 exactly at t = 0 and t = 1/2, and at 7 = 0 mod 7
+        algebra = from_inverse_system(poly("x0^2 + x1^2", 2, field))
+        sample = GammaSample(k=1, x=algebra.reduce(poly("x0 - 1/4*x1", 2,
+                                                        field)),
+                             y=algebra.reduce(poly("x1", 2, field)),
+                             kernel_dim_at_x=0)
+        ts = [0, Fraction(1, 2), Fraction(1, 4), 1, -1, 2, 7]
+        got = [check_ggn(algebra, sample, (t,)) for t in ts]
+        assert got == [True, True, False, False, False, False, field.p == 7]
+        assert got == [stepped_ggn(algebra, sample, (t,)) for t in ts]
 
     def test_ggn_t_zero_trivial(self, perazzo_alg):
         s = sample_gamma(perazzo_alg, 1, seed=1)

@@ -10,8 +10,8 @@ import sagakit.lefschetz as lefschetz_module
 from sagakit.algebra import from_inverse_system, from_regular_sequence
 from sagakit.apolarity import is_cone
 from sagakit.exactla import Matrix, det_ff
-from sagakit.lefschetz import (SLP, WLP, HessianReport, hessian,
-                               hessian_slp_crosscheck,
+from sagakit.lefschetz import (SLP, WLP, HessianReport, _point_hessian,
+                               hessian, hessian_slp_crosscheck,
                                lefschetz_probe, second_partials,
                                symbolic_multiplication_matrix,
                                symbolic_probe_determinant)
@@ -21,8 +21,8 @@ from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.seeding import DEFAULT_SEED, random_int_coords, rng_for
 
-from oracles import (echelon_of, hessian_det, poly_to_dict,
-                     stepped_map_rank, stepped_symbolic_matrix)
+from oracles import (echelon_of, hessian_det, point_hessian_reference,
+                     poly_to_dict, stepped_map_rank, stepped_symbolic_matrix)
 from test_cli import QUADRIC_CI4
 
 
@@ -359,6 +359,44 @@ def test_hessian_verdict_matches_symbolic_determinant(case):
         assert report.vanishes
 
 
+@st.composite
+def point_hessian_cases(draw):
+    """Forms of degree 0-4 in 1-5 variables with fractional coefficients,
+    over Q and F_7, half of them cones in mixed coordinates, and a point
+    with int and fractional coordinates."""
+    field = draw(st.sampled_from([RATIONAL, F7]))
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 4))
+    cone = n > 1 and draw(st.booleans())
+    k = n - 1 if cone else n
+    scalars = st.fractions(-3, 3, max_denominator=4)
+    size = len(monomial_basis(k, d))
+    form = dense_form(draw(st.lists(scalars, min_size=size, max_size=size)),
+                      k, d, field)
+    if cone:
+        form = linear_change(form, n, draw(st.integers(0, 2**32)))
+    assume(not form.is_zero)
+    point = draw(st.lists(st.integers(-1000, 1000) | scalars, min_size=n,
+                          max_size=n))
+    return cone, form, point
+
+
+@given(point_hessian_cases())
+@settings(max_examples=80, deadline=None)
+def test_point_hessian_matches_evaluated_second_partials(case):
+    cone, form, point = case
+    rows, den = _point_hessian(form, point)
+    field = form.field
+    assert ([field.from_ints(row, den) for row in rows]
+            == point_hessian_reference(form, point))
+    if field.p:
+        # over F_p the entries are residues in [0, p), over the denominator 1
+        assert den == 1 and all(0 <= v < field.p for row in rows for v in row)
+    if cone:
+        # a relation sum c_i * d_i f = 0 gives H c = 0 at every point
+        assert not det_ff(Matrix(rows, field))
+
+
 class TestHessianPath:
     """Which forms reach the symbolic determinant."""
 
@@ -380,6 +418,24 @@ class TestHessianPath:
                            for _ in monomial_basis(5, 4)], 5, 4)
         assert not hessian(form).vanishes
         assert symbolic_calls == []
+
+    def test_point_verdict_builds_no_second_partials(self, monkeypatch):
+        calls = []
+        real = lefschetz_module.second_partials
+
+        def counting(form):
+            calls.append(form)
+            return real(form)
+
+        monkeypatch.setattr(lefschetz_module, "second_partials", counting)
+        rng = random.Random(3)
+        form = dense_form([rng.choice([-3, -2, -1, 1, 2, 3])
+                           for _ in monomial_basis(5, 4)], 5, 4)
+        report = hessian(form)
+        assert not report.vanishes and calls == []
+        # the polynomial matrix is built on its first read, once
+        assert report.matrix == report.matrix
+        assert report.matrix.entries == real(form) and calls == [form]
 
     def test_perazzo_cubic_needs_the_symbolic_determinant(self, perazzo_f,
                                                            symbolic_calls):
@@ -459,12 +515,20 @@ class TestHessianPath:
 
     def test_report_expands_det_once_on_first_read(self, perazzo_f,
                                                    symbolic_calls):
-        matrix = Matrix(second_partials(perazzo_f), perazzo_f.field)
-        report = HessianReport(matrix, True)
+        report = HessianReport(perazzo_f, True)
         # == compares matrix and vanishes only, so it expands nothing here
         assert report == hessian(perazzo_f) and symbolic_calls == [5]
         assert report.det.is_zero and report.det.is_zero
         assert symbolic_calls == [5, 5]
+
+
+    def test_report_repr_shows_matrix_and_vanishes(self, perazzo_f,
+                                                   symbolic_calls):
+        report = HessianReport(perazzo_f, True)
+        assert repr(report) == ("HessianReport(matrix=Matrix(5x5 over "
+                                "rational), vanishes=True)")
+        assert report != HessianReport(perazzo_f, False)
+        assert symbolic_calls == []
 
 
 class TestCrossCheck:

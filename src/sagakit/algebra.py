@@ -64,11 +64,11 @@ of a factor's representatives; a degree-1 factor collapses to one int
 weight per variable, so each of its steps costs the nonzero table entries
 it reads.
 Each step is reduced mod p once over F_p and not at all over Q (delayed
-reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and each entry of the
-result is normalized once, to a Fraction or an Fp.  `mul_map(alpha, i, m)`
-takes m such steps of alpha on the unit vectors of degree i, so the map of
-alpha^m never forms the class alpha^m, and `power` takes no step for the
-exponents 0 and 1.
+reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and the result is
+normalized once, to the ints over one denominator that an element holds.
+`mul_map_ints(alpha, i, m)` takes m such steps of alpha on the unit vectors
+of degree i, so the map of alpha^m never forms the class alpha^m, and
+`power` steps x's own vector k - 1 times.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form as
@@ -86,7 +86,6 @@ distinguished bases are honored without touching the underlying reduction
 data.
 """
 
-from dataclasses import dataclass
 from itertools import chain, combinations, count, islice
 from math import gcd, prod
 from operator import add, mul
@@ -122,31 +121,98 @@ class NotRegularSequence(AlgebraError):
         self.found = found
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A class in one graded piece, held as coordinates in that piece's basis."""
+def field_ints(field: FieldSpec, values) -> tuple[list, int]:
+    """Scalars (ints, Fractions or field values) as ints over one
+    denominator: plain ints as given, anything else through
+    `FieldSpec.coerce`, which checks it.  Over F_p the reader reduces the
+    ints mod p."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    return field.to_ints([field.coerce(v) for v in values])
 
-    degree: int
-    coords: tuple
+
+class AlgebraElement:
+    """A class in one graded piece: int coordinates in that piece's basis
+    over one denominator, and the field.  Over Q `ints` share no content
+    with the positive `den`; over F_p they are residues and `den` is 1.
+    `coords`, the coordinates as field values, is built on first read.
+    Elements are equal when their degrees and coordinates are."""
+
+    __slots__ = ("degree", "ints", "den", "field", "_coords")
+
+    def __init__(self, degree: int, ints, den: int, field: FieldSpec):
+        p = field.p
+        if p:
+            inv = pow(den, -1, p)
+            ints, den = tuple([v * inv % p for v in ints]), 1
+        else:
+            g = gcd(den, *ints) * (-1 if den < 0 else 1)
+            ints = tuple([v // g for v in ints] if g != 1 else ints)
+            den //= g
+        for name, value in (("degree", degree), ("ints", ints), ("den", den),
+                            ("field", field), ("_coords", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("AlgebraElement is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            object.__setattr__(self, "_coords", tuple(
+                self.field.from_ints(self.ints, self.den)))
+        return self._coords
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.ints)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        if self.field != other.field:
+            # field values of two fields compare as values
+            return self.degree == other.degree and self.coords == other.coords
+        return (self.degree, self.den, self.ints) == (other.degree, other.den,
+                                                      other.ints)
+
+    def __hash__(self):
+        return hash((self.degree, self.den, self.ints))
+
+    def __repr__(self):
+        return (f"AlgebraElement(degree={self.degree!r}, "
+                f"coords={self.coords!r})")
+
+    def _check(self, other: "AlgebraElement", verb: str):
+        if self.degree != other.degree:
+            raise AlgebraError(f"cannot {verb} elements of different degrees")
+        if self.field != other.field:
+            raise AlgebraError(f"cannot {verb} elements over {self.field} "
+                               f"and {other.field}")
+        if len(self.ints) != len(other.ints):
+            raise AlgebraError(
+                f"cannot {verb} elements of dimensions {len(self.ints)} and "
+                f"{len(other.ints)}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.degree != other.degree:
-            raise AlgebraError("cannot add elements of different degrees")
-        return AlgebraElement(self.degree,
-                              tuple(a + b for a, b in zip(self.coords, other.coords)))
+        self._check(other, "add")
+        a, b = self.den, other.den
+        return AlgebraElement(self.degree, [u * b + v * a for u, v in
+                                            zip(self.ints, other.ints)],
+                              a * b, self.field)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.degree != other.degree:
-            raise AlgebraError("cannot subtract elements of different degrees")
-        return AlgebraElement(self.degree,
-                              tuple(a - b for a, b in zip(self.coords, other.coords)))
+        self._check(other, "subtract")
+        a, b = self.den, other.den
+        return AlgebraElement(self.degree, [u * b - v * a for u, v in
+                                            zip(self.ints, other.ints)],
+                              a * b, self.field)
 
     def scale(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.degree, tuple(scalar * c for c in self.coords))
+        (c,), d = field_ints(self.field, [scalar])
+        return AlgebraElement(self.degree, [c * v for v in self.ints],
+                              d * self.den, self.field)
 
 
 class _Piece:
@@ -181,19 +247,16 @@ class _Piece:
         rows, den = self.basis_inverse
         return [[sum(map(mul, row, vec)) for row in rows] for vec in vecs], den
 
-    def coords(self, terms) -> list:
+    def coords(self, terms) -> tuple[list, int]:
         """Coordinates of the class of the sum of c*m over the (m, c) in
-        terms, the monomials m distinct and of this degree."""
-        field = self.echelon.field
-        vec = [field.zero()] * len(self.ambient)
+        terms, the monomials m distinct and of this degree, as ints over one
+        denominator."""
+        vec = [self.echelon.field.zero()] * len(self.ambient)
         for m, c in terms:
             vec[self.index[m]] = c
-        canonical = self.echelon.residual(vec)
-        if self.basis_inverse is None:
-            return canonical
-        ints, den = field.to_ints(canonical)
+        ints, den = self.echelon.residual(vec)
         (ints,), factor = self.pin([ints])
-        return field.from_ints(ints, den * factor)
+        return ints, den * factor
 
     def classes(self) -> tuple[dict, int]:
         """The class of every monomial of this degree, keyed by exponents, as
@@ -270,23 +333,21 @@ class GradedAlgebra:
 
     def basis(self, degree: int) -> list[AlgebraElement]:
         h = self.dim(degree)
-        zero, one = self.field.zero(), self.field.one()
-        return [AlgebraElement(degree,
-                               tuple(one if j == i else zero for j in range(h)))
-                for i in range(h)]
+        return [AlgebraElement(degree, [int(j == i) for j in range(h)], 1,
+                               self.field) for i in range(h)]
 
     # -- elements -------------------------------------------------------
 
     def element(self, degree: int, coords) -> AlgebraElement:
-        coords = tuple(self.field.coerce(c) for c in coords)
-        if len(coords) != self.dim(degree):
+        ints, den = field_ints(self.field, coords)
+        if len(ints) != self.dim(degree):
             raise AlgebraError(
                 f"expected {self.dim(degree)} coordinates in degree {degree}, "
-                f"got {len(coords)}")
-        return AlgebraElement(degree, coords)
+                f"got {len(ints)}")
+        return AlgebraElement(degree, ints, den, self.field)
 
     def zero_element(self, degree: int) -> AlgebraElement:
-        return AlgebraElement(degree, (self.field.zero(),) * self.dim(degree))
+        return AlgebraElement(degree, [0] * self.dim(degree), 1, self.field)
 
     def unit(self) -> AlgebraElement:
         return self.element(0, [1])
@@ -316,16 +377,21 @@ class GradedAlgebra:
         if d > self.socle_degree:
             raise DegreeOverflowError(
                 f"degree {d} above socle degree {self.socle_degree}")
-        return AlgebraElement(d, tuple(self.piece(d).coords(p.terms.items())))
+        return AlgebraElement(d, *self.piece(d).coords(p.terms.items()),
+                              self.field)
 
     def lift(self, e: AlgebraElement) -> Polynomial:
-        """A polynomial representative of the class e."""
-        piece = self.piece(e.degree)
-        out = Polynomial.zero(self.n_vars, self.field)
-        for c, rep in zip(e.coords, piece.basis_reps):
-            if c:
-                out = out + rep.scale(c)
-        return out
+        """A polynomial representative of the class e: the sum of its
+        coordinates times the basis representatives, one term per monomial,
+        summed as ints over one denominator."""
+        reps, d = self._rep_terms(e.degree)
+        terms = {}
+        for u, rep in zip(e.ints, reps):
+            if u:
+                for exps, c in rep:
+                    terms[exps] = terms.get(exps, 0) + u * c
+        values = self.field.from_ints(list(terms.values()), e.den * d)
+        return Polynomial(self.n_vars, self.field, dict(zip(terms, values)))
 
     # -- multiplication ---------------------------------------------------
 
@@ -380,7 +446,7 @@ class GradedAlgebra:
         variables of m scaled by u*c.  A step multiplies by a weighted sum of
         variables and reads only the nonzero entries of their columns; a
         degree-1 factor is one step, with one int weight per variable."""
-        coords, den = self.field.to_ints(a.coords)
+        coords, den = a.ints, a.den
         reps, d = self._rep_terms(a.degree)
         p = self.field.p
         if a.degree == 1:
@@ -429,15 +495,13 @@ class GradedAlgebra:
                 f"product degree {target} above socle degree {self.socle_degree}")
         if a.degree > b.degree:
             a, b = b, a
-        vec, den = self.field.to_ints(b.coords)
-        (out,), factor = self._times(a, [vec], b.degree)
-        return AlgebraElement(target,
-                              tuple(self.field.from_ints(out, den * factor)))
+        (out,), factor = self._times(a, [b.ints], b.degree)
+        return AlgebraElement(target, out, b.den * factor, self.field)
 
     def power(self, x: AlgebraElement, k: int) -> AlgebraElement:
-        """k-th power of a degree-1 element: k multiplications by x, each one
-        sparse step through the variable tables, on one int vector.  x^0 is
-        the unit and x^1 is x normalized, with no table step."""
+        """k-th power of a degree-1 element: x's own int vector times x
+        k - 1 times, each one sparse step through the variable tables.  x^0
+        is the unit, and x^1 takes no step."""
         if x.degree != 1:
             raise AlgebraError("power expects a degree-1 element")
         if k < 0:
@@ -447,16 +511,22 @@ class GradedAlgebra:
                 f"exponent {k} above socle degree {self.socle_degree}")
         if k == 0:
             return self.unit()
-        if k == 1:
-            return AlgebraElement(1, tuple(self.field.from_ints(
-                *self.field.to_ints(x.coords))))
-        (out,), factor = self._times(x, [[1]], 0, k)
-        return AlgebraElement(k, tuple(self.field.from_ints(out, factor)))
+        (out,), factor = self._times(x, [x.ints], 1, k - 1)
+        return AlgebraElement(k, out, x.den * factor, self.field)
 
     def mul_map(self, alpha: AlgebraElement, i: int, m: int = 1) -> Matrix:
-        """Matrix of multiplication by alpha^m from degree i to degree
-        i + m*deg(alpha): m steps of alpha through the tables on the unit
-        vectors of degree i, so the class alpha^m is never formed."""
+        """Matrix of multiplication by alpha^m from degree i, as field
+        values (see `mul_map_ints`)."""
+        rows, den = self.mul_map_ints(alpha, i, m)
+        return Matrix([self.field.from_ints(row, den) for row in rows],
+                      self.field)
+
+    def mul_map_ints(self, alpha: AlgebraElement, i: int,
+                     m: int = 1) -> tuple[list, int]:
+        """Rows of the matrix of multiplication by alpha^m from degree i to
+        degree i + m*deg(alpha), as ints over one denominator (residues over
+        1 on F_p): m steps of alpha through the tables on the unit vectors of
+        degree i, so the class alpha^m is never formed."""
         if m < 0:
             raise AlgebraError("negative exponent")
         target = i + m * alpha.degree
@@ -465,10 +535,11 @@ class GradedAlgebra:
                 f"multiplication map lands in degree {target}, above socle "
                 f"degree {self.socle_degree}")
         h = self.dim(i)
-        cols, factor = self._times(
+        cols, den = self._times(
             alpha, [[int(r == c) for r in range(h)] for c in range(h)], i, m)
-        return Matrix([self.field.from_ints(row, factor) for row in zip(*cols)],
-                      self.field)
+        p = self.field.p
+        return [[v % p for v in row] if p else list(row)
+                for row in zip(*cols)], den
 
     # -- duality and structure checks ------------------------------------
 
@@ -538,9 +609,10 @@ class GradedAlgebra:
         for i in range(top + 1):
             old = self.piece(i)
             rows = old.echelon.full_rows()
-            m = self.mul_map(alpha, i)
-            for kv in echelon_rows(m.entries, m.cols, self.field).kernel_basis():
-                lifted = self.lift(AlgebraElement(i, tuple(kv)))
+            ech = echelon_rows(self.mul_map_ints(alpha, i)[0], old.dim,
+                               self.field)
+            for kv in ech.kernel_ints():
+                lifted = self.lift(AlgebraElement(i, kv, ech.den, self.field))
                 if not lifted.is_zero:
                     rows.append(lifted.coefficient_vector(old.ambient))
             ech = echelon_rows(rows, len(old.ambient), self.field)
@@ -567,7 +639,8 @@ class GradedAlgebra:
                 raise AlgebraError(
                     "pinned representatives must be nonzero homogeneous of "
                     f"degree {degree} over the algebra's ring")
-            columns.append(new_piece.coords(rep.terms.items()))
+            columns.append(self.field.from_ints(
+                *new_piece.coords(rep.terms.items())))
         new_piece.basis_reps = list(reps)
         inverse = invert(Matrix(columns, self.field).transpose())
         ints, den = self.field.to_ints(list(chain(*inverse.entries)))

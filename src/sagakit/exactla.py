@@ -51,7 +51,8 @@ denominator 1.
 
 So an echelon holds ints on both fields, and its callers read them
 directly; field values (Fraction or Fp) are made only at the edges:
-`residual`, `kernel_basis`, `full_rows` and `invert` return them.
+`kernel_basis`, `full_rows` and `invert` return them, while `residual` and
+`kernel_ints` return ints over one denominator.
 """
 
 import sys
@@ -154,9 +155,10 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def residual(self, vec):
+    def residual(self, vec) -> tuple[list, int]:
         """Coordinates of vec, field values (ints too, over Q), modulo the
-        row space, along the non-pivot columns."""
+        row space, along the non-pivot columns, as ints over one denominator
+        (not reduced mod p over F_p)."""
         if len(vec) != self.ncols:
             raise MatrixError(f"vector length {len(vec)} != {self.ncols}")
         ints, den = self.field.to_ints(vec)
@@ -165,18 +167,24 @@ class Echelon:
             v = ints[p]
             if v:
                 out = [a - v * b for a, b in zip(out, row)]
-        return self.field.from_ints(out, den * self.den)
+        return out, den * self.den
 
-    def kernel_basis(self):
-        """One kernel vector per non-pivot column (full width, deterministic)."""
+    def kernel_ints(self):
+        """One kernel vector per non-pivot column (full width,
+        deterministic), as ints over `den`."""
         basis = []
         for j, free_col in enumerate(self.nonpivots):
             vec = [0] * self.ncols
             vec[free_col] = self.den
             for p, row in zip(self.pivots, self.coeffs):
                 vec[p] = -row[j]
-            basis.append(self.field.from_ints(vec, self.den))
+            basis.append(vec)
         return basis
+
+    def kernel_basis(self):
+        """The kernel vectors of `kernel_ints` as field values."""
+        return [self.field.from_ints(vec, self.den)
+                for vec in self.kernel_ints()]
 
     def full_rows(self):
         """Reconstruct the reduced rows at full width."""
@@ -194,12 +202,16 @@ def _to_int_rows(rows):
     """Clear denominators and strip content rowwise.
 
     Row scaling preserves row space and pivots.  Also returns the product of
-    the row scales, the factor by which the determinant grew.
+    the row scales, the factor by which the determinant grew.  A row of plain
+    ints is copied as it is.
     """
     out = []
     num = den = 1
     for row in rows:
-        ints, lcm = RATIONAL.to_ints(row)
+        if all(type(v) is int for v in row):
+            ints, lcm = list(row), 1
+        else:
+            ints, lcm = RATIONAL.to_ints(row)
         g = gcd(*ints) or 1
         out.append([x // g for x in ints] if g > 1 else ints)
         num *= lcm

@@ -16,11 +16,11 @@ import concurrent.futures
 import os
 from dataclasses import asdict, dataclass
 from itertools import repeat
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
-                      NotRegularSequence, from_inverse_system,
+                      NotRegularSequence, field_ints, from_inverse_system,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
 from .exactla import Matrix, det_ff, echelon_rows
@@ -96,17 +96,17 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
     else:
         raise DegenerateAlgebra(
             f"x^{k} vanished for 32 consecutive random draws")
-    m = algebra.mul_map(xpow, 1)
-    kernel = echelon_rows(m.entries, m.cols, m.field).kernel_basis()
+    h = algebra.dim(1)
+    ech = echelon_rows(algebra.mul_map_ints(xpow, 1)[0], h, algebra.field)
+    kernel = ech.kernel_ints()
     if not kernel:
         raise SLPEvidence(x, k)
     while True:
         weights = [rng.randint(-10, 10) for _ in kernel]
-        coords = [sum(w * vec[i] for w, vec in zip(weights, kernel))
-                  for i in range(algebra.dim(1))]
-        if any(coords):
+        coords = [sum(map(mul, weights, col)) for col in zip(*kernel)]
+        y = AlgebraElement(1, coords, ech.den, algebra.field)
+        if not y.is_zero:
             break
-    y = algebra.element(1, coords)
     return GammaSample(k=k, x=x, y=y, kernel_dim_at_x=len(kernel))
 
 
@@ -154,21 +154,20 @@ def check_ggn(algebra: GradedAlgebra, sample: GammaSample,
 
     By the binomial theorem the difference is the sum over j >= 1 of
     C(k+1, j) t^j x^(k+1-j) y^j, one polynomial in t.  Its k+1 mixed classes
-    are formed once, as ints over one denominator, and each t = a/b is
-    decided from the sum of C(k+1, j) a^j b^(k+1-j) times class j, taken mod
-    p over F_p; no shifted element or fresh power is formed.
+    are formed once, and each t = a/b is decided from their ints over the
+    common denominator D: the sum of C(k+1, j) a^j b^(k+1-j) (D / den_j)
+    times the ints of class j, taken mod p over F_p; no shifted element or
+    fresh power is formed.
     """
-    field, k = algebra.field, sample.k
+    k, p = sample.k, algebra.field.p
     mixed = _mixed_classes(algebra, sample)
-    ints, _ = field.to_ints([c for m in mixed for c in m.coords])
-    h, p = len(mixed[0].coords), field.p
+    D = lcm(*(m.den for m in mixed))
     for t in t_values:
-        (a,), b = field.to_ints([field.coerce(t)])
-        weights = [comb(k + 1, j) * a ** j * b ** (k + 1 - j)
-                   for j in range(1, k + 2)]
-        # ints[r::h] is coordinate r of every mixed class
-        for r in range(h):
-            v = sum(map(mul, weights, ints[r::h]))
+        (a,), b = field_ints(algebra.field, [t])
+        weights = [comb(k + 1, j) * a ** j * b ** (k + 1 - j) * (D // m.den)
+                   for j, m in enumerate(mixed, 1)]
+        for col in zip(*(m.ints for m in mixed)):
+            v = sum(map(mul, weights, col))
             if v % p if p else v:
                 return False
     return True
@@ -188,8 +187,12 @@ def _equigenerated_degree(algebra: GradedAlgebra) -> int:
     return e + 1  # generators live in degree d - 1
 
 
-def _kernel_dim(m: Matrix) -> int:
-    return m.cols - echelon_rows(m.entries, m.cols, m.field).rank
+def _kernel_dim(algebra: GradedAlgebra, alpha: AlgebraElement,
+                i: int) -> int:
+    """Dimension of the kernel of multiplication by alpha on degree i."""
+    h = algebra.dim(i)
+    return h - echelon_rows(algebra.mul_map_ints(alpha, i)[0], h,
+                            algebra.field).rank
 
 
 def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
@@ -200,7 +203,7 @@ def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     h = eta.degree
     if not 1 <= h <= algebra.socle_degree - 1:
         raise AlgebraError(f"degree {h} outside 1..{algebra.socle_degree - 1}")
-    return h >= (d - 2) * _kernel_dim(algebra.mul_map(eta, 1))
+    return h >= (d - 2) * _kernel_dim(algebra, eta, 1)
 
 
 def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
@@ -216,7 +219,7 @@ def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
     prev = algebra.power(y, a - 1)
     if prev.is_zero:
         raise AlgebraError(f"precondition violated: y^{a - 1} = 0")
-    return (d - 2) * _kernel_dim(algebra.mul_map(prev, 1)) <= a - 1
+    return (d - 2) * _kernel_dim(algebra, prev, 1) <= a - 1
 
 
 # -- finite-field degenerate-pair search -------------------------------------
@@ -278,20 +281,21 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
         u = random_int_coords(rng, h1, 0, p - 1)
         v = random_int_coords(rng, h1, 0, p - 1)
         # multiplication is linear in x, so the map at u + s v is A0 + s A1
-        a0 = algebra.mul_map(algebra.element(1, u), 2).entries
-        a1 = algebra.mul_map(algebra.element(1, v), 2).entries
+        a0, _ = algebra.mul_map_ints(algebra.element(1, u), 2)
+        a1, _ = algebra.mul_map_ints(algebra.element(1, v), 2)
         for s in _line_roots(a0, a1, field):
             xc = [(u[j] + s * v[j]) % p for j in range(h1)]
             if not any(xc):
                 continue
             x = algebra.element(1, xc)
-            m = algebra.mul_map(x, 2)
-            kernel = echelon_rows(m.entries, m.cols, field).kernel_basis()
+            ech = echelon_rows(algebra.mul_map_ints(x, 2)[0], algebra.dim(2),
+                               field)
+            kernel = ech.kernel_ints()
             if not kernel:
                 continue
-            q = algebra.element(2, kernel[0])
-            dim_k1 = _kernel_dim(algebra.mul_map(q, 1))
-            dim_k2 = _kernel_dim(algebra.mul_map(q, 2))
+            q = AlgebraElement(2, kernel[0], ech.den, field)
+            dim_k1 = _kernel_dim(algebra, q, 1)
+            dim_k2 = _kernel_dim(algebra, q, 2)
             return DegeneratePair(x=x, q=q, dim_k1_q=dim_k1, dim_k2_q=dim_k2,
                                   line=line, root=s)
     return None
@@ -465,7 +469,7 @@ def gn_map_check(algebra: GradedAlgebra, x_samples: int = 16,
                       detail={"y": [scalar_str(c) for c in y.coords]})
         baseline = y.coords
         for lam in (1, -1, 2):
-            shifted = x + y.scale(field.coerce(lam))
+            shifted = x + y.scale(lam)
             z2 = algebra.power(shifted, 2).coords
             y2 = _polar_map(z2)
             report.record(f"identity_lambda_{lam}",

@@ -3,8 +3,8 @@
 The probes are randomized-witness tests for generic statements: a single
 exact witness certifies that the generic multiplication map has maximal
 rank, while failure across all trials is (strong) evidence only.  A probe
-reads one multiplication map, that of L^m, as `mul_map(L, k, m)`: m steps
-of L through the algebra's variable tables, with no class L^m formed
+reads one multiplication map, that of L^m, as `mul_map_ints(L, k, m)`: m
+steps of L through the algebra's variable tables, with no class L^m formed
 first (Maeno and Watanabe, Illinois J. Math. 2009).  For small square
 cases failure is upgraded to proof by expanding the determinant of the
 multiplication map symbolically in the coordinates t of the probing linear
@@ -103,11 +103,11 @@ def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
 
 def _map_rank(algebra: GradedAlgebra, k: int, m: int,
               L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k: the rank of
-    `mul_map(L, k, m)`, m sparse steps of L through the variable tables on
-    each basis vector of degree k, with no class L^m formed first."""
-    step = algebra.mul_map(L, k, m)
-    return echelon_rows(step.entries, step.cols, algebra.field).rank
+    """Rank of multiplication by L^m from degree k: the rank of the int
+    rows of `mul_map_ints(L, k, m)`, m sparse steps of L through the variable
+    tables on each basis vector of degree k, with no class L^m formed first."""
+    rows, _ = algebra.mul_map_ints(L, k, m)
+    return echelon_rows(rows, algebra.dim(k), algebra.field).rank
 
 
 def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,

@@ -13,7 +13,11 @@ annihilator echelon against the long way round.  The point-hessian
 reference evaluates every `second_partials` polynomial with `eval_at`, and
 the power-shift references form each mixed power and each shifted power
 (x + t y)^(k+1) afresh, so they check the int readings against field
-arithmetic.
+arithmetic.  The boxed references take products through the algebra's own
+tables but convert the coordinates to ints and back on every operation, and
+the matrix references read ranks and gamma samples from `mul_map`'s Matrix
+of field values, so they check the int elements and the int map rows
+against the field-value boundary they replace.
 """
 
 import itertools
@@ -25,6 +29,7 @@ from sagakit.apolarity import contract
 from sagakit.exactla import Matrix, echelon_rows
 from sagakit.lefschetz import second_partials
 from sagakit.polyring import Monomial, Polynomial, monomial_basis
+from sagakit.seeding import rng_for
 
 
 def sym_vars(n, letter="x"):
@@ -292,3 +297,113 @@ def stepped_ggn(algebra, sample, t_values=(1, -1, 2, 7)):
         if algebra.power(shifted, k + 1) != baseline:
             return False
     return True
+
+
+def _boxed_times(algebra, degree, coords, vecs, i, k=1):
+    """The table steps of a product as the parent's element boundary took
+    them: a's coordinates, field values, converted to ints on every call."""
+    field = algebra.field
+    coords, den = field.to_ints(coords)
+    reps, d = algebra._rep_terms(degree)
+    p = field.p
+    if degree == 1:
+        weights = [0] * algebra.n_vars
+        for u, rep in zip(coords, reps):
+            for exps, c in rep:
+                weights[exps.index(1)] += u * c
+        if p:
+            weights = [w % p for w in weights]
+        paths = [([[(j, w) for j, w in enumerate(weights) if w]], 1)]
+    else:
+        paths = [([[(j, 1)] for j, e in enumerate(exps) for _ in range(e)],
+                  u * c) for u, rep in zip(coords, reps) if u
+                 for exps, c in rep]
+    factor = 1
+    for _ in range(k):
+        steps = [algebra._columns(t) for t in range(i, i + degree)]
+        for _, t in steps:
+            factor *= t
+        factor *= den * d
+        dims = algebra.hilbert[i + 1:i + 1 + degree]
+        out = []
+        for vec in vecs:
+            acc = [0] * algebra.hilbert[i + degree]
+            for path, s in paths:
+                w = vec
+                for h, weighted, (cols, _) in zip(dims, path, steps):
+                    nxt = [0] * h
+                    for c, v in enumerate(w):
+                        for j, wj in weighted:
+                            for r, t in cols[j][c]:
+                                nxt[r] += v * wj * t
+                    w = nxt if p is None else [x % p for x in nxt]
+                for r, v in enumerate(w):
+                    acc[r] += s * v
+            out.append(acc)
+        vecs = out
+        i += degree
+    return vecs, factor
+
+
+def boxed_multiply(algebra, a, b):
+    """(degree, coords) of a * b for classes given as (degree, coords), the
+    coords field values, converted to ints and back once per product."""
+    field = algebra.field
+    if a[0] > b[0]:
+        a, b = b, a
+    vec, den = field.to_ints(b[1])
+    (out,), factor = _boxed_times(algebra, a[0], a[1], [vec], b[0])
+    return a[0] + b[0], tuple(field.from_ints(out, den * factor))
+
+
+def boxed_power(algebra, coords, k):
+    """(degree, coords) of x^k for a degree-1 class given by its coords: k
+    steps from the unit, x^1 renormalized through ints."""
+    field = algebra.field
+    if k == 0:
+        return 0, (field.one(),)
+    if k == 1:
+        return 1, tuple(field.from_ints(*field.to_ints(coords)))
+    (out,), factor = _boxed_times(algebra, 1, coords, [[1]], 0, k)
+    return k, tuple(field.from_ints(out, factor))
+
+
+def boxed_mul_map(algebra, degree, coords, i, m=1):
+    """Rows of the map of alpha^m from degree i, as field values, for the
+    class alpha given as (degree, coords)."""
+    h = algebra.dim(i)
+    cols, factor = _boxed_times(
+        algebra, degree, coords,
+        [[int(r == c) for r in range(h)] for c in range(h)], i, m)
+    return [algebra.field.from_ints(row, factor) for row in zip(*cols)]
+
+
+def matrix_map_rank(algebra, k, m, L):
+    """Rank of multiplication by L^m from degree k, read from the Matrix of
+    field values that `mul_map` returns."""
+    step = algebra.mul_map(L, k, m)
+    return echelon_rows(step.entries, step.cols, algebra.field).rank
+
+
+def matrix_sample_gamma(algebra, k, seed):
+    """(x coords, y coords, kernel dimension) of a gamma sample drawn as the
+    parent drew it: the kernel of x^k from `mul_map`'s Matrix through
+    `kernel_basis`, and y by `element` from field-value sums of its vectors
+    with the same seeded weights; None when that kernel is 0."""
+    rng = rng_for(seed, 0)
+    for _ in range(32):
+        x = algebra.random_element(1, rng)
+        xpow = algebra.power(x, k)
+        if not xpow.is_zero:
+            break
+    m = algebra.mul_map(xpow, 1)
+    kernel = echelon_rows(m.entries, m.cols, m.field).kernel_basis()
+    if not kernel:
+        return None
+    while True:
+        weights = [rng.randint(-10, 10) for _ in kernel]
+        coords = [sum(w * vec[i] for w, vec in zip(weights, kernel))
+                  for i in range(algebra.dim(1))]
+        if any(coords):
+            break
+    return x.coords, algebra.element(1, coords).coords, len(kernel)

@@ -18,12 +18,15 @@ from sagakit.algebra import (AlgebraElement, AlgebraError,
 from sagakit.apolarity import catalecticant
 from sagakit.corpus import get_entry
 from sagakit.exactla import Echelon, echelon_rows
-from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
-from sagakit.lefschetz import SLP, WLP, lefschetz_probe
+from sagakit.gnlab import (GammaSample, SLPEvidence, check_ggn,
+                           check_ker_coker, monomial_quadric_ci,
+                           perazzo_algebra, sample_gamma)
+from sagakit.lefschetz import SLP, WLP, _map_rank, lefschetz_probe
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
 
-from oracles import echelon_of, inverse_system_hilbert
+from oracles import (boxed_mul_map, boxed_multiply, boxed_power, echelon_of,
+                     inverse_system_hilbert, matrix_map_rank)
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
@@ -522,7 +525,7 @@ class TestTablesMatchPolynomialProducts:
         assert alg.power(x, 1) == x
         if alg.field.is_rational:
             # int coordinates come back as normalized Fractions
-            ints = AlgebraElement(1, tuple(range(1, alg.dim(1) + 1)))
+            ints = alg.element(1, range(1, alg.dim(1) + 1))
             power = alg.power(ints, 1)
             assert power.coords == ints.coords
             assert all(type(c) is Fraction for c in power.coords)
@@ -979,3 +982,189 @@ def test_int_pairing_equals_boxed_pairing(field, coeffs, pin):
         assert entries == _boxed_pairing(alg, s)
         assert all(type(v) is type(field.one()) for row in entries
                    for v in row)
+
+
+class TestElementArithmetic:
+    def test_mismatched_dimensions_raise(self):
+        three = from_inverse_system(poly("x0*x1*x2", 3)).element(1, [1, 2, 3])
+        one = from_inverse_system(poly("x0^3", 1)).element(1, [1])
+        for op in (three.__add__, three.__sub__):
+            with pytest.raises(AlgebraError, match="dimensions 3 and 1"):
+                op(one)
+
+    def test_mismatched_fields_raise(self):
+        q, f7 = (from_inverse_system(poly("x0*x1*x2", 3, field)).element(
+            1, [1, 2, 3]) for field in (RATIONAL, FieldSpec.prime(7)))
+        for op in (q.__add__, q.__sub__):
+            with pytest.raises(AlgebraError, match="over rational and fp:7"):
+                op(f7)
+
+    @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)])
+    def test_sum_difference_and_scale_are_coordinatewise(self, field):
+        alg = from_inverse_system(poly("x0*x1*x2", 3, field))
+        a = alg.element(1, [Fraction(1, 2), 0, -3])
+        b = alg.element(1, [Fraction(3, 4), 5, Fraction(1, 6)])
+        assert (a + b).coords == tuple(u + v for u, v in zip(a.coords,
+                                                              b.coords))
+        assert (a - b).coords == tuple(u - v for u, v in zip(a.coords,
+                                                             b.coords))
+        half = field.coerce(Fraction(2, 3))
+        assert a.scale(Fraction(2, 3)).coords == tuple(half * u
+                                                      for u in a.coords)
+        assert (a - a).is_zero and a - a == alg.zero_element(1)
+
+
+@cache
+def _oracle_algebras():
+    """Algebras for the boxed-product oracle: Q with fractional tables, the
+    Perazzo fixture with its pinned degree-2 basis, pinned fractional
+    representatives, quotients by annihilators over Q and F_7, the Perazzo
+    cubic over F_3, the denominator-5 cubic over F_7 and a quadric complete
+    intersection over F_32003, plain and with a pinned degree-1 basis."""
+    den5_q, den5_f7, _, den5_pinned = _den5_algebras()
+    ci = from_regular_sequence(monomial_quadric_ci())
+    return {
+        "den5_q": den5_q,
+        "perazzo_pinned": perazzo_algebra(),
+        "den5_q_pinned": den5_pinned,
+        "ci_ann_x0": ci.quotient_by_ann(ci.reduce(poly("x0", 5))),
+        "quadric_ci_q": from_regular_sequence(
+            gens(QUADRIC_CI5.split(";"), 5)),
+        "perazzo_f3": from_inverse_system(
+            poly("x0*x3^2 + 2*x1*x3*x4 + x2*x4^2", 5, FieldSpec.prime(3))),
+        "den5_f7": den5_f7,
+        "den5_f7_ann": den5_f7.quotient_by_ann(
+            den5_f7.reduce(poly("x3 + 2*x4", 5, den5_f7.field))),
+        "quadric_ci_f32003": _quadric_ci_fp(),
+        "quadric_ci_f32003_pinned": _pin_degree_one(_quadric_ci_fp()),
+    }
+
+
+@st.composite
+def _oracle_elements(draw, alg, degree):
+    """Coordinates in one degree: ints, and fractions whose denominators
+    are units in every field used here; all zero now and then."""
+    h = alg.dim(degree)
+    if draw(st.integers(0, 9)) == 0:
+        return [0] * h
+    entry = st.integers(-40, 40) | st.builds(
+        Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 4, 5]))
+    return draw(st.lists(entry, min_size=h, max_size=h))
+
+
+def _pin_element(alg, got, degree, want):
+    """got, an int element, against want, field-value coordinates: the
+    same coords, equal to and hashed as the element built from want and a
+    differently scaled copy of it, and zero exactly when want is."""
+    assert got.degree == degree and got.coords == want
+    assert all(type(c) is type(alg.field.one()) for c in want)
+    twin = alg.element(degree, want)
+    scaled = alg.element(degree, [2 * c for c in want]).scale(Fraction(1, 2))
+    for other in (twin, scaled):
+        assert got == other and hash(got) == hash(other)
+    assert got.is_zero == (not any(want))
+    if any(want):
+        assert got != alg.zero_element(degree) and got != got.scale(2)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_elements_match_boxed_products(data):
+    name = data.draw(st.sampled_from(sorted(_oracle_algebras())))
+    alg = _oracle_algebras()[name]
+    N = alg.socle_degree
+    da = data.draw(st.integers(0, N))
+    db = data.draw(st.integers(0, N - da))
+    ca = data.draw(_oracle_elements(alg, da))
+    cb = data.draw(_oracle_elements(alg, db))
+    a, b = alg.element(da, ca), alg.element(db, cb)
+    # the parent's element() coerced each coordinate into the field
+    boxed_a = tuple(alg.field.coerce(c) for c in ca)
+    boxed_b = tuple(alg.field.coerce(c) for c in cb)
+    _pin_element(alg, a, da, boxed_a)
+    _pin_element(alg, b, db, boxed_b)
+    _pin_element(alg, alg.multiply(a, b),
+                 *boxed_multiply(alg, (da, boxed_a), (db, boxed_b)))
+    if da == 1:
+        for k in range(N + 1):
+            _pin_element(alg, alg.power(a, k), *boxed_power(alg, boxed_a, k))
+    m = data.draw(st.integers(0, N // max(da, 1)))
+    i = data.draw(st.integers(0, N - m * da))
+    assert (alg.mul_map(a, i, m).entries
+            == boxed_mul_map(alg, da, boxed_a, i, m))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_map_rank_matches_the_matrix_path(data):
+    name = data.draw(st.sampled_from(sorted(_oracle_algebras())))
+    alg = _oracle_algebras()[name]
+    N = alg.socle_degree
+    L = alg.element(1, data.draw(_oracle_elements(alg, 1)))
+    m = data.draw(st.integers(0, N))
+    k = data.draw(st.integers(0, N - m))
+    assert _map_rank(alg, k, m, L) == matrix_map_rank(alg, k, m, L)
+    image = alg.shadow_image(L)
+    if image is not None:
+        assert (_map_rank(alg.shadow, k, m, image)
+                == matrix_map_rank(alg.shadow, k, m, image))
+
+
+class TestNoFieldConversionInProducts:
+    """Products, powers, the gamma checks and probes read and make int
+    elements: no call converts field values to ints or back."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        counts = Counter()
+        for name in ("to_ints", "from_ints"):
+            real = getattr(FieldSpec, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(FieldSpec, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("name", ["perazzo_pinned", "den5_q_pinned",
+                                      "den5_f7", "quadric_ci_f32003"])
+    def test_operations_make_no_conversion(self, conversions, name):
+        alg = _oracle_algebras()[name]
+        N = alg.socle_degree
+        # probes that find a witness: a failing probe's symbolic certificate
+        # reads mul_map's Matrix of field values
+        probes = [(SLP, 0), (WLP, 0), (WLP, N - 1)]
+
+        def run():
+            rng = random.Random(3)
+            x = alg.random_element(1, rng)
+            for k in range(N + 1):
+                alg.power(x, k)
+            for d in range(N + 1):
+                alg.multiply(alg.random_element(d, rng),
+                             alg.random_element(N - d, rng))
+            try:
+                sample = sample_gamma(alg, N - 2, seed=4)
+                assert check_ker_coker(alg, sample)
+            except SLPEvidence:
+                sample = GammaSample(N - 2, x, alg.random_element(1, rng), 0)
+                check_ker_coker(alg, sample)
+            check_ggn(alg, sample)
+            assert all(lefschetz_probe(alg, kind, k, trials=4).holds
+                       for kind, k in probes)
+
+        # the first run builds the variable tables, which convert each
+        # degree's representatives once
+        run()
+        conversions.clear()
+        run()
+        assert conversions == {}
+
+    def test_coords_convert_once(self, conversions):
+        alg = _oracle_algebras()["den5_q_pinned"]
+        x = alg.element(1, [1, 2, 3, 4, 5])
+        y = alg.power(x, 2)
+        assert conversions == {}
+        assert y.coords == y.coords
+        assert conversions == {"from_ints": 1}

@@ -135,7 +135,8 @@ class TestEchelonInvert:
         rows = [[1, 2, 0, 1], [0, 1, 1, -1]]
         ech = echelon_rows(rows, 4, RATIONAL)
         for row in rows:
-            assert not any(ech.residual(row))
+            ints, den = ech.residual(row)
+            assert not any(ints) and den
 
     def test_invert_round_trip(self):
         rng = random.Random(8)

@@ -23,7 +23,8 @@ from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
                            _line_roots, _theorem_c_trial)
 from sagakit.polyring import FieldSpec, Fp, RATIONAL, parse_poly
 
-from oracles import echelon_of, stepped_ggn, stepped_ker_coker
+from oracles import (echelon_of, matrix_sample_gamma, stepped_ggn,
+                     stepped_ker_coker)
 from test_lefschetz import perazzo_type
 
 F101 = FieldSpec.prime(101)
@@ -126,6 +127,24 @@ def test_power_shift_checks_match_stepped_powers(case):
         assert check_ggn(algebra, s) == stepped_ggn(algebra, s)
         assert (check_ggn(algebra, s, t_values)
                 == stepped_ggn(algebra, s, t_values))
+
+
+@given(gamma_cases())
+@settings(max_examples=60, deadline=None)
+def test_sample_gamma_matches_the_matrix_path(case):
+    # y is formed from the int kernel vectors with the seeded weights that
+    # the field-value kernel basis took
+    form, k, _, seed = case
+    try:
+        algebra = from_inverse_system(form)
+        sample = sample_gamma(algebra, k, seed=seed)
+    except SLPEvidence:
+        assert matrix_sample_gamma(algebra, k, seed) is None
+        return
+    except (AlgebraError, DegenerateAlgebra):
+        assume(False)
+    assert ((sample.x.coords, sample.y.coords, sample.kernel_dim_at_x)
+            == matrix_sample_gamma(algebra, k, seed))
 
 
 def test_power_shift_over_f3_reads_only_the_cube_of_y():

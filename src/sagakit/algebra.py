@@ -66,32 +66,34 @@ it reads.
 Each step is reduced mod p once over F_p and not at all over Q (delayed
 reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and the result is
 normalized once, to the ints over one denominator that an element holds.
-`mul_map_ints(alpha, i, m)` takes m such steps of alpha on the unit vectors
-of degree i, so the map of alpha^m never forms the class alpha^m, and
-`power` steps x's own vector k - 1 times.
+`mul_map(alpha, i, m)` takes m such steps of alpha on the unit vectors of
+degree i, so the map of alpha^m never forms the class alpha^m, and `power`
+steps x's own vector k - 1 times.  A map leaves the algebra as int rows over
+one denominator, which the rank paths hand to the echelon as they are; a
+caller that needs field values converts them with `FieldSpec.from_ints`.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form as
 ints (its kernel vector).  The pairing of a and b is phi of the product of
 their representatives, so it needs no table step (Macaulay duality); the
-representatives' coefficients are converted to ints once, and each entry
-is normalized once.
+representatives' coefficients are converted to ints once, and the pairing
+is ranked and returned as the int rows it sums.
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
-the pinned basis.  The inverse of the representatives' coordinates is
-stored once, as ints over one denominator, and the tables and the pairing
-read the classes through it.  This is how fixture conventions for
-distinguished bases are honored without touching the underlying reduction
-data.
+the pinned basis.  The inverse of the representatives' coordinates is read
+from one int echelon of [M | I] and stored once, as ints over one
+denominator, and the tables and the pairing read the classes through it.
+This is how fixture conventions for distinguished bases are honored without
+touching the underlying reduction data.
 """
 
 from itertools import chain, combinations, count, islice
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .apolarity import annihilator_echelon, contract
-from .exactla import Echelon, Matrix, echelon_rows, invert
+from .exactla import Echelon, echelon_rows
 from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
                        monomial_basis)
 from .seeding import random_int_coords
@@ -514,15 +516,8 @@ class GradedAlgebra:
         (out,), factor = self._times(x, [x.ints], 1, k - 1)
         return AlgebraElement(k, out, x.den * factor, self.field)
 
-    def mul_map(self, alpha: AlgebraElement, i: int, m: int = 1) -> Matrix:
-        """Matrix of multiplication by alpha^m from degree i, as field
-        values (see `mul_map_ints`)."""
-        rows, den = self.mul_map_ints(alpha, i, m)
-        return Matrix([self.field.from_ints(row, den) for row in rows],
-                      self.field)
-
-    def mul_map_ints(self, alpha: AlgebraElement, i: int,
-                     m: int = 1) -> tuple[list, int]:
+    def mul_map(self, alpha: AlgebraElement, i: int,
+                m: int = 1) -> tuple[list, int]:
         """Rows of the matrix of multiplication by alpha^m from degree i to
         degree i + m*deg(alpha), as ints over one denominator (residues over
         1 on F_p): m steps of alpha through the tables on the unit vectors of
@@ -546,11 +541,12 @@ class GradedAlgebra:
     def socle_dim(self) -> int:
         return self.hilbert[self.socle_degree]
 
-    def pairing_check(self, s: int) -> tuple[bool, Matrix]:
+    def pairing_check(self, s: int) -> tuple[bool, list, int]:
         """Multiplication pairing of degrees s and N-s into the socle line.
 
-        Returns (perfect, matrix); perfect means the matrix is square of
-        full rank.  Entry (a, b) is phi(r_a * r_b) for the representatives
+        Returns (perfect, rows, den), the matrix as int rows over one
+        denominator (residues over F_p); perfect means it is square of full
+        rank.  Entry (a, b) is phi(r_a * r_b) for the representatives
         r_a, r_b of the two basis classes, where phi is the socle coordinate
         on the degree-N monomials: a Gorenstein pairing is one linear
         functional on A_N (Macaulay duality).  With one non-pivot column the
@@ -563,19 +559,19 @@ class GradedAlgebra:
         if self.socle_dim() != 1:
             raise AlgebraError("pairing needs a one-dimensional socle")
         # phi and the representatives' coefficients as ints over one
-        # denominator each, and each entry normalized once
+        # denominator each
         classes, den = self.piece(N).classes()
         phi = {m: v for m, (v,) in classes.items() if v}
         (left, d), (right, d2) = self._rep_terms(s), self._rep_terms(N - s)
-        den *= d * d2
-        matrix = Matrix([self.field.from_ints(
-            [sum(c * c2 * phi.get(tuple(map(add, m, m2)), 0)
-                 for m, c in a for m2, c2 in b) for b in right], den)
-            for a in left], self.field)
+        p = self.field.p
+        rows = [[sum(c * c2 * phi.get(tuple(map(add, m, m2)), 0)
+                     for m, c in a for m2, c2 in b) for b in right]
+                for a in left]
+        rows = [[v % p for v in row] if p else row for row in rows]
         square = self.dim(s) == self.dim(N - s)
-        ok = square and echelon_rows(matrix.entries, matrix.cols,
+        ok = square and echelon_rows(rows, self.dim(N - s),
                                      self.field).rank == self.dim(s)
-        return ok, matrix
+        return ok, rows, den * d * d2
 
     def is_standard(self) -> bool:
         """Every piece is spanned by products of degree-1 classes."""
@@ -609,7 +605,7 @@ class GradedAlgebra:
         for i in range(top + 1):
             old = self.piece(i)
             rows = old.echelon.full_rows()
-            ech = echelon_rows(self.mul_map_ints(alpha, i)[0], old.dim,
+            ech = echelon_rows(self.mul_map(alpha, i)[0], old.dim,
                                self.field)
             for kv in ech.kernel_ints():
                 lifted = self.lift(AlgebraElement(i, kv, ech.den, self.field))
@@ -639,14 +635,22 @@ class GradedAlgebra:
                 raise AlgebraError(
                     "pinned representatives must be nonzero homogeneous of "
                     f"degree {degree} over the algebra's ring")
-            columns.append(self.field.from_ints(
-                *new_piece.coords(rep.terms.items())))
+            columns.append(new_piece.coords(rep.terms.items()))
+        # M has the representatives' coordinates as columns; the rows of
+        # [M | I], each scaled by the lcm D of their denominators, reduce to
+        # [I | M^-1], so the echelon's coeffs over its den are the inverse
+        D = lcm(*(den for _, den in columns))
+        n = piece.dim
+        ech = echelon_rows(
+            [[ints[r] * (D // den) for ints, den in columns]
+             + [D * (c == r) for c in range(n)] for r in range(n)],
+            2 * n, self.field)
+        if ech.pivots != list(range(n)):
+            raise AlgebraError(
+                f"pinned representatives of degree {degree} are linearly "
+                "dependent in the quotient")
         new_piece.basis_reps = list(reps)
-        inverse = invert(Matrix(columns, self.field).transpose())
-        ints, den = self.field.to_ints(list(chain(*inverse.entries)))
-        ints = iter(ints)
-        new_piece.basis_inverse = ([list(islice(ints, piece.dim))
-                                    for _ in reps], den)
+        new_piece.basis_inverse = (ech.coeffs, ech.den)
         pieces = [self.piece(d) for d in range(self.socle_degree + 1)]
         pieces[degree] = new_piece
         return GradedAlgebra(self.n_vars, self.field, pieces, self.presentation)

@@ -50,9 +50,9 @@ elimination gives.  Its rows are kept as residues in [0, p), over the
 denominator 1.
 
 So an echelon holds ints on both fields, and its callers read them
-directly; field values (Fraction or Fp) are made only at the edges:
-`kernel_basis`, `full_rows` and `invert` return them, while `residual` and
-`kernel_ints` return ints over one denominator.
+directly: `residual` and `kernel_ints` return ints over one denominator, and
+only `full_rows` makes field values (Fraction or Fp).  An inverse is one
+echelon of [M | I], whose reduced rows hold the inverse over `den`.
 """
 
 import sys
@@ -98,10 +98,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int, field: FieldSpec = RATIONAL) -> "Matrix":
         zero = field.zero()
         return cls([[zero] * cols for _ in range(rows)], field)
-
-    def transpose(self) -> "Matrix":
-        return Matrix([list(col) for col in zip(*self.entries)] if self.entries else [],
-                      self.field)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -180,11 +176,6 @@ class Echelon:
                 vec[p] = -row[j]
             basis.append(vec)
         return basis
-
-    def kernel_basis(self):
-        """The kernel vectors of `kernel_ints` as field values."""
-        return [self.field.from_ints(vec, self.den)
-                for vec in self.kernel_ints()]
 
     def full_rows(self):
         """Reconstruct the reduced rows at full width."""
@@ -494,20 +485,3 @@ def det_ff(m: Matrix):
     work, factor = _to_int_rows(m.entries)
     _, _, sign = _forward_rational(work, n)
     return sign * work[-1][-1] / factor
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square full-rank matrix."""
-    if not m.is_square():
-        raise MatrixError("inverse of non-square matrix")
-    n = m.rows
-    one, zero = m.field.one(), m.field.zero()
-    augmented = [list(row) + [one if j == i else zero for j in range(n)]
-                 for i, row in enumerate(m.entries)]
-    ech = echelon_rows(augmented, 2 * n, m.field)
-    if ech.pivots != list(range(n)):
-        raise MatrixError("matrix is singular")
-    # the pivots are the first n columns, so coeffs hold the inverse
-    return Matrix([m.field.from_ints(row, ech.den) for row in ech.coeffs],
-                  m.field)
-

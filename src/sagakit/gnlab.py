@@ -24,7 +24,7 @@ from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
 from .exactla import Matrix, det_ff, echelon_rows
-from .lefschetz import SLP, hessian, lefschetz_probe
+from .lefschetz import SLP, _map_rank, hessian, lefschetz_probe
 from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                        monomial_basis, parse_poly, scalar_str)
 from .reporting import Report
@@ -97,7 +97,7 @@ def sample_gamma(algebra: GradedAlgebra, k: int,
         raise DegenerateAlgebra(
             f"x^{k} vanished for 32 consecutive random draws")
     h = algebra.dim(1)
-    ech = echelon_rows(algebra.mul_map_ints(xpow, 1)[0], h, algebra.field)
+    ech = echelon_rows(algebra.mul_map(xpow, 1)[0], h, algebra.field)
     kernel = ech.kernel_ints()
     if not kernel:
         raise SLPEvidence(x, k)
@@ -187,14 +187,6 @@ def _equigenerated_degree(algebra: GradedAlgebra) -> int:
     return e + 1  # generators live in degree d - 1
 
 
-def _kernel_dim(algebra: GradedAlgebra, alpha: AlgebraElement,
-                i: int) -> int:
-    """Dimension of the kernel of multiplication by alpha on degree i."""
-    h = algebra.dim(i)
-    return h - echelon_rows(algebra.mul_map_ints(alpha, i)[0], h,
-                            algebra.field).rank
-
-
 def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     """Degree of eta bounds (d-2) times the degree-1 kernel dimension."""
     if eta.is_zero:
@@ -203,7 +195,7 @@ def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     h = eta.degree
     if not 1 <= h <= algebra.socle_degree - 1:
         raise AlgebraError(f"degree {h} outside 1..{algebra.socle_degree - 1}")
-    return h >= (d - 2) * _kernel_dim(algebra, eta, 1)
+    return h >= (d - 2) * (algebra.dim(1) - _map_rank(algebra, 1, 1, eta))
 
 
 def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
@@ -219,7 +211,7 @@ def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
     prev = algebra.power(y, a - 1)
     if prev.is_zero:
         raise AlgebraError(f"precondition violated: y^{a - 1} = 0")
-    return (d - 2) * _kernel_dim(algebra, prev, 1) <= a - 1
+    return (d - 2) * (algebra.dim(1) - _map_rank(algebra, 1, 1, prev)) <= a - 1
 
 
 # -- finite-field degenerate-pair search -------------------------------------
@@ -281,23 +273,23 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
         u = random_int_coords(rng, h1, 0, p - 1)
         v = random_int_coords(rng, h1, 0, p - 1)
         # multiplication is linear in x, so the map at u + s v is A0 + s A1
-        a0, _ = algebra.mul_map_ints(algebra.element(1, u), 2)
-        a1, _ = algebra.mul_map_ints(algebra.element(1, v), 2)
+        a0, _ = algebra.mul_map(algebra.element(1, u), 2)
+        a1, _ = algebra.mul_map(algebra.element(1, v), 2)
         for s in _line_roots(a0, a1, field):
             xc = [(u[j] + s * v[j]) % p for j in range(h1)]
             if not any(xc):
                 continue
             x = algebra.element(1, xc)
-            ech = echelon_rows(algebra.mul_map_ints(x, 2)[0], algebra.dim(2),
+            ech = echelon_rows(algebra.mul_map(x, 2)[0], algebra.dim(2),
                                field)
             kernel = ech.kernel_ints()
             if not kernel:
                 continue
             q = AlgebraElement(2, kernel[0], ech.den, field)
-            dim_k1 = _kernel_dim(algebra, q, 1)
-            dim_k2 = _kernel_dim(algebra, q, 2)
-            return DegeneratePair(x=x, q=q, dim_k1_q=dim_k1, dim_k2_q=dim_k2,
-                                  line=line, root=s)
+            return DegeneratePair(
+                x=x, q=q, dim_k1_q=h1 - _map_rank(algebra, 1, 1, q),
+                dim_k2_q=algebra.dim(2) - _map_rank(algebra, 2, 1, q),
+                line=line, root=s)
     return None
 
 
@@ -525,12 +517,13 @@ def perazzo_fixture(seed: int = DEFAULT_SEED, *,
                                    for i in range(5)])
     report.record("b2_is_basis", _pinned_degree2(algebra))
 
-    ok, pairing = algebra.pairing_check(1)
-    identity = all(pairing.entries[i][j] == (1 if i == j else 0)
+    ok, rows, den = algebra.pairing_check(1)
+    pairing = [field.from_ints(row, den) for row in rows]
+    identity = all(pairing[i][j] == (1 if i == j else 0)
                    for i in range(5) for j in range(5))
     report.record("pairing_is_identity", ok and identity,
                   detail={"matrix": [[scalar_str(e) for e in row]
-                                     for row in pairing.entries]})
+                                     for row in pairing]})
 
     socle = [algebra.reduce(Polynomial.from_monomial(Monomial(m), field))
              for m in _SOCLE_MONOMIALS]

@@ -3,14 +3,15 @@
 The probes are randomized-witness tests for generic statements: a single
 exact witness certifies that the generic multiplication map has maximal
 rank, while failure across all trials is (strong) evidence only.  A probe
-reads one multiplication map, that of L^m, as `mul_map_ints(L, k, m)`: m
-steps of L through the algebra's variable tables, with no class L^m formed
-first (Maeno and Watanabe, Illinois J. Math. 2009).  For small square
-cases failure is upgraded to proof by expanding the determinant of the
-multiplication map symbolically in the coordinates t of the probing linear
-form and checking that it is the zero polynomial.  That map is the sum,
-over the monomials b^a of degree m in the degree-1 basis, of the map of b^a
-times multinomial(m; a) t^a.
+reads one multiplication map, that of L^m, as the int rows of
+`mul_map(L, k, m)`: m steps of L through the algebra's variable tables, with
+no class L^m formed first (Maeno and Watanabe, Illinois J. Math. 2009).
+For small square cases failure is upgraded to proof by expanding the
+determinant of the multiplication map symbolically in the coordinates t of
+the probing linear form and checking that it is the zero polynomial.  That
+map is the sum, over the monomials b^a of degree m in the degree-1 basis,
+of the map of b^a times multinomial(m; a) t^a, its int rows made field
+values there.
 
 An algebra with a shadow (a regular sequence over Q, also built mod a
 prime) is probed mod p first, with the same integer linear form.  The ideal
@@ -104,9 +105,10 @@ def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
 def _map_rank(algebra: GradedAlgebra, k: int, m: int,
               L: AlgebraElement) -> int:
     """Rank of multiplication by L^m from degree k: the rank of the int
-    rows of `mul_map_ints(L, k, m)`, m sparse steps of L through the variable
-    tables on each basis vector of degree k, with no class L^m formed first."""
-    rows, _ = algebra.mul_map_ints(L, k, m)
+    rows of `mul_map(L, k, m)`, m sparse steps of L through the variable
+    tables on each basis vector of degree k, with no class L^m formed first.
+    L may have any degree."""
+    rows, _ = algebra.mul_map(L, k, m)
     return echelon_rows(rows, algebra.dim(k), algebra.field).rank
 
 
@@ -168,7 +170,9 @@ def symbolic_multiplication_matrix(algebra: GradedAlgebra, k: int,
             for _ in range(e):
                 b_a = algebra.multiply(b_a, b)
             scale //= factorial(e)
-        maps[mon] = (field.from_int(scale), algebra.mul_map(b_a, k).entries)
+        rows, den = algebra.mul_map(b_a, k)
+        maps[mon] = (field.from_int(scale),
+                     [field.from_ints(row, den) for row in rows])
     return [[Polynomial(h1, field, {mon: s * entries[r][c]
                                     for mon, (s, entries) in maps.items()})
              for c in range(algebra.dim(k))]

@@ -15,9 +15,11 @@ the power-shift references form each mixed power and each shifted power
 (x + t y)^(k+1) afresh, so they check the int readings against field
 arithmetic.  The boxed references take products through the algebra's own
 tables but convert the coordinates to ints and back on every operation, and
-the matrix references read ranks and gamma samples from `mul_map`'s Matrix
-of field values, so they check the int elements and the int map rows
-against the field-value boundary they replace.
+the matrix references read ranks and gamma samples from a Matrix of field
+values boxed from `mul_map`'s int rows, so they check the int elements and
+the int map rows against the field-value boundary they replace.  `boxed` is
+the one place where the tests turn the int rows over one denominator that
+the package hands out (maps, pairings, kernel vectors) into field values.
 """
 
 import itertools
@@ -211,12 +213,18 @@ def rref_rational(rows, ncols):
     return pivots, nonpivots, coeffs
 
 
+def boxed(field, rows, den):
+    """Int rows over the denominator den, as `mul_map`, `pairing_check` and
+    `Echelon.kernel_ints` give them, as a Matrix of field values."""
+    return Matrix([field.from_ints(row, den) for row in rows], field)
+
+
 def stepped_map_rank(algebra, k, m, L):
     """Rank of multiplication by L^m from degree k, with each basis vector
     stepped through the one-degree map of L m times."""
     columns = [e.coords for e in algebra.basis(k)]
     for d in range(k, k + m):
-        step = algebra.mul_map(L, d)
+        step = boxed(algebra.field, *algebra.mul_map(L, d))
         columns = [step.mul_vector(col) for col in columns]
     return echelon_rows(columns, algebra.dim(k + m), algebra.field).rank
 
@@ -229,7 +237,8 @@ def stepped_symbolic_matrix(algebra, k, m):
     h1 = algebra.dim(1)
     columns = [{(0,) * h1: e.coords} for e in algebra.basis(k)]
     for d in range(k, k + m):
-        steps = [algebra.mul_map(b, d) for b in algebra.basis(1)]
+        steps = [boxed(algebra.field, *algebra.mul_map(b, d))
+                 for b in algebra.basis(1)]
         stepped = []
         for col in columns:
             nxt = {}
@@ -270,7 +279,9 @@ def annihilator_echelon_reference(form, i):
     """The degree-i annihilator echelon the long way: full-width kernel
     vectors of the contract-built catalecticant, eliminated again."""
     cat = contract_catalecticant(form, i)
-    return echelon_rows(echelon_of(cat).kernel_basis(), cat.cols, cat.field)
+    ech = echelon_of(cat)
+    kernel = boxed(cat.field, ech.kernel_ints(), ech.den).entries
+    return echelon_rows(kernel, cat.cols, cat.field)
 
 
 def point_hessian_reference(form, point):
@@ -379,25 +390,27 @@ def boxed_mul_map(algebra, degree, coords, i, m=1):
 
 
 def matrix_map_rank(algebra, k, m, L):
-    """Rank of multiplication by L^m from degree k, read from the Matrix of
-    field values that `mul_map` returns."""
-    step = algebra.mul_map(L, k, m)
+    """Rank of multiplication by L^m from degree k, read from `mul_map`'s
+    rows boxed as a Matrix of field values."""
+    step = boxed(algebra.field, *algebra.mul_map(L, k, m))
     return echelon_rows(step.entries, step.cols, algebra.field).rank
 
 
 def matrix_sample_gamma(algebra, k, seed):
     """(x coords, y coords, kernel dimension) of a gamma sample drawn as the
-    parent drew it: the kernel of x^k from `mul_map`'s Matrix through
-    `kernel_basis`, and y by `element` from field-value sums of its vectors
-    with the same seeded weights; None when that kernel is 0."""
+    parent drew it: the kernel of x^k from `mul_map`'s rows boxed as a
+    Matrix, its kernel vectors boxed as field values, and y by `element`
+    from field-value sums of those vectors with the same seeded weights;
+    None when that kernel is 0."""
     rng = rng_for(seed, 0)
     for _ in range(32):
         x = algebra.random_element(1, rng)
         xpow = algebra.power(x, k)
         if not xpow.is_zero:
             break
-    m = algebra.mul_map(xpow, 1)
-    kernel = echelon_rows(m.entries, m.cols, m.field).kernel_basis()
+    m = boxed(algebra.field, *algebra.mul_map(xpow, 1))
+    ech = echelon_rows(m.entries, m.cols, m.field)
+    kernel = boxed(m.field, ech.kernel_ints(), ech.den).entries
     if not kernel:
         return None
     while True:

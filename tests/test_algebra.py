@@ -25,8 +25,8 @@ from sagakit.lefschetz import SLP, WLP, _map_rank, lefschetz_probe
 from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
 
-from oracles import (boxed_mul_map, boxed_multiply, boxed_power, echelon_of,
-                     inverse_system_hilbert, matrix_map_rank)
+from oracles import (boxed, boxed_mul_map, boxed_multiply, boxed_power,
+                     echelon_of, inverse_system_hilbert, matrix_map_rank)
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
@@ -180,20 +180,21 @@ class TestMulMap:
     def test_monomial_ci_mu1_x0(self, monomial_ci):
         # brute-force oracle: x0*x0 = 0, x0*xj are 4 distinct basis classes
         x0 = monomial_ci.reduce(poly("x0", 5))
-        m = monomial_ci.mul_map(x0, 1)
+        m = boxed(monomial_ci.field, *monomial_ci.mul_map(x0, 1))
         assert (m.rows, m.cols) == (10, 5)
         assert echelon_of(m).rank == 4
 
     def test_zero_multiplier(self, monomial_ci):
         zero = monomial_ci.zero_element(1)
-        m = monomial_ci.mul_map(zero, 2)
+        m = boxed(monomial_ci.field, *monomial_ci.mul_map(zero, 2))
         assert all(not e for row in m.entries for e in row)
 
     def test_perazzo_rank_at_most_four(self, perazzo_alg):
         rng = random.Random(11)
         for _ in range(8):
             x = perazzo_alg.random_element(1, rng)
-            rank = echelon_of(perazzo_alg.mul_map(x, 1)).rank
+            rank = echelon_of(
+                boxed(perazzo_alg.field, *perazzo_alg.mul_map(x, 1))).rank
             assert rank <= 4
 
     def test_degree_overflow(self, perazzo_alg):
@@ -208,9 +209,9 @@ class TestMulMap:
             b = monomial_ci.random_element(1, rng)
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
             combo = a.scale(Fraction(s)) + b.scale(Fraction(t))
-            m_combo = monomial_ci.mul_map(combo, 2)
-            ma = monomial_ci.mul_map(a, 2)
-            mb = monomial_ci.mul_map(b, 2)
+            m_combo = boxed(monomial_ci.field, *monomial_ci.mul_map(combo, 2))
+            ma = boxed(monomial_ci.field, *monomial_ci.mul_map(a, 2))
+            mb = boxed(monomial_ci.field, *monomial_ci.mul_map(b, 2))
             for i in range(m_combo.rows):
                 for j in range(m_combo.cols):
                     assert m_combo.entries[i][j] == \
@@ -219,21 +220,24 @@ class TestMulMap:
 
 class TestPairing:
     def test_monomial_ci_degree_one_permutation(self, monomial_ci):
-        ok, m = monomial_ci.pairing_check(1)
+        ok, *m = monomial_ci.pairing_check(1)
+        m = boxed(monomial_ci.field, *m)
         assert ok
         # each x_i pairs with exactly one square-free complement
         for row in m.entries:
             assert sum(1 for e in row if e) == 1
 
     def test_perazzo_identity(self, perazzo_alg):
-        ok, m = perazzo_alg.pairing_check(1)
+        ok, *m = perazzo_alg.pairing_check(1)
+        m = boxed(perazzo_alg.field, *m)
         assert ok
         n = len(m.entries)
         assert all(m.entries[i][j] == (1 if i == j else 0)
                    for i in range(n) for j in range(n))
 
     def test_degree_zero(self, monomial_ci):
-        ok, m = monomial_ci.pairing_check(0)
+        ok, *m = monomial_ci.pairing_check(0)
+        m = boxed(monomial_ci.field, *m)
         assert ok
         assert (m.rows, m.cols) == (1, 1)
         assert m.entries[0][0] == 1
@@ -342,6 +346,24 @@ class TestPinnedBasis:
         with pytest.raises(Exception):
             perazzo_alg.with_degree_basis(2, reps)
 
+    @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)])
+    def test_dependent_representatives_name_the_degree(self, field):
+        alg = from_inverse_system(poly("x0^3 + x1^3 + x2^3", 3, field))
+        with pytest.raises(AlgebraError, match="degree 1 are linearly"):
+            alg.with_degree_basis(1, gens(["x0", "x1", "x0 + x1"], 3, field))
+
+    @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7)])
+    def test_is_standard_reads_the_table_values(self, field):
+        # x0 and x1 are (b0 + b1) / 2 and (b0 - b1) / 2 in this basis, so
+        # the degree-0 table columns hold -1 as well as 1: read as 1 they
+        # would be dependent
+        alg = from_inverse_system(poly("x0^3 + x1^3 + x2^3", 3, field))
+        pinned = alg.with_degree_basis(
+            1, gens(["x0 + x1", "x0 - x1", "x2"], 3, field))
+        assert pinned.is_standard()
+        assert pinned.reduce(poly("x1", 3, field)).coords == tuple(
+            field.from_fraction(*v) for v in ((1, 2), (-1, 2), (0, 1)))
+
     def test_serialization_shape(self, perazzo_alg):
         payload = perazzo_alg.to_json_dict()
         assert payload["hilbert"] == [1, 5, 5, 1]
@@ -357,7 +379,8 @@ class TestPinnedBasis:
 
 def test_monomial_ci_pairing_structure(monomial_ci):
     # square-free pairing: x_i * (product of the other four) is the socle
-    ok, m = monomial_ci.pairing_check(1)
+    ok, *m = monomial_ci.pairing_check(1)
+    m = boxed(monomial_ci.field, *m)
     assert ok
     deg4 = [frozenset(i for i, e in enumerate(mon.exponents) if e)
             for mon in monomial_ci.piece(4).basis_monomials]
@@ -476,7 +499,7 @@ class TestTablesMatchPolynomialProducts:
         for e in range(N + 1):
             alpha = alg.random_element(e, rng)
             for i in range(N + 1 - e):
-                m = alg.mul_map(alpha, i)
+                m = boxed(alg.field, *alg.mul_map(alpha, i))
                 for c, b in enumerate(alg.basis(i)):
                     want = alg.reduce(alg.lift(alpha) * alg.lift(b), e + i)
                     assert tuple(row[c] for row in m.entries) == want.coords
@@ -490,7 +513,7 @@ class TestTablesMatchPolynomialProducts:
             alpha = alg.random_element(e, rng)
             for m in range(N // max(e, 1) + 1):
                 for i in range(N + 1 - m * e):
-                    step = alg.mul_map(alpha, i, m)
+                    step = boxed(alg.field, *alg.mul_map(alpha, i, m))
                     for c, b in enumerate(alg.basis(i)):
                         want = alg.reduce(alg.lift(alpha) ** m * alg.lift(b),
                                           i + m * e)
@@ -505,8 +528,9 @@ class TestTablesMatchPolynomialProducts:
             L = alg.random_element(1, rng)
             for m in range(N + 1):
                 for k in range(N + 1 - m):
-                    assert (alg.mul_map(L, k, m).entries
-                            == alg.mul_map(alg.power(L, m), k).entries)
+                    assert (boxed(alg.field, *alg.mul_map(L, k, m)).entries
+                            == boxed(alg.field, *alg.mul_map(alg.power(L, m),
+                                                             k)).entries)
         with pytest.raises(AlgebraError):
             alg.mul_map(L, 0, -1)
         with pytest.raises(DegreeOverflowError):
@@ -655,7 +679,8 @@ def test_int_products_match_polynomial_products(case):
     assert product == alg.reduce(alg.lift(a) * alg.lift(b),
                                  a.degree + b.degree)
     assert power == alg.reduce(alg.lift(x) ** k, degree=k)
-    assert list(product.coords) == alg.mul_map(a, b.degree).mul_vector(b.coords)
+    assert list(product.coords) == boxed(
+        alg.field, *alg.mul_map(a, b.degree)).mul_vector(b.coords)
     kind = Fraction if alg.field.is_rational else Fp
     assert all(type(c) is kind for c in product.coords + power.coords)
 
@@ -936,7 +961,8 @@ def test_pairing_reads_socle_coordinates_of_products(monomial_ci, perazzo_alg,
     alg = _pairing_cases(monomial_ci, perazzo_alg)[name]
     N = alg.socle_degree
     for s in range(N + 1):
-        ok, m = alg.pairing_check(s)
+        ok, *m = alg.pairing_check(s)
+        m = boxed(alg.field, *m)
         assert ok
         assert m.entries == [[alg.multiply(a, b).coords[0]
                               for b in alg.basis(N - s)]
@@ -948,7 +974,8 @@ def _boxed_pairing(alg, s):
     """The pairing matrix in field arithmetic, one boxed product per pair of
     terms: phi(r_a * r_b), phi the socle coordinate on the top monomials."""
     top = alg.piece(alg.socle_degree)
-    phi, = top.echelon.kernel_basis()
+    phi, = boxed(alg.field, top.echelon.kernel_ints(),
+                 top.echelon.den).entries
     if top.basis_inverse is not None:
         ((scale,),), den = top.basis_inverse
         phi = [alg.field.from_fraction(scale, den) * v for v in phi]
@@ -978,10 +1005,15 @@ def test_int_pairing_equals_boxed_pairing(field, coeffs, pin):
         rep = alg.piece(3).basis_reps[0].scale(field.from_fraction(3, 2))
         alg = alg.with_degree_basis(3, [rep])
     for s in range(alg.socle_degree + 1):
-        entries = alg.pairing_check(s)[1].entries
+        entries = boxed(field, *alg.pairing_check(s)[1:]).entries
         assert entries == _boxed_pairing(alg, s)
         assert all(type(v) is type(field.one()) for row in entries
                    for v in row)
+        if field.p:
+            # the int rows are residues over 1, as mul_map's are
+            _, rows, den = alg.pairing_check(s)
+            assert den == 1 and all(0 <= v < field.p for row in rows
+                                    for v in row)
 
 
 class TestElementArithmetic:
@@ -1090,7 +1122,7 @@ def test_int_elements_match_boxed_products(data):
             _pin_element(alg, alg.power(a, k), *boxed_power(alg, boxed_a, k))
     m = data.draw(st.integers(0, N // max(da, 1)))
     i = data.draw(st.integers(0, N - m * da))
-    assert (alg.mul_map(a, i, m).entries
+    assert (boxed(alg.field, *alg.mul_map(a, i, m)).entries
             == boxed_mul_map(alg, da, boxed_a, i, m))
 
 
@@ -1133,7 +1165,7 @@ class TestNoFieldConversionInProducts:
         alg = _oracle_algebras()[name]
         N = alg.socle_degree
         # probes that find a witness: a failing probe's symbolic certificate
-        # reads mul_map's Matrix of field values
+        # turns mul_map's int rows into field values
         probes = [(SLP, 0), (WLP, 0), (WLP, N - 1)]
 
         def run():

@@ -23,7 +23,7 @@ from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
                            _line_roots, _theorem_c_trial)
 from sagakit.polyring import FieldSpec, Fp, RATIONAL, parse_poly
 
-from oracles import (echelon_of, matrix_sample_gamma, stepped_ggn,
+from oracles import (boxed, echelon_of, matrix_sample_gamma, stepped_ggn,
                      stepped_ker_coker)
 from test_lefschetz import perazzo_type
 
@@ -231,7 +231,9 @@ class TestKernelBounds:
     def test_k1_bound_tight_case(self, monomial_ci):
         eta = monomial_ci.reduce(poly("x0*x1*x2", 5))
         # brute force: x_i * x0x1x2 = 0 exactly for i in {0,1,2}
-        kernel = echelon_of(monomial_ci.mul_map(eta, 1)).kernel_basis()
+        ech = echelon_of(
+            boxed(monomial_ci.field, *monomial_ci.mul_map(eta, 1)))
+        kernel = boxed(ech.field, ech.kernel_ints(), ech.den).entries
         assert len(kernel) == 3
         assert check_k1_bound(monomial_ci, eta)  # 3 >= 1*3 is tight
 
@@ -239,7 +241,9 @@ class TestKernelBounds:
         rng = random.Random(14)
         for _ in range(10):
             eta = monomial_ci.random_element(1, rng)
-            kernel = echelon_of(monomial_ci.mul_map(eta, 1)).kernel_basis()
+            ech = echelon_of(
+                boxed(monomial_ci.field, *monomial_ci.mul_map(eta, 1)))
+            kernel = boxed(ech.field, ech.kernel_ints(), ech.den).entries
             assert check_k1_bound(monomial_ci, eta)
             # degree-1 bound forces injectivity
             assert len(kernel) == 0
@@ -296,8 +300,10 @@ class TestDegeneratePairSearch:
             [poly(t, 5, F101) for t in ("x0^2", "x1^2", "x2^2", "x3^2",
                                         "x4^2")])
         q = algebra.reduce(poly("x0*x1", 5, F101))
-        dim_k1 = len(echelon_of(algebra.mul_map(q, 1)).kernel_basis())
-        dim_k2 = len(echelon_of(algebra.mul_map(q, 2)).kernel_basis())
+        ech1 = echelon_of(boxed(algebra.field, *algebra.mul_map(q, 1)))
+        ech2 = echelon_of(boxed(algebra.field, *algebra.mul_map(q, 2)))
+        dim_k1 = len(boxed(ech1.field, ech1.kernel_ints(), ech1.den).entries)
+        dim_k2 = len(boxed(ech2.field, ech2.kernel_ints(), ech2.den).entries)
         assert dim_k1 == 2
         assert dim_k2 == 10 - len(list(combinations(range(2, 5), 2)))
         assert dim_k2 == 7

@@ -21,7 +21,7 @@ from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.seeding import DEFAULT_SEED, random_int_coords, rng_for
 
-from oracles import (echelon_of, hessian_det, point_hessian_reference,
+from oracles import (boxed, echelon_of, hessian_det, point_hessian_reference,
                      poly_to_dict, stepped_map_rank, stepped_symbolic_matrix)
 from test_cli import QUADRIC_CI4
 
@@ -80,12 +80,14 @@ class TestProbe:
         assert report.witness is not None
         # the witness is a genuine certificate: recompute its rank directly
         power = monomial_ci.power(report.witness, 3)
-        assert echelon_of(monomial_ci.mul_map(power, 1)).rank == 5
+        assert echelon_of(
+            boxed(monomial_ci.field, *monomial_ci.mul_map(power, 1))).rank == 5
 
     def test_monomial_ci_all_ones_witness(self, monomial_ci):
         L = monomial_ci.element(1, [1, 1, 1, 1, 1])
         cube = monomial_ci.power(L, 3)
-        assert echelon_of(monomial_ci.mul_map(cube, 1)).rank == 5
+        assert echelon_of(
+            boxed(monomial_ci.field, *monomial_ci.mul_map(cube, 1))).rank == 5
 
     def test_perazzo_slp1_fails_with_certificate(self, perazzo_alg):
         report = lefschetz_probe(perazzo_alg, SLP, 1, trials=16, seed=9)
@@ -123,9 +125,12 @@ class TestProbe:
         for _ in range(5):
             L = monomial_ci.random_element(1, rng)
             square = monomial_ci.power(L, 2)
-            r_composite = echelon_of(monomial_ci.mul_map(square, 1)).rank
-            r_first = echelon_of(monomial_ci.mul_map(L, 1)).rank
-            r_second = echelon_of(monomial_ci.mul_map(L, 2)).rank
+            r_composite = echelon_of(
+                boxed(monomial_ci.field, *monomial_ci.mul_map(square, 1))).rank
+            r_first = echelon_of(
+                boxed(monomial_ci.field, *monomial_ci.mul_map(L, 1))).rank
+            r_second = echelon_of(
+                boxed(monomial_ci.field, *monomial_ci.mul_map(L, 2))).rank
             assert r_composite <= min(r_first, r_second)
 
     @pytest.mark.parametrize("name,k,m", [("monomial_ci", 1, 3),
@@ -138,7 +143,8 @@ class TestProbe:
         rng = random.Random(31)
         for _ in range(3):
             L = algebra.random_element(1, rng)
-            want = algebra.mul_map(algebra.power(L, m), k)
+            want = boxed(algebra.field,
+                         *algebra.mul_map(algebra.power(L, m), k))
             got = [[e.eval_at(L.coords) for e in row] for row in entries]
             assert got == want.entries
 

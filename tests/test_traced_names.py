@@ -4,8 +4,10 @@ The tracer in perfbench/tracer.py replaces functions and methods by name; a
 renamed or removed one would only show up when the benchmark runs.  The
 tracer module is loaded from its file, and only its name tables are read.
 The inverse-system build must also reach the wrapped catalecticant and
-echelon through the names the tracer replaces, once per degree, and
-`GradedAlgebra.reduce` must reach the wrapped `Echelon.residual`.
+echelon through the names the tracer replaces, once per degree,
+`GradedAlgebra.reduce` must reach the wrapped `Echelon.residual`, and every
+map a probe or a gamma sample ranks must come from the wrapped
+`GradedAlgebra.mul_map`.
 """
 
 import importlib
@@ -20,6 +22,8 @@ import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity
 import sagakit.cli as cli
 import sagakit.exactla as exactla
+from sagakit.gnlab import SLPEvidence, perazzo_algebra, sample_gamma
+from sagakit.lefschetz import SLP, WLP, lefschetz_probe
 from sagakit.polyring import FieldSpec, RATIONAL, parse_poly
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -99,3 +103,54 @@ def test_reduce_reaches_the_traced_residual(monkeypatch):
         calls.clear()
         e = algebra.reduce(parse_poly("x0*x3 + 3*x1*x4", 5, field))
         assert len(calls) == 1 and e.degree == 2 and not e.is_zero
+
+
+def test_rank_paths_reach_the_traced_mul_map(monkeypatch):
+    # the method the tracer names algebra.mul_map, wrapped on its class as
+    # the tracer wraps it, builds every map that a probe or a gamma sample
+    # ranks: each echelon they take is of the rows of one mul_map call
+    (mod, cls, attr), = [key for key, name in tracer.METHODS.items()
+                         if name == "algebra.mul_map"]
+    owner = getattr(importlib.import_module(f"sagakit.{mod}"), cls)
+    real_map, real_echelon = getattr(owner, attr), exactla.echelon_rows
+    built, ranked = [], []
+
+    def counted_map(*args):
+        out = real_map(*args)
+        built.append(out[0])
+        return out
+
+    def counted_echelon(rows, *args):
+        ranked.append(rows)
+        return real_echelon(rows, *args)
+
+    monkeypatch.setattr(owner, attr, counted_map)
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if ((name == "sagakit" or name.startswith("sagakit."))
+                and vars(module).get("echelon_rows") is real_echelon):
+            monkeypatch.setattr(module, "echelon_rows", counted_echelon)
+    quadrics = [parse_poly(t, 4, RATIONAL) for t in
+                ("x0^2 + x1*x2", "x1^2 - x2*x3", "x2^2 + x0*x3", "x3^2")]
+    cases = [(perazzo_algebra(), [(WLP, 0), (WLP, 2)], [1]),
+             (algebra_module.from_regular_sequence(quadrics),
+              [(SLP, 0), (SLP, 1), (WLP, 1), (WLP, 3)], [1, 2]),
+             (algebra_module.from_inverse_system(parse_poly(
+                 "x0^4 + 3*x0*x1^2*x2 - x2^4 + x1*x2^3", 3,
+                 FieldSpec.prime(7))), [(SLP, 0), (WLP, 1)], [1])]
+    for algebra, probes, gamma_ks in cases:
+        def run():
+            for kind, k in probes:
+                assert lefschetz_probe(algebra, kind, k, trials=4).holds
+            for k in gamma_ks:
+                try:
+                    sample_gamma(algebra, k, seed=5)
+                except SLPEvidence:
+                    pass
+
+        run()  # builds the tables and any lazy piece first
+        built.clear()
+        ranked.clear()
+        run()
+        assert ranked and len(ranked) == len(built)
+        assert all(r is b for r, b in zip(ranked, built))

@@ -7,13 +7,16 @@ picked up by y^k acting on x^e is the falling factorial e(e-1)...(e-k+1).
 The degree-i catalecticant of a form G is the matrix of contraction
 restricted to degree-i operator monomials; its kernel is the degree-i piece
 of the annihilator of G, and one elimination of it, columns reversed, gives
-that kernel's reduced echelon.
+that kernel's reduced echelon.  A catalecticant leaves this module in the
+form an algebra's maps do, int rows over one denominator (residues over 1
+on F_p), read from the form's coefficients as ints once, and its rows go to
+the echelon as they are.
 """
 
 from math import perm, prod
 from operator import add
 
-from .exactla import Echelon, Matrix, echelon_rows
+from .exactla import Echelon, echelon_rows
 from .polyring import Monomial, PolyError, Polynomial, monomial_basis
 
 
@@ -44,36 +47,41 @@ def contract(op: Polynomial, form: Polynomial) -> Polynomial:
     return Polynomial(form.n_vars, field, acc)
 
 
-def catalecticant(form: Polynomial, i: int) -> Matrix:
-    """Matrix of the contraction map from degree-i operators into degree d-i.
+def catalecticant(form: Polynomial, i: int) -> tuple[list, int]:
+    """Rows of the matrix of the contraction map from degree-i operators
+    into degree d-i, as ints over one denominator (residues over 1 on F_p).
 
     Columns follow the degree-i operator monomials m, rows the degree-(d-i)
     monomials m' of the target, both in `monomial_basis` order; entry
     (m', m) is the coefficient of m' in m applied to the form, which is
-    f_(m+m') times the product over t of perm((m+m')_t, m_t).
+    f_(m+m') times the product over t of perm((m+m')_t, m_t).  The
+    coefficients are read as ints over their lcm once, so every entry is an
+    int times that product.
     """
     d = form.homogeneous_degree()
     if form.is_zero or d is None:
         raise PolyError("catalecticant needs a nonzero homogeneous form")
     if not 0 <= i <= d:
         raise PolyError(f"source degree {i} out of range 0..{d}")
-    zero = form.field.zero()
-    terms = {m.exponents: c for m, c in form.terms.items()}
+    ints, den = form.field.to_ints(list(form.terms.values()))
+    terms = {m.exponents: c for m, c in zip(form.terms, ints)}
     cols = [m.exponents for m in monomial_basis(form.n_vars, i)]
-    entries = []
+    p = form.field.p
+    rows = []
     for row_mon in monomial_basis(form.n_vars, d - i):
         row = []
         for col in cols:
             e = tuple(map(add, row_mon.exponents, col))
             f = terms.get(e)
-            row.append(f * prod(map(perm, e, col)) if f else zero)
-        entries.append(row)
-    return Matrix(entries, form.field)
+            row.append(f * prod(map(perm, e, col)) if f else 0)
+        rows.append([v % p for v in row] if p else row)
+    return rows, den
 
 
 def annihilator_echelon(form: Polynomial, i: int) -> Echelon:
     """Reduced echelon of the degree-i annihilator, over the degree-i
-    monomials, from one elimination of the catalecticant, columns reversed.
+    monomials, from one elimination of the catalecticant's int rows,
+    columns reversed.
 
     Read in column order, a reduced row of it is 1 at its pivot q, its last
     nonzero column, and a_(q,c) at free columns c < q.  So the kernel's
@@ -81,13 +89,14 @@ def annihilator_echelon(form: Polynomial, i: int) -> Echelon:
     free column c: its pivots are the free columns, its non-pivots the
     catalecticant's pivots.
     """
-    cat = catalecticant(form, i)
-    last, p = cat.cols - 1, cat.field.p
-    rev = echelon_rows([row[::-1] for row in cat.entries], cat.cols, cat.field)
+    rows, _ = catalecticant(form, i)
+    field, ncols = form.field, len(rows[0])
+    last, p = ncols - 1, field.p
+    rev = echelon_rows([row[::-1] for row in rows], ncols, field)
     # the same ints over the same den, negated, so still canonical
     coeffs = [[-row[j] % p if p else -row[j] for row in reversed(rev.coeffs)]
               for j in reversed(range(len(rev.nonpivots)))]
-    return Echelon(cat.cols, cat.field,
+    return Echelon(ncols, field,
                    [last - c for c in reversed(rev.nonpivots)],
                    [last - c for c in reversed(rev.pivots)], coeffs,
                    den=rev.den)

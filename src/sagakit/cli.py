@@ -93,6 +93,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     texts, polys = _parse_inputs(args, field)
     algebra = _build_algebra(polys)
     N = algebra.socle_degree
+    # the pairing of N - s is the transpose of the pairing of s
+    half = [algebra.pairing_check(s)[0] for s in range(N // 2 + 1)]
     report = {
         "schema": SCHEMA_VERSION,
         "command": "analyze",
@@ -101,7 +103,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "input": {"kind": "form" if len(polys) == 1 else "generators",
                   "text": texts[0] if len(polys) == 1 else texts},
         "algebra": algebra.to_json_dict(),
-        "duality": [algebra.pairing_check(s)[0] for s in range(N + 1)],
+        "duality": [half[min(s, N - s)] for s in range(N + 1)],
         "standard": algebra.is_standard(),
     }
     notes = []

@@ -52,7 +52,12 @@ denominator 1.
 So an echelon holds ints on both fields, and its callers read them
 directly: `residual` and `kernel_ints` return ints over one denominator, and
 only `full_rows` makes field values (Fraction or Fp).  An inverse is one
-echelon of [M | I], whose reduced rows hold the inverse over `den`.
+echelon of [M | I], whose reduced rows hold the inverse over `den`.  The
+rows that reach an echelon are ints as well: an algebra's maps and
+pairings and the catalecticants of `apolarity` are int rows over one
+denominator.  A `Matrix` is built only for a determinant, by `det_ff`'s
+callers: a hessian, a symbolic certificate or a line of the degenerate-pair
+search.
 """
 
 import sys

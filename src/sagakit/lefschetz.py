@@ -38,14 +38,13 @@ cross-check reads the hessian at its points from the same int evaluator.
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
-from .apolarity import is_cone
+from .apolarity import contract, is_cone
 from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
-from .polyring import (Monomial, PolyError, Polynomial, monomial_basis,
-                       scalar_str)
+from .polyring import PolyError, Polynomial, monomial_basis, scalar_str
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 SLP = "SLP"
@@ -220,29 +219,12 @@ class HessianReport:
 
 
 def second_partials(form: Polynomial) -> list[list[Polynomial]]:
-    n = form.n_vars
-    field = form.field
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: dict[Monomial, object] = {}
-            for mon, coeff in form.terms.items():
-                e = list(mon.exponents)
-                scale = e[i]
-                if scale == 0:
-                    continue
-                e[i] -= 1
-                scale *= e[j]
-                if scale == 0:
-                    continue
-                e[j] -= 1
-                target = Monomial(e)
-                val = coeff * field.from_int(scale)
-                acc[target] = acc[target] + val if target in acc else val
-            row.append(Polynomial(n, field, acc))
-        out.append(row)
-    return out
+    """The matrix of second partials of a homogeneous form: entry (i, j) is
+    the contraction of y_i*y_j with it."""
+    n, field = form.n_vars, form.field
+    ys = [[int(k == i) for k in range(n)] for i in range(n)]
+    return [[contract(Polynomial(n, field, {tuple(map(add, a, b)): 1}), form)
+             for b in ys] for a in ys]
 
 
 def _point_hessian(form: Polynomial, point) -> tuple[list, int]:

@@ -9,7 +9,9 @@ one-degree maps, a basis vector at a time, so they check the route through
 powers of L against L applied m times.  The annihilator reference builds a
 catalecticant one `contract` per column, takes its kernel vectors and
 eliminates them a second time, so it checks the one-elimination
-annihilator echelon against the long way round.  The point-hessian
+annihilator echelon against the long way round.  The second-partials
+reference differentiates each term twice by its own loop, so it checks the
+contractions by y_i*y_j against term-by-term calculus.  The point-hessian
 reference evaluates every `second_partials` polynomial with `eval_at`, and
 the power-shift references form each mixed power and each shifted power
 (x + t y)^(k+1) afresh, so they check the int readings against field
@@ -19,7 +21,8 @@ the matrix references read ranks and gamma samples from a Matrix of field
 values boxed from `mul_map`'s int rows, so they check the int elements and
 the int map rows against the field-value boundary they replace.  `boxed` is
 the one place where the tests turn the int rows over one denominator that
-the package hands out (maps, pairings, kernel vectors) into field values.
+the package hands out (maps, pairings, catalecticants, kernel vectors) into
+field values.
 """
 
 import itertools
@@ -214,8 +217,9 @@ def rref_rational(rows, ncols):
 
 
 def boxed(field, rows, den):
-    """Int rows over the denominator den, as `mul_map`, `pairing_check` and
-    `Echelon.kernel_ints` give them, as a Matrix of field values."""
+    """Int rows over the denominator den, as `mul_map`, `pairing_check`,
+    `catalecticant` and `Echelon.kernel_ints` give them, as a Matrix of
+    field values."""
     return Matrix([field.from_ints(row, den) for row in rows], field)
 
 
@@ -282,6 +286,34 @@ def annihilator_echelon_reference(form, i):
     ech = echelon_of(cat)
     kernel = boxed(cat.field, ech.kernel_ints(), ech.den).entries
     return echelon_rows(kernel, cat.cols, cat.field)
+
+
+def second_partials_reference(form):
+    """The second-partial matrix of a form by its own loop over the terms:
+    entry (i, j) takes c * e_i * (e_j - [i == j]) x^(e - u_i - u_j) from
+    each term c x^e."""
+    n, field = form.n_vars, form.field
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for mon, coeff in form.terms.items():
+                e = list(mon.exponents)
+                scale = e[i]
+                if scale == 0:
+                    continue
+                e[i] -= 1
+                scale *= e[j]
+                if scale == 0:
+                    continue
+                e[j] -= 1
+                target = Monomial(e)
+                val = coeff * field.from_int(scale)
+                acc[target] = acc[target] + val if target in acc else val
+            row.append(Polynomial(n, field, acc))
+        out.append(row)
+    return out
 
 
 def point_hessian_reference(form, point):

@@ -81,7 +81,8 @@ class TestFromInverseSystem:
 
     def test_dims_match_catalecticant_ranks(self, perazzo_f, perazzo_alg):
         for i in range(4):
-            rank = echelon_of(catalecticant(perazzo_f, i)).rank
+            rank = echelon_of(boxed(perazzo_f.field,
+                                     *catalecticant(perazzo_f, i))).rank
             assert perazzo_alg.hilbert[i] == rank
 
 

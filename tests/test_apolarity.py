@@ -1,16 +1,17 @@
 import random
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import sagakit.apolarity as apolarity_module
 from sagakit.apolarity import (annihilator_echelon, annihilator_piece,
                                catalecticant, contract, is_cone)
 from sagakit.exactla import echelon_rows
 from sagakit.polyring import (FieldSpec, Monomial, PolyError, Polynomial,
                               RATIONAL, monomial_basis, parse_poly)
 
-from oracles import (annihilator_echelon_reference, apply_operator,
+from oracles import (annihilator_echelon_reference, apply_operator, boxed,
                      contract_catalecticant, echelon_of, poly_to_dict,
                      sympify_form)
 from test_lefschetz import dense_form, linear_change
@@ -84,10 +85,10 @@ class TestCatalecticant:
     def test_pure_power_rank_one(self):
         g = parse_poly("x0^3", 3)
         for i in range(4):
-            assert echelon_of(catalecticant(g, i)).rank == 1
+            assert echelon_of(boxed(g.field, *catalecticant(g, i))).rank == 1
 
     def test_perazzo_degree_two(self, perazzo_f):
-        cat = catalecticant(perazzo_f, 2)
+        cat = boxed(perazzo_f.field, *catalecticant(perazzo_f, 2))
         assert echelon_of(cat).rank == 5
 
     def test_perazzo_degree_three(self, perazzo_f):
@@ -96,7 +97,7 @@ class TestCatalecticant:
         nonzero = [m.exponents for m in monomial_basis(5, 3)
                    if apply_operator(m.exponents, expr, 5) != 0]
         assert nonzero == [(1, 0, 0, 2, 0), (0, 1, 0, 1, 1), (0, 0, 1, 0, 2)]
-        cat = catalecticant(perazzo_f, 3)
+        cat = boxed(perazzo_f.field, *catalecticant(perazzo_f, 3))
         assert echelon_of(cat).rank == 1
         assert cat.rows == 1  # image lives in the constants
         cols = monomial_basis(5, 3)
@@ -111,7 +112,7 @@ class TestCatalecticant:
 
     def test_labels_match_dimensions(self, perazzo_f):
         # columns: the 5 linear operators; rows: the 15 quadric monomials
-        cat = catalecticant(perazzo_f, 1)
+        cat = boxed(perazzo_f.field, *catalecticant(perazzo_f, 1))
         assert (cat.rows, cat.cols) == (15, 5)
 
 
@@ -148,7 +149,7 @@ class TestAnnihilator:
             if g.is_zero:
                 continue
             for i in range(4):
-                cat = catalecticant(g, i)
+                cat = boxed(g.field, *catalecticant(g, i))
                 assert (len(annihilator_piece(g, i))
                         + echelon_of(cat).rank) == cat.cols
 
@@ -160,8 +161,8 @@ class TestAnnihilator:
             if g.is_zero:
                 continue
             for i in range(5):
-                r1 = echelon_of(catalecticant(g, i)).rank
-                r2 = echelon_of(catalecticant(g, 4 - i)).rank
+                r1 = echelon_of(boxed(g.field, *catalecticant(g, i))).rank
+                r2 = echelon_of(boxed(g.field, *catalecticant(g, 4 - i))).rank
                 assert r1 == r2
 
 
@@ -216,7 +217,8 @@ def inverse_system_forms(draw):
 @settings(max_examples=60, deadline=None)
 def test_annihilator_echelon_matches_the_long_way(form):
     for i in range(form.homogeneous_degree() + 1):
-        assert catalecticant(form, i) == contract_catalecticant(form, i)
+        assert (boxed(form.field, *catalecticant(form, i))
+                == contract_catalecticant(form, i))
         got = annihilator_echelon(form, i)
         want = annihilator_echelon_reference(form, i)
         assert got.pivots == want.pivots
@@ -238,8 +240,54 @@ def test_catalecticant_is_a_scaled_transpose_of_its_dual(n, d, data):
         return prod(map(factorial, m.exponents))
 
     for i in range(d + 1):
-        dual = catalecticant(form, d - i).entries
-        assert catalecticant(form, i).entries == [
+        dual = boxed(form.field, *catalecticant(form, d - i)).entries
+        assert boxed(form.field, *catalecticant(form, i)).entries == [
             [dual[c][r] * fact(m) / fact(m2)
              for c, m in enumerate(monomial_basis(n, i))]
             for r, m2 in enumerate(monomial_basis(n, d - i))]
+
+
+@given(st.sampled_from([RATIONAL] + [FieldSpec.prime(p)
+                                     for p in (2, 3, 5, 32003)]),
+       st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_catalecticant_int_rows_match_the_contractions(field, n, d, data):
+    # ints over the lcm of the coefficient denominators; over F_p residues
+    # over 1, and with p <= d some perm factors vanish mod p
+    scalars = (st.fractions(-3, 3, max_denominator=4) if field.is_rational
+               else st.integers(-3, 3))
+    size = len(monomial_basis(n, d))
+    form = dense_form(data.draw(st.lists(scalars, min_size=size,
+                                         max_size=size)), n, d, field)
+    assume(not form.is_zero)
+    want_den = (lcm(*(c.denominator for c in form.terms.values()))
+                if field.is_rational else 1)
+    for i in range(d + 1):
+        rows, den = catalecticant(form, i)
+        assert den == want_den
+        assert all(type(v) is int for row in rows for v in row)
+        if field.p:
+            assert all(0 <= v < field.p for row in rows for v in row)
+        assert boxed(field, rows, den) == contract_catalecticant(form, i)
+
+
+def test_annihilator_echelon_hands_echelon_plain_int_rows(monkeypatch):
+    seen = []
+    real = apolarity_module.echelon_rows
+
+    def spy(rows, ncols, field):
+        seen.append((rows, field))
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(apolarity_module, "echelon_rows", spy)
+    forms = [parse_poly("1/2*x0^3 + 1/3*x1^3 + x0*x1*x2", 3),
+             parse_poly(PERAZZO, 5, FieldSpec.prime(3)),
+             parse_poly(PERAZZO, 5, FieldSpec.prime(32003))]
+    for form in forms:
+        for i in range(4):
+            annihilator_echelon(form, i)
+    assert len(seen) == 12
+    for rows, field in seen:
+        assert all(type(v) is int for row in rows for v in row)
+        if field.p:
+            assert all(0 <= v < field.p for row in rows for v in row)

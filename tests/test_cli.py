@@ -164,6 +164,25 @@ class TestAnalyze:
         assert code == 0 and json.loads(out)["cone"] is False
         assert degrees == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("text,N", [(PERAZZO, 3),
+                                        ("x0^4 + x1^4 + x2^4", 4)])
+    def test_each_duality_pairing_ranked_once(self, capsys, monkeypatch,
+                                              text, N):
+        # the pairing of N - s is the transpose of the pairing of s, so the
+        # two have the same squareness and rank
+        degrees = []
+        real = algebra_module.GradedAlgebra.pairing_check
+
+        def counted(algebra, s):
+            degrees.append(s)
+            return real(algebra, s)
+
+        monkeypatch.setattr(algebra_module.GradedAlgebra, "pairing_check",
+                            counted)
+        code, out, _ = run(capsys, "analyze", text)
+        assert code == 0 and json.loads(out)["duality"] == [True] * (N + 1)
+        assert degrees == list(range(N // 2 + 1))
+
     def test_corpus_input(self, capsys):
         code, out, _ = run(capsys, "analyze", "--corpus", "binary_product")
         assert code == 0

@@ -31,7 +31,7 @@ class TestRankKernel:
         assert len(boxed(r.field, r.kernel_ints(), r.den).entries) == 4
 
     def test_perazzo_catalecticant_degree_two(self, perazzo_f):
-        cat = catalecticant(perazzo_f, 2)
+        cat = boxed(perazzo_f.field, *catalecticant(perazzo_f, 2))
         assert (cat.rows, cat.cols) == (5, 15)
         r = echelon_of(cat)
         assert r.rank == 5

@@ -275,6 +275,23 @@ class TestKernelBounds:
         assert not monomial_ci.power(y, 2).is_zero
         assert tangent_kernel_check(monomial_ci, y, 3)
 
+    def test_tangent_kernel_ranks_y_to_the_a_minus_one(self, monomial_ci,
+                                                       monkeypatch):
+        # ker(y) lies in ker(y^(a-1)), so the verdict alone cannot tell
+        # which class was ranked; here y^2 = 2*x0*x1 != y
+        seen = []
+        real = gnlab_module._map_rank
+
+        def recording(algebra, k, m, L):
+            seen.append(L)
+            return real(algebra, k, m, L)
+
+        monkeypatch.setattr(gnlab_module, "_map_rank", recording)
+        y = monomial_ci.reduce(poly("x0 + x1", 5))
+        assert tangent_kernel_check(monomial_ci, y, 3)
+        assert seen == [monomial_ci.power(y, 2)]
+        assert seen[0] != y
+
     def test_tangent_kernel_precondition(self, monomial_ci):
         y = monomial_ci.reduce(poly("x0", 5))
         with pytest.raises(AlgebraError):

@@ -22,7 +22,8 @@ from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.seeding import DEFAULT_SEED, random_int_coords, rng_for
 
 from oracles import (boxed, echelon_of, hessian_det, point_hessian_reference,
-                     poly_to_dict, stepped_map_rank, stepped_symbolic_matrix)
+                     poly_to_dict, second_partials_reference,
+                     stepped_map_rank, stepped_symbolic_matrix)
 from test_cli import QUADRIC_CI4
 
 
@@ -401,6 +402,19 @@ def test_point_hessian_matches_evaluated_second_partials(case):
     if cone:
         # a relation sum c_i * d_i f = 0 gives H c = 0 at every point
         assert not det_ff(Matrix(rows, field))
+
+
+@given(st.sampled_from([RATIONAL, FieldSpec.prime(2), FieldSpec.prime(3), F7]),
+       st.integers(1, 5), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_second_partials_match_the_term_loop(field, n, d, data):
+    # over F_2 and F_3 some factors e_i * (e_j - [i == j]) vanish mod p
+    scalars = (st.fractions(-3, 3, max_denominator=4) if field.is_rational
+               else st.integers(-3, 3))
+    size = len(monomial_basis(n, d))
+    form = dense_form(data.draw(st.lists(scalars, min_size=size,
+                                         max_size=size)), n, d, field)
+    assert second_partials(form) == second_partials_reference(form)
 
 
 class TestHessianPath:

@@ -19,7 +19,7 @@ from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
                     sample_gamma, tangent_kernel_check, theorem_c_experiment)
 from .lefschetz import (HessianReport, ProbeReport, SLP, WLP, hessian,
                         hessian_slp_crosscheck, lefschetz_probe)
-from .polyring import (FieldMismatchError, FieldSpec, Fp, Monomial, PolyError,
+from .polyring import (FieldMismatchError, FieldSpec, Monomial, PolyError,
                        PolyParseError, Polynomial, RATIONAL, monomial_basis,
                        parse_poly)
 from .seeding import DEFAULT_SEED
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "AlgebraError", "DEFAULT_SEED",
     "DegenerateAlgebra", "DegeneratePair", "DegreeOverflowError",
-    "ExperimentReport", "FieldMismatchError", "FieldSpec", "Fp", "GammaSample",
+    "ExperimentReport", "FieldMismatchError", "FieldSpec", "GammaSample",
     "GradedAlgebra", "HessianReport", "Matrix", "MatrixError",
     "Monomial", "NotRegularSequence", "PolyError", "PolyParseError",
     "Polynomial", "ProbeReport", "RATIONAL", "SLP", "SLPEvidence", "WLP",

@@ -124,10 +124,9 @@ class NotRegularSequence(AlgebraError):
 
 
 def field_ints(field: FieldSpec, values) -> tuple[list, int]:
-    """Scalars (ints, Fractions or field values) as ints over one
-    denominator: plain ints as given, anything else through
-    `FieldSpec.coerce`, which checks it.  Over F_p the reader reduces the
-    ints mod p."""
+    """Scalars (ints or Fractions) as ints over one denominator: plain ints
+    as given, anything else through `FieldSpec.coerce`, which checks it.
+    Over F_p the reader reduces the ints mod p."""
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
@@ -139,7 +138,7 @@ class AlgebraElement:
     over one denominator, and the field.  Over Q `ints` share no content
     with the positive `den`; over F_p they are residues and `den` is 1.
     `coords`, the coordinates as field values, is built on first read.
-    Elements are equal when their degrees and coordinates are."""
+    Elements are equal when their fields, degrees and coordinates are."""
 
     __slots__ = ("degree", "ints", "den", "field", "_coords")
 
@@ -173,11 +172,8 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.field != other.field:
-            # field values of two fields compare as values
-            return self.degree == other.degree and self.coords == other.coords
-        return (self.degree, self.den, self.ints) == (other.degree, other.den,
-                                                      other.ints)
+        return (self.field, self.degree, self.den, self.ints) == (
+            other.field, other.degree, other.den, other.ints)
 
     def __hash__(self):
         return hash((self.degree, self.den, self.ints))
@@ -880,7 +876,7 @@ def _fp_pieces(forms, degrees):
     generators = {}
     for f, e in zip(forms, degrees):
         generators.setdefault(e, []).append(
-            [(m.exponents, c.val) for m, c in f.terms.items()])
+            [(m.exponents, c) for m, c in f.terms.items()])
     yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
                  field)
     # the basis monomials of the degree below, its reduced rows (pivot

@@ -39,10 +39,11 @@ between its residues and its packed int in C: `array.tobytes` and
 slot wider than 8 bytes (p = 2^31 - 1 over more than three rows, say)
 keeps its exact width and a conversion slot by slot.  An input row of
 plain ints in [0, p), as the rows that build an algebra's F_p pieces are,
-is read into an array whole; any other row (`Fp` values, negative ints,
-ints >= p) is reduced entry by entry first.  Once packed, entries are
-reduced mod p only where they are read: a lead, a pivot row when it is
-normalized, a row after back-substitution.
+is read into an array whole; any other row (negative ints, ints >= p,
+`Fraction`s) is brought into the field entry by entry first, by
+`FieldSpec.coerce`.  Once packed, entries are reduced mod p only where they
+are read: a lead, a pivot row when it is normalized, a row after
+back-substitution.
 Back-substitution works on the pivot rows packed again over the non-pivot
 columns only, since a reduced row is 0 at every other pivot column.  The
 reduced row echelon form is unique, so the result is the one cell-by-cell
@@ -51,9 +52,10 @@ denominator 1.
 
 So an echelon holds ints on both fields, and its callers read them
 directly: `residual` and `kernel_ints` return ints over one denominator, and
-only `full_rows` makes field values (Fraction or Fp).  An inverse is one
-echelon of [M | I], whose reduced rows hold the inverse over `den`.  The
-rows that reach an echelon are ints as well: an algebra's maps and
+only `full_rows` makes field values: Fractions over Q, residues over F_p,
+where a field value is a plain int in [0, p) (see `polyring`).  An inverse
+is one echelon of [M | I], whose reduced rows hold the inverse over `den`.
+The rows that reach an echelon are ints as well: an algebra's maps and
 pairings and the catalecticants of `apolarity` are int rows over one
 denominator.  A `Matrix` is built only for a determinant, by `det_ff`'s
 callers: a hessian, a symbolic certificate or a line of the degenerate-pair
@@ -67,7 +69,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
 
-from .polyring import FieldSpec, Fp, Polynomial, RATIONAL
+from .polyring import FieldSpec, Polynomial, RATIONAL
 
 
 class MatrixError(ValueError):
@@ -112,8 +114,8 @@ class Matrix:
         for row in self.entries:
             acc = self.field.zero()
             for c, b in nonzero:
-                acc = acc + row[c] * b
-            out.append(acc)
+                acc += row[c] * b
+            out.append(self.field.coerce(acc))
         return out
 
     def is_square(self) -> bool:
@@ -342,13 +344,14 @@ def _check_length(k, row, ncols):
         raise MatrixError(f"row {k} has length {len(row)}, expected {ncols}")
 
 
-def _forward_prime(rows, ncols, p):
+def _forward_prime(rows, ncols, field: FieldSpec):
     """Packed forward pass over F_p.
 
     Returns the packed nonzero rows, pivot rows normalized, with their slot
     width, the pivot columns, the input index of each pivot row, the sign of
     the row moves and the product of the leads mod p.
     """
+    p = field.p
     width = _slot_bytes(p, len(rows))
     tc = _TYPECODES.get(width)
     bits = 8 * width
@@ -359,7 +362,7 @@ def _forward_prime(rows, ncols, p):
     for k, row in enumerate(rows):
         vals = _residues(row, tc, p) if tc else None
         if vals is None:
-            vals = [x.val if isinstance(x, Fp) else int(x) % p for x in row]
+            vals = [field.coerce(x) for x in row]
         _check_length(k, vals, ncols)
         packed = _pack(vals, width)
         if packed:
@@ -405,7 +408,7 @@ def _forward_prime(rows, ncols, p):
 
 def _echelon_prime(rows, ncols, field: FieldSpec) -> Echelon:
     p = field.p
-    work, width, pivots, origins, _, _ = _forward_prime(rows, ncols, p)
+    work, width, pivots, origins, _, _ = _forward_prime(rows, ncols, field)
     # Back-substitution, last pivot row first, each row repacked over the
     # non-pivot columns only once reduced.  A reduced row is 0 at every
     # other pivot column, so the multiple of row j that row i takes is row
@@ -484,9 +487,8 @@ def det_ff(m: Matrix):
     if isinstance(m.entries[0][0], Polynomial):
         return _det_polynomial(m.entries)
     if not m.field.is_rational:
-        p = m.field.p
-        _, _, pivots, _, sign, leads = _forward_prime(m.entries, n, p)
-        return Fp(sign * leads if len(pivots) == n else 0, p)
+        _, _, pivots, _, sign, leads = _forward_prime(m.entries, n, m.field)
+        return sign * leads % m.field.p if len(pivots) == n else 0
     work, factor = _to_int_rows(m.entries)
     _, _, sign = _forward_rational(work, n)
     return sign * work[-1][-1] / factor

@@ -308,7 +308,7 @@ def _line_roots(a0, a1, field: FieldSpec):
     for s in range(points):
         rows = [[e0 + s * e1 for e0, e1 in zip(r0, r1)]
                 for r0, r1 in zip(a0, a1)]
-        newton.append(det_ff(Matrix(rows, field)).val)
+        newton.append(det_ff(Matrix(rows, field)))
         if not newton[-1]:
             yield s
     for j in range(1, points):

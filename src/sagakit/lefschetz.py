@@ -327,13 +327,14 @@ def _crosscheck_at(algebra, form, point) -> bool:
     L = sum((x.scale(field.coerce(c)) for x, c in zip(variables, point)),
             algebra.zero_element(1))
     power = algebra.power(L, d - 2)
-    fact = field.from_int(factorial(d - 2))
+    # (d-2)! times the hessian at the point, as field values
+    fact = factorial(d - 2)
     rows, den = _point_hessian(form, point)
-    hess = [field.from_ints(row, den) for row in rows]
+    hess = [field.from_ints([fact * v for v in row], den) for row in rows]
     for i in range(n):
         left_i = algebra.multiply(power, variables[i])
         for j in range(n):
             prod = algebra.multiply(left_i, variables[j])
-            if socle_contraction_value(algebra, prod) != fact * hess[i][j]:
+            if socle_contraction_value(algebra, prod) != hess[i][j]:
                 return False
     return True

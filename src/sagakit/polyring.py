@@ -2,10 +2,13 @@
 
 Polynomials are stored as maps from monomials (exponent vectors) to nonzero
 coefficients.  Coefficients are `fractions.Fraction` in rational mode and
-`Fp` wrappers in prime-field mode; all arithmetic is exact.  Monomials are
-ordered graded-lexicographically with x0 > x1 > ... > xn, and every basis
-enumeration and printed form follows that order (largest first), which keeps
-pivot choices and golden outputs reproducible.
+plain int residues in [0, p) in prime-field mode; all arithmetic is exact.
+A residue does not know its p: the `FieldSpec` a polynomial carries does,
+and the constructor reduces every coefficient through it, so sums and
+products of residues outside a constructor are reduced by their caller.
+Monomials are ordered graded-lexicographically with x0 > x1 > ... > xn, and
+every basis enumeration and printed form follows that order (largest
+first), which keeps pivot choices and golden outputs reproducible.
 """
 
 from dataclasses import dataclass
@@ -55,100 +58,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class Fp:
-    """An element of the prime field F_p. Immutable."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val: int, p: int):
-        object.__setattr__(self, "val", val % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Fp is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatchError(f"F_{self.p} vs F_{other.p}")
-            return other.val
-        if isinstance(other, int):
-            return other % self.p
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise FieldMismatchError(
-                    f"denominator {other.denominator} not invertible in F_{self.p}")
-            return other.numerator * pow(other.denominator, self.p - 2, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Fp(self.val + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Fp(self.val - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Fp(v - self.val, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else Fp(self.val * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return Fp(self.val * pow(v, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        if self.val == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Fp(v * pow(self.val, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.val, self.p)
-
-    def __pow__(self, k: int):
-        return Fp(pow(self.val, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        if isinstance(other, Fraction) and other.denominator == 1:
-            return self.val == other.numerator % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return str(self.val)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: the rationals, or F_p for a prime p.
 
-    Rational mode is the default and the only mode used for identity
-    verification; prime fields exist for searches that need exhaustive
-    root scans over a finite field.
+    Its values are `Fraction`s over Q and plain int residues in [0, p) over
+    F_p; `zero`, `one`, `from_int`, `from_fraction`, `coerce` and
+    `from_ints` make them, and `to_ints` reads them back.
     """
 
     kind: str = "rational"
@@ -191,13 +107,13 @@ class FieldSpec:
         return self.kind == "rational"
 
     def zero(self):
-        return Fraction(0) if self.is_rational else Fp(0, self.p)
+        return Fraction(0) if self.is_rational else 0
 
     def one(self):
-        return Fraction(1) if self.is_rational else Fp(1, self.p)
+        return Fraction(1) if self.is_rational else 1
 
     def from_int(self, k: int):
-        return Fraction(k) if self.is_rational else Fp(k, self.p)
+        return Fraction(k) if self.is_rational else k % self.p
 
     def from_fraction(self, num: int, den: int):
         if den == 0:
@@ -207,28 +123,27 @@ class FieldSpec:
         if den % self.p == 0:
             raise FieldMismatchError(
                 f"coefficient {num}/{den} not invertible in F_{self.p}")
-        return Fp(num * pow(den, self.p - 2, self.p), self.p)
+        return num * pow(den, -1, self.p) % self.p
 
     def coerce(self, x):
-        """Bring an int/Fraction/Fp into this field, validating the modulus."""
+        """Bring an int or Fraction into this field: a Fraction over Q, a
+        residue in [0, p) over F_p, where a denominator divisible by p is a
+        FieldMismatchError."""
         if isinstance(x, int):
             return self.from_int(x)
         if isinstance(x, Fraction):
             if self.is_rational:
                 return x
             return self.from_fraction(x.numerator, x.denominator)
-        if isinstance(x, Fp):
-            if self.is_rational or x.p != self.p:
-                raise FieldMismatchError(f"F_{x.p} scalar in {self} context")
-            return x
         raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
 
     def to_ints(self, values) -> tuple[list, int]:
         """A sequence of field values (ints too, over Q) as ints over one
-        denominator: residues over F_p, where the denominator is 1, and over
-        Q numerators over the lcm of the denominators."""
+        denominator: the residues as they are over F_p, where the
+        denominator is 1, and over Q numerators over the lcm of the
+        denominators."""
         if not self.is_rational:
-            return [v.val for v in values], 1
+            return list(values), 1
         den = lcm(*(v.denominator for v in values))
         return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -237,7 +152,7 @@ class FieldSpec:
         if self.is_rational:
             return [Fraction(v, den) for v in ints]
         inv = pow(den, -1, self.p)
-        return [Fp(v * inv, self.p) for v in ints]
+        return [v * inv % self.p for v in ints]
 
     def __str__(self):
         return "rational" if self.is_rational else f"fp:{self.p}"
@@ -427,11 +342,7 @@ class Polynomial:
         self._check_compatible(other)
         terms = dict(self.terms)
         for mon, coeff in other.terms.items():
-            s = terms.get(mon, self.field.zero()) + coeff
-            if s:
-                terms[mon] = s
-            else:
-                terms.pop(mon, None)
+            terms[mon] = terms.get(mon, 0) + coeff
         return Polynomial(self.n_vars, self.field, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -480,10 +391,9 @@ class Polynomial:
         for mon, coeff in self.terms.items():
             term = coeff
             for v, e in zip(vals, mon.exponents):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
+                term *= v ** e
+            total += term
+        return self.field.coerce(total)
 
     # -- text ------------------------------------------------------------
 
@@ -496,13 +406,9 @@ class Polynomial:
             return "0"
         chunks = []
         for mon, coeff in self.sorted_terms():
-            if isinstance(coeff, Fp):
-                sign, mag = "+", str(coeff.val)
-                is_one = coeff.val == 1
-            else:
-                sign = "-" if coeff < 0 else "+"
-                mag = str(abs(coeff))
-                is_one = abs(coeff) == 1
+            sign = "-" if coeff < 0 else "+"
+            mag = str(abs(coeff))
+            is_one = abs(coeff) == 1
             if mon.degree == 0:
                 body = mag
             elif is_one:
@@ -658,8 +564,6 @@ def parse_poly(text: str, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomi
 
 def scalar_str(x) -> str:
     """Canonical text form of an exact scalar, for JSON payloads."""
-    if isinstance(x, Fp):
-        return str(x.val)
     if isinstance(x, Fraction):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return str(x)

@@ -250,7 +250,8 @@ def stepped_symbolic_matrix(algebra, k, m):
                 for c, step in enumerate(steps):
                     key = mon[:c] + (mon[c] + 1,) + mon[c + 1:]
                     w = step.mul_vector(vec)
-                    nxt[key] = ([a + b for a, b in zip(nxt[key], w)]
+                    nxt[key] = ([algebra.field.coerce(a + b)
+                                 for a, b in zip(nxt[key], w)]
                                 if key in nxt else w)
             stepped.append(nxt)
         columns = stepped
@@ -447,7 +448,8 @@ def matrix_sample_gamma(algebra, k, seed):
         return None
     while True:
         weights = [rng.randint(-10, 10) for _ in kernel]
-        coords = [sum(w * vec[i] for w, vec in zip(weights, kernel))
+        coords = [algebra.field.coerce(
+                      sum(w * vec[i] for w, vec in zip(weights, kernel)))
                   for i in range(algebra.dim(1))]
         if any(coords):
             break

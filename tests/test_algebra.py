@@ -6,7 +6,7 @@ from itertools import chain, islice, product
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraElement, AlgebraError,
@@ -15,14 +15,14 @@ from sagakit.algebra import (AlgebraElement, AlgebraError,
                              _checked_regular_sequence,
                              _fp_pieces, _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
-from sagakit.apolarity import catalecticant
+from sagakit.apolarity import catalecticant, contract
 from sagakit.corpus import get_entry
-from sagakit.exactla import Echelon, echelon_rows
+from sagakit.exactla import Echelon, Matrix, det_ff, echelon_rows
 from sagakit.gnlab import (GammaSample, SLPEvidence, check_ggn,
                            check_ker_coker, monomial_quadric_ci,
                            perazzo_algebra, sample_gamma)
 from sagakit.lefschetz import SLP, WLP, _map_rank, lefschetz_probe
-from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
+from sagakit.polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis, parse_poly)
 
 from oracles import (boxed, boxed_mul_map, boxed_multiply, boxed_power,
@@ -682,8 +682,11 @@ def test_int_products_match_polynomial_products(case):
     assert power == alg.reduce(alg.lift(x) ** k, degree=k)
     assert list(product.coords) == boxed(
         alg.field, *alg.mul_map(a, b.degree)).mul_vector(b.coords)
-    kind = Fraction if alg.field.is_rational else Fp
+    kind = Fraction if alg.field.is_rational else int
     assert all(type(c) is kind for c in product.coords + power.coords)
+    if alg.field.p:
+        assert all(0 <= c < alg.field.p
+                   for c in product.coords + power.coords)
 
 
 # a quadric CI over Q that is not one modulo 3: (x0^2, x0*x1) is not regular
@@ -979,10 +982,12 @@ def _boxed_pairing(alg, s):
                  top.echelon.den).entries
     if top.basis_inverse is not None:
         ((scale,),), den = top.basis_inverse
-        phi = [alg.field.from_fraction(scale, den) * v for v in phi]
-    return [[sum((c * c2 * phi[top.index[m * m2]]
-                  for m, c in a.terms.items() for m2, c2 in b.terms.items()),
-                 alg.field.zero())
+        phi = [alg.field.coerce(alg.field.from_fraction(scale, den) * v)
+               for v in phi]
+    return [[alg.field.coerce(sum(
+                (c * c2 * phi[top.index[m * m2]]
+                 for m, c in a.terms.items() for m2, c2 in b.terms.items()),
+                alg.field.zero()))
              for b in alg.piece(alg.socle_degree - s).basis_reps]
             for a in alg.piece(s).basis_reps]
 
@@ -1037,14 +1042,95 @@ class TestElementArithmetic:
         alg = from_inverse_system(poly("x0*x1*x2", 3, field))
         a = alg.element(1, [Fraction(1, 2), 0, -3])
         b = alg.element(1, [Fraction(3, 4), 5, Fraction(1, 6)])
-        assert (a + b).coords == tuple(u + v for u, v in zip(a.coords,
-                                                              b.coords))
-        assert (a - b).coords == tuple(u - v for u, v in zip(a.coords,
-                                                             b.coords))
+        assert (a + b).coords == tuple(field.coerce(u + v) for u, v in
+                                       zip(a.coords, b.coords))
+        assert (a - b).coords == tuple(field.coerce(u - v) for u, v in
+                                       zip(a.coords, b.coords))
         half = field.coerce(Fraction(2, 3))
-        assert a.scale(Fraction(2, 3)).coords == tuple(half * u
-                                                      for u in a.coords)
+        assert a.scale(Fraction(2, 3)).coords == tuple(
+            field.coerce(half * u) for u in a.coords)
         assert (a - a).is_zero and a - a == alg.zero_element(1)
+
+    def test_elements_over_different_fields_are_unequal(self):
+        q, f7, f11 = (from_inverse_system(poly("x0*x1*x2", 3, field)).element(
+            1, [1, 2, 3]) for field in (RATIONAL, FieldSpec.prime(7),
+                                        FieldSpec.prime(11)))
+        # equal residues over F_7 and F_11, equal coordinates over Q and F_7
+        assert f7.ints == f11.ints and q.coords == f7.coords
+        assert f7 != f11 and f11 != f7
+        assert q != f7 and f7 != q
+
+
+def _is_residue(v, p):
+    return type(v) is int and 0 <= v < p
+
+
+@st.composite
+def residue_cases(draw):
+    """(field, f, g, point, rows, vec, seed): over F_2, F_3, F_7 or F_32003,
+    two cubics in three variables parsed from text with int and fractional
+    coefficients, a point with negative and fractional entries, an
+    unreduced 3x3 int matrix with a vector, and a seed for element
+    coordinates."""
+    p = draw(st.sampled_from([2, 3, 7, 32003]))
+    field = FieldSpec.prime(p)
+    value = st.one_of(
+        st.integers(-40000, 40000),
+        st.builds(Fraction, st.integers(-50, 50),
+                  st.integers(1, 4).filter(lambda d: d % p)))
+
+    def text():
+        terms = []
+        for m in monomial_basis(3, 3):
+            c = Fraction(draw(st.one_of(st.just(0), value)))
+            if c:
+                terms.append(f"{'-' if c < 0 else '+'} {abs(c.numerator)}/"
+                             f"{c.denominator}*{m.to_string()}")
+        return " ".join(terms) or "0"
+
+    f, g = (parse_poly(text(), 3, field) for _ in range(2))
+    point = draw(st.lists(value, min_size=3, max_size=3))
+    entry = st.integers(-2 * p, 2 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=3, max_size=3),
+                         min_size=3, max_size=3))
+    vec = draw(st.lists(entry, min_size=3, max_size=3))
+    return field, f, g, point, rows, vec, draw(st.integers(0, 2 ** 16))
+
+
+@given(residue_cases())
+@settings(max_examples=80, deadline=None)
+@example((FieldSpec.prime(7),
+          poly("x0^3 + 6*x1^3 + x0*x1*x2", 3, FieldSpec.prime(7)),
+          poly("x0^3 + x2^3", 3, FieldSpec.prime(7)), [-1, 8, Fraction(1, 3)],
+          [[7, -1, 15], [3, 3, 3], [-8, 0, 14]], [-1, 9, 6], 0))
+def test_every_fp_scalar_handed_out_is_a_residue(case):
+    field, f, g, point, rows, vec, seed = case
+    p = field.p
+    half = Fraction(1, 3 if p == 2 else 2)
+    assert all(_is_residue(v, p) for v in (
+        field.zero(), field.one(), field.from_int(-5 * p - 1),
+        field.from_fraction(-3, half.denominator), field.coerce(2 * p + 1),
+        field.coerce(-half), *field.from_ints([-p - 1, 0, 3 * p + 2], 5)))
+    ops = (contract(poly("x0 + 2*x1", 3, field), f),
+           contract(poly("x0*x2 - x1^2", 3, field), g))
+    for h in (f, g, f + g, f - g, f * g, f.scale(-7 * half), -f, *ops):
+        assert all(_is_residue(c, p) for c in h.terms.values())
+    m = Matrix(rows, field)
+    assert _is_residue(f.eval_at(point), p) and _is_residue(det_ff(m), p)
+    assert all(_is_residue(v, p) for v in m.mul_vector(vec))
+    try:
+        alg = from_inverse_system(f)
+    except AlgebraError:
+        return
+    rng = random.Random(seed)
+    elements = [alg.element(d, [rng.randint(-2 * p, 2 * p)
+                                for _ in range(alg.dim(d))])
+                for d in range(alg.socle_degree + 1)]
+    elements += [alg.multiply(elements[1], elements[-2]),
+                 alg.power(elements[1], alg.socle_degree)]
+    for e in elements:
+        assert all(_is_residue(c, p) for c in e.coords)
+        assert all(_is_residue(c, p) for c in alg.lift(e).terms.values())
 
 
 @cache

@@ -183,6 +183,16 @@ class TestAnalyze:
         assert code == 0 and json.loads(out)["duality"] == [True] * (N + 1)
         assert degrees == list(range(N // 2 + 1))
 
+    def test_degenerate_pairings_in_characteristic_two(self, capsys):
+        # y1 contracts the form to x0^2, and every degree-2 contraction of
+        # x0^2 vanishes mod 2 (y0^2 gives 2), so h is not symmetric and the
+        # pairings of degrees 1 and 2, read from one half entry, both fail
+        code, out, _ = run(capsys, "analyze", "x0^2*x1 + x2*x3*x4",
+                           "--field", "fp:2")
+        report = json.loads(out)
+        assert code == 0 and report["algebra"]["hilbert"] == [1, 4, 3, 1]
+        assert report["duality"] == [True, False, False, True]
+
     def test_corpus_input(self, capsys):
         code, out, _ = run(capsys, "analyze", "--corpus", "binary_product")
         assert code == 0

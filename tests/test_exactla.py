@@ -9,8 +9,8 @@ from sagakit.apolarity import catalecticant
 from sagakit.exactla import (_TYPECODES, Matrix, MatrixError,
                              _echelon_rational, _pack, _residues,
                              _slot_bytes, _unpack, det_ff, echelon_rows)
-from sagakit.polyring import (FieldSpec, Fp, Monomial, Polynomial, RATIONAL,
-                              parse_poly)
+from sagakit.polyring import (FieldMismatchError, FieldSpec, Monomial,
+                              Polynomial, RATIONAL, parse_poly)
 
 from oracles import (boxed, det_by_permutations, echelon_of, rref_mod_p,
                      rref_rational)
@@ -199,13 +199,13 @@ def test_det_matches_permutation_expansion(case):
     if p is None:
         assert det_ff(Matrix(rows)) == expected
     else:
-        m = Matrix([[Fp(x, p) for x in row] for row in rows], FieldSpec.prime(p))
-        assert det_ff(m) == Fp(expected, p)
+        m = Matrix([[x % p for x in row] for row in rows], FieldSpec.prime(p))
+        assert det_ff(m) == expected % p
 
 
 def assert_matches_oracle(rows, ncols, p):
     """echelon_rows over F_p against the cell-by-cell oracle."""
-    ech = echelon_rows([[Fp(x, p) for x in row] for row in rows], ncols,
+    ech = echelon_rows([[x % p for x in row] for row in rows], ncols,
                        FieldSpec.prime(p))
     pivots, nonpivots, coeffs = rref_mod_p(rows, ncols, p)
     assert ech.pivots == pivots
@@ -315,16 +315,18 @@ def lift(x, kind, p, width):
           [["same"] * 3, ["same", "top", "top"], ["top"] * 3]))
 def test_echelon_prime_reads_fp_residue_and_unreduced_rows_alike(case):
     # residue rows are read into an array in C, the others entry by entry;
-    # all three must give the oracle's echelon, origins included
+    # all three must give the oracle's echelon, origins included.  The
+    # fractional rows hold (b x + p) / b, which is x in F_p and not an int
     rows, ncols, p, lifts = case
     width = _slot_bytes(p, len(rows))
     field = FieldSpec.prime(p)
     unreduced = [[lift(x, kind, p, width) for x, kind in zip(row, kinds)]
                  for row, kinds in zip(rows, lifts)]
+    b = 3 if p == 2 else 2
+    fractional = [[Fraction(b * x + p, b) for x in row] for row in rows]
     pivots, nonpivots, coeffs = rref_mod_p(rows, ncols, p)
     origins = oracle_origins(rows, ncols, p)
-    for given_rows in ([[Fp(x, p) for x in row] for row in rows], rows,
-                       unreduced):
+    for given_rows in (fractional, rows, unreduced):
         ech = echelon_rows(given_rows, ncols, field)
         assert (ech.pivots, ech.nonpivots) == (pivots, nonpivots)
         assert (ech.coeffs, ech.den) == (coeffs, 1)
@@ -357,9 +359,29 @@ def test_only_residue_rows_skip_the_per_entry_conversion(p):
     tc = _TYPECODES[_slot_bytes(p, 10)]
     assert list(_residues([0, p - 1, 1], tc, p)) == [0, p - 1, 1]
     assert _residues([], tc, p) is not None
-    for row in ([0, p, 1], [0, -1, 1], [0, 2**64, 1], [Fp(1, p), 0, 1],
+    for row in ([0, p, 1], [0, -1, 1], [0, 2**64, 1], [Fraction(1, 2), 0, 1],
                 [0, Fraction(1), 1]):
         assert _residues(row, tc, p) is None
+
+
+# a Fraction entry over F_p is the residue it stands for: 1/2 is 4 in F_7,
+# not its truncation int(1/2) = 0, and 1/7 has no value there
+
+def test_fraction_entry_of_an_fp_echelon_is_its_residue():
+    ech = echelon_rows([[Fraction(1, 2), 1]], 2, FieldSpec.prime(7))
+    assert (ech.pivots, ech.coeffs) == ([0], [[2]])
+
+
+def test_fraction_entry_of_an_fp_determinant_is_its_residue():
+    assert det_ff(Matrix([[Fraction(1, 2)]], FieldSpec.prime(7))) == 4
+
+
+def test_fraction_with_denominator_p_has_no_value_in_fp():
+    f7 = FieldSpec.prime(7)
+    with pytest.raises(FieldMismatchError):
+        echelon_rows([[Fraction(1, 7), 1]], 2, f7)
+    with pytest.raises(FieldMismatchError):
+        det_ff(Matrix([[Fraction(1, 7)]], f7))
 
 
 @pytest.mark.parametrize("field", [RATIONAL, FieldSpec.prime(7),
@@ -390,7 +412,7 @@ def rows_with_zero_rows(draw, primes=PRIMES + [None]):
     else:
         field = FieldSpec.prime(p)
         entry = st.one_of(st.sampled_from([0, 1, p - 1]),
-                          st.integers(0, p - 1)).map(lambda x: Fp(x, p))
+                          st.integers(0, p - 1))
     rows = []
     for kind in draw(st.lists(st.sampled_from(["new", "combo", "zero"]),
                               max_size=10)):
@@ -401,7 +423,8 @@ def rows_with_zero_rows(draw, primes=PRIMES + [None]):
             a = draw(st.integers(0, len(rows) - 1))
             b = draw(st.integers(0, len(rows) - 1))
             s, t = draw(entry), draw(entry)
-            rows.append([s * x + t * y for x, y in zip(rows[a], rows[b])])
+            rows.append([field.coerce(s * x + t * y)
+                         for x, y in zip(rows[a], rows[b])])
         else:
             rows.append([field.zero()] * ncols)
     return rows, ncols, field
@@ -438,7 +461,7 @@ def test_rational_back_substitution_matches_gauss_jordan(case):
 @example(([[0, 0], [Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]], 2,
           RATIONAL))
 @example(([[Fraction(-3), Fraction(-6)]], 2, RATIONAL))
-@example(([[Fp(3, 7), Fp(5, 7)], [Fp(6, 7), Fp(3, 7)]], 2, FieldSpec.prime(7)))
+@example(([[3, 5], [6, 3]], 2, FieldSpec.prime(7)))
 def test_echelon_rows_are_canonical_ints_over_one_denominator(case):
     # the ints over den are the oracle's values, den is the positive lcm of
     # their denominators (1 over F_p), and residues lie in [0, p); so the
@@ -452,9 +475,8 @@ def test_echelon_rows_are_canonical_ints_over_one_denominator(case):
         assert ech.den == lcm(*(v.denominator for row in values for v in row))
     else:
         p = field.p
-        assert (ech.pivots, ech.nonpivots, [[v.val for v in row]
-                                            for row in values]) == rref_mod_p(
-            [[x.val for x in row] for row in rows], ncols, p)
+        assert (ech.pivots, ech.nonpivots, values) == rref_mod_p(
+            rows, ncols, p)
         assert ech.den == 1
         assert all(0 <= x < p for row in ech.coeffs for x in row)
     again = echelon_rows(ech.full_rows(), ncols, field)
@@ -488,8 +510,8 @@ class TestPivotMoves:
     @pytest.mark.parametrize("rows,det", CASES)
     def test_prime(self, rows, det, p):
         field = FieldSpec.prime(p)
-        m = Matrix([[Fp(x, p) for x in row] for row in rows], field)
-        assert det_ff(m) == Fp(det, p)
+        m = Matrix([[x % p for x in row] for row in rows], field)
+        assert det_ff(m) == det % p
 
     def test_origins_follow_the_moves(self):
         for field in (RATIONAL, FieldSpec.prime(11)):

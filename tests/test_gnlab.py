@@ -21,7 +21,7 @@ from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
                            perazzo_fixture, printed_gn_map, sample_gamma,
                            tangent_kernel_check, theorem_c_experiment,
                            _line_roots, _theorem_c_trial)
-from sagakit.polyring import FieldSpec, Fp, RATIONAL, parse_poly
+from sagakit.polyring import FieldSpec, RATIONAL, parse_poly
 
 from oracles import (boxed, echelon_of, matrix_sample_gamma, stepped_ggn,
                      stepped_ker_coker)
@@ -349,10 +349,10 @@ class TestDegeneratePairSearch:
         rng = random.Random(p)
         for h in range(1, 6):
             for _ in range(4):
-                a0, a1 = ([[Fp(rng.randrange(p), p) for _ in range(h)]
+                a0, a1 = ([[rng.randrange(p) for _ in range(h)]
                            for _ in range(h)] for _ in range(2))
                 if rng.random() < 0.3:
-                    a1[0] = [Fp(0, p)] * h  # lower the degree in s
+                    a1[0] = [0] * h  # lower the degree in s
                 direct = [s for s in range(p) if not det_ff(Matrix(
                     [[e0 + s * e1 for e0, e1 in zip(r0, r1)]
                      for r0, r1 in zip(a0, a1)], field))]

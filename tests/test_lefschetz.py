@@ -597,6 +597,13 @@ class TestCrossCheck:
         assert hessian_slp_crosscheck(poly(FERMAT4, 4), [1, 1, 1, 1],
                                       trials=7, seed=8)
 
+    def test_quintic_over_f11(self):
+        # (d-2)! = 6 times a hessian entry leaves [0, 11) unless the product
+        # is reduced: the only cross-check over F_p past degree 3
+        form = parse_poly("x0^5 + 3*x1^5 + 5*x0^2*x1*x2^2 + x2^5 + x0*x1^4",
+                          3, FieldSpec.prime(11))
+        assert hessian_slp_crosscheck(form, [3, 5, 6], trials=4)
+
     def test_random_cubics(self):
         rng = random.Random(61)
         basis = monomial_basis(5, 3)

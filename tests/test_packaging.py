@@ -27,6 +27,15 @@ def test_imports_only_stdlib_and_sagakit(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_every_exported_name_resolves():
+    import sagakit
+    assert [name for name in sagakit.__all__
+            if not hasattr(sagakit, name)] == []
+    namespace = {}
+    exec("from sagakit import *", namespace)
+    assert set(sagakit.__all__) <= set(namespace)
+
+
 def test_no_runtime_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines

@@ -19,7 +19,7 @@ from .gnlab import (DegenerateAlgebra, DegeneratePair, ExperimentReport,
                     sample_gamma, tangent_kernel_check, theorem_c_experiment)
 from .lefschetz import (HessianReport, ProbeReport, SLP, WLP, hessian,
                         hessian_slp_crosscheck, lefschetz_probe)
-from .polyring import (FieldMismatchError, FieldSpec, Monomial, PolyError,
+from .polyring import (FieldMismatchError, FieldSpec, PolyError,
                        PolyParseError, Polynomial, RATIONAL, monomial_basis,
                        parse_poly)
 from .seeding import DEFAULT_SEED
@@ -31,7 +31,7 @@ __all__ = [
     "DegenerateAlgebra", "DegeneratePair", "DegreeOverflowError",
     "ExperimentReport", "FieldMismatchError", "FieldSpec", "GammaSample",
     "GradedAlgebra", "HessianReport", "Matrix", "MatrixError",
-    "Monomial", "NotRegularSequence", "PolyError", "PolyParseError",
+    "NotRegularSequence", "PolyError", "PolyParseError",
     "Polynomial", "ProbeReport", "RATIONAL", "SLP", "SLPEvidence", "WLP",
     "annihilator_piece", "catalecticant", "check_ggn", "check_k1_bound",
     "check_ker_coker", "contract", "degenerate_pair_search",

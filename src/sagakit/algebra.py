@@ -45,7 +45,10 @@ falls back to the eager Q build, from the same F5 rows.
 
 Every piece's echelon holds its reduced rows as ints over one denominator
 (see `exactla`), and the code below reads those ints directly; field values
-are made only where a result leaves the algebra.
+are made only where a result leaves the algebra.  Every monomial is an
+exponent tuple, the key of `Polynomial.terms`: in each piece's ambient basis
+(`monomial_basis` order), its basis monomials, the keys of its classes and
+the terms of its representatives.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
@@ -94,7 +97,7 @@ from operator import add, mul
 
 from .apolarity import annihilator_echelon, contract
 from .exactla import Echelon, echelon_rows
-from .polyring import (FieldMismatchError, FieldSpec, Monomial, Polynomial,
+from .polyring import (FieldMismatchError, FieldSpec, Polynomial,
                        monomial_basis)
 from .seeding import random_int_coords
 
@@ -219,7 +222,7 @@ class _Piece:
     __slots__ = ("degree", "ambient", "index", "echelon", "basis_monomials",
                  "basis_reps", "basis_inverse")
 
-    def __init__(self, degree: int, ambient: list[Monomial], ech: Echelon,
+    def __init__(self, degree: int, ambient: list[tuple], ech: Echelon,
                  field: FieldSpec):
         self.degree = degree
         self.ambient = ambient
@@ -266,7 +269,7 @@ class _Piece:
         for t, c in enumerate(ech.nonpivots):
             vecs[c] = [ech.den * (r == t) for r in range(self.dim)]
         pinned, factor = self.pin(list(vecs.values()))
-        return ({self.ambient[c].exponents: v for c, v in zip(vecs, pinned)},
+        return ({self.ambient[c]: v for c, v in zip(vecs, pinned)},
                 ech.den * factor)
 
 
@@ -431,8 +434,7 @@ class GradedAlgebra:
             ints, den = self.field.to_ints(
                 [c for rep in reps for c in rep.terms.values()])
             cs = iter(ints)
-            self._reps[d] = ([[(m.exponents, next(cs)) for m in rep.terms]
-                              for rep in reps], den)
+            self._reps[d] = ([list(zip(rep.terms, cs)) for rep in reps], den)
         return self._reps[d]
 
     def _times(self, a: AlgebraElement, vecs: list, i: int, k: int = 1):
@@ -660,9 +662,9 @@ class GradedAlgebra:
             for rep in self.piece(d).basis_reps:
                 terms = rep.sorted_terms()
                 if len(terms) == 1 and terms[0][1] == self.field.one():
-                    level.append(list(terms[0][0].exponents))
+                    level.append(list(terms[0][0]))
                 else:
-                    level.append({"terms": [[str(c), list(m.exponents)]
+                    level.append({"terms": [[str(c), list(m)]
                                             for m, c in terms]})
             basis.append(level)
         pres = {"kind": self.presentation.get("kind")}
@@ -698,7 +700,7 @@ def from_inverse_system(form: Polynomial) -> GradedAlgebra:
     p = form.field.p
     # x^e sends a degree-d form to e! times its x^e coefficient, so over F_p
     # the top piece, the socle, is 0 exactly when each term has an exponent >= p
-    if p and all(max(m.exponents) >= p for m in form.terms):
+    if p and all(max(m) >= p for m in form.terms):
         raise AlgebraError(
             f"no degree-{d} socle over {form.field}: each term has an exponent "
             f">= {p}, so every degree-{d} contraction of the form is 0")
@@ -782,7 +784,7 @@ def _macaulay_rows(forms, degrees, i: int, leading):
     """
     n = forms[0].n_vars
     ambient = monomial_basis(n, i)
-    index = {m.exponents: c for c, m in enumerate(ambient)}
+    index = {m: c for c, m in enumerate(ambient)}
     rows = []
     starts = []
     for g, (f, e) in enumerate(zip(forms, degrees)):
@@ -790,14 +792,12 @@ def _macaulay_rows(forms, degrees, i: int, leading):
         if e > i:
             continue
         skip = leading[g][i - e]
-        terms = [(mon.exponents, coeff) for mon, coeff in f.terms.items()]
         for k, mult in enumerate(monomial_basis(n, i - e)):
             if k in skip:
                 continue
-            mult_exps = mult.exponents
             vec = [0] * len(ambient)
-            for exps, coeff in terms:
-                vec[index[tuple(map(add, exps, mult_exps))]] = coeff
+            for exps, coeff in f.terms.items():
+                vec[index[tuple(map(add, exps, mult))]] = coeff
             rows.append(vec)
     return ambient, rows, starts
 
@@ -875,8 +875,7 @@ def _fp_pieces(forms, degrees):
              for a, b in combinations(range(n), 2)]
     generators = {}
     for f, e in zip(forms, degrees):
-        generators.setdefault(e, []).append(
-            [(m.exponents, c) for m, c in f.terms.items()])
+        generators.setdefault(e, []).append(f.terms.items())
     yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
                  field)
     # the basis monomials of the degree below, its reduced rows (pivot
@@ -884,7 +883,7 @@ def _fp_pieces(forms, degrees):
     basis, reduced, lower = [(0,) * n], {}, ()
     for i in count(1):
         ambient = monomial_basis(n, i)
-        index = {m.exponents: c for c, m in enumerate(ambient)}
+        index = {m: c for c, m in enumerate(ambient)}
         products = [[index[tuple(map(add, b, u))] for b in basis]
                     for u in units]
         S = sorted(set().union(*products))
@@ -897,7 +896,7 @@ def _fp_pieces(forms, degrees):
         for c, mon in enumerate(ambient):
             k = pos.get(c)
             if k is None:
-                j, below = _factor(mon.exponents)
+                j, below = _factor(mon)
                 first[c] = j
                 reps.append([(q, p - v) for q, v in zip(shift[j],
                                                         reduced[below]) if v])
@@ -949,7 +948,7 @@ def _fp_pieces(forms, degrees):
             if k in free:
                 continue
             if k is None:
-                j, below = _factor(mon.exponents)
+                j, below = _factor(mon)
                 row = reduced[below]
                 coeffs.append([-sum(map(mul, row, col)) % p for col in
                                zip(*[negated[q] for q in shift[j]])])
@@ -959,9 +958,9 @@ def _fp_pieces(forms, degrees):
         nonpivots = [S[k] for k in ech.nonpivots]
         yield _Piece(i, ambient, Echelon(len(ambient), field, pivots,
                                          nonpivots, coeffs), field)
-        basis = [ambient[c].exponents for c in nonpivots]
+        basis = [ambient[c] for c in nonpivots]
         lower = reduced
-        reduced = {ambient[c].exponents: row for c, row in zip(pivots, coeffs)}
+        reduced = {ambient[c]: row for c, row in zip(pivots, coeffs)}
 
 
 def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:

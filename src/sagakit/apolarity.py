@@ -14,10 +14,10 @@ the echelon as they are.
 """
 
 from math import perm, prod
-from operator import add
+from operator import add, le, sub
 
 from .exactla import Echelon, echelon_rows
-from .polyring import Monomial, PolyError, Polynomial, monomial_basis
+from .polyring import PolyError, Polynomial, monomial_basis
 
 
 def contract(op: Polynomial, form: Polynomial) -> Polynomial:
@@ -29,16 +29,13 @@ def contract(op: Polynomial, form: Polynomial) -> Polynomial:
     if not form.is_homogeneous():
         raise PolyError("contraction requires a homogeneous form")
     field = form.field
-    acc: dict[Monomial, object] = {}
+    acc: dict[tuple, object] = {}
     for op_mon, op_coeff in op.terms.items():
         for f_mon, f_coeff in form.terms.items():
-            if not op_mon.divides(f_mon):
+            if not all(map(le, op_mon, f_mon)):
                 continue
-            scale = 1
-            for e, k in zip(f_mon.exponents, op_mon.exponents):
-                scale *= perm(e, k)
-            target = Monomial(e - k for e, k in
-                              zip(f_mon.exponents, op_mon.exponents))
+            scale = prod(map(perm, f_mon, op_mon))
+            target = tuple(map(sub, f_mon, op_mon))
             val = op_coeff * f_coeff * field.from_int(scale)
             if target in acc:
                 acc[target] = acc[target] + val
@@ -64,14 +61,14 @@ def catalecticant(form: Polynomial, i: int) -> tuple[list, int]:
     if not 0 <= i <= d:
         raise PolyError(f"source degree {i} out of range 0..{d}")
     ints, den = form.field.to_ints(list(form.terms.values()))
-    terms = {m.exponents: c for m, c in zip(form.terms, ints)}
-    cols = [m.exponents for m in monomial_basis(form.n_vars, i)]
+    terms = dict(zip(form.terms, ints))
+    cols = monomial_basis(form.n_vars, i)
     p = form.field.p
     rows = []
     for row_mon in monomial_basis(form.n_vars, d - i):
         row = []
         for col in cols:
-            e = tuple(map(add, row_mon.exponents, col))
+            e = tuple(map(add, row_mon, col))
             f = terms.get(e)
             row.append(f * prod(map(perm, e, col)) if f else 0)
         rows.append([v % p for v in row] if p else row)

@@ -25,8 +25,8 @@ from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
 from .apolarity import annihilator_piece
 from .exactla import Matrix, det_ff, echelon_rows
 from .lefschetz import SLP, _map_rank, hessian, lefschetz_probe
-from .polyring import (FieldSpec, Monomial, Polynomial, RATIONAL,
-                       monomial_basis, parse_poly, scalar_str)
+from .polyring import (FieldSpec, Polynomial, RATIONAL, monomial_basis,
+                       parse_poly, scalar_str)
 from .reporting import Report
 from .seeding import DEFAULT_SEED, child_seed, random_int_coords, rng_for
 
@@ -359,15 +359,13 @@ def perazzo_form(field: FieldSpec = RATIONAL) -> Polynomial:
 def perazzo_algebra() -> GradedAlgebra:
     """The fixture algebra with its distinguished degree-2 basis pinned."""
     algebra = from_inverse_system(perazzo_form())
-    reps = [Polynomial.from_monomial(Monomial(e), RATIONAL)
-            for e in _B2_EXPONENTS]
+    reps = [Polynomial.from_monomial(e) for e in _B2_EXPONENTS]
     return algebra.with_degree_basis(2, reps)
 
 
 def _pinned_degree2(algebra: GradedAlgebra) -> bool:
     reps = algebra.piece(2).basis_reps
-    want = [Polynomial.from_monomial(Monomial(e), RATIONAL)
-            for e in _B2_EXPONENTS]
+    want = [Polynomial.from_monomial(e) for e in _B2_EXPONENTS]
     return reps == want
 
 
@@ -415,8 +413,7 @@ def composed_gn_map() -> list[Polynomial]:
 
 def printed_gn_map() -> list[Polynomial]:
     """The closed-form map as printed in the source example."""
-    return [Polynomial(5, RATIONAL, {Monomial(m): c for m, c in terms.items()})
-            for terms in _PRINTED_GN_MAP]
+    return [Polynomial(5, RATIONAL, terms) for terms in _PRINTED_GN_MAP]
 
 
 def gn_map_check(algebra: GradedAlgebra, x_samples: int = 16,
@@ -501,8 +498,7 @@ def perazzo_fixture(seed: int = DEFAULT_SEED, *,
                   detail={"dimension": len(ann)})
     ambient = algebra.piece(2).ambient
     ann_vecs = [a.coefficient_vector(ambient) for a in ann]
-    listed = [Polynomial(5, field, {Monomial(m): c for m, c in terms.items()})
-              for terms in _ANN2_TERMS]
+    listed = [Polynomial(5, field, terms) for terms in _ANN2_TERMS]
     listed_vecs = [q.coefficient_vector(ambient) for q in listed]
     ranks = [echelon_rows(vecs, len(ambient), field).rank
              for vecs in (ann_vecs, listed_vecs, ann_vecs + listed_vecs)]
@@ -511,7 +507,7 @@ def perazzo_fixture(seed: int = DEFAULT_SEED, *,
     report.record("hilbert_vector", algebra.hilbert == (1, 5, 5, 1),
                   detail={"hilbert": list(algebra.hilbert)})
 
-    canonical_b1 = [m.exponents for m in algebra.piece(1).basis_monomials]
+    canonical_b1 = algebra.piece(1).basis_monomials
     report.record("b1_is_coordinate_basis",
                   canonical_b1 == [tuple(1 if j == i else 0 for j in range(5))
                                    for i in range(5)])
@@ -525,7 +521,7 @@ def perazzo_fixture(seed: int = DEFAULT_SEED, *,
                   detail={"matrix": [[scalar_str(e) for e in row]
                                      for row in pairing]})
 
-    socle = [algebra.reduce(Polynomial.from_monomial(Monomial(m), field))
+    socle = [algebra.reduce(Polynomial.from_monomial(m, field))
              for m in _SOCLE_MONOMIALS]
     same = all(s == socle[0] for s in socle)
     normalized = socle[0].coords == (field.one(),)

@@ -165,7 +165,7 @@ def symbolic_multiplication_matrix(algebra: GradedAlgebra, k: int,
     maps = {}
     for mon in monomial_basis(h1, exponent):
         b_a, scale = algebra.unit(), factorial(exponent)
-        for b, e in zip(algebra.basis(1), mon.exponents):
+        for b, e in zip(algebra.basis(1), mon):
             for _ in range(e):
                 b_a = algebra.multiply(b_a, b)
             scale //= factorial(e)
@@ -247,11 +247,10 @@ def _point_hessian(form: Polynomial, point) -> tuple[list, int]:
         value = {}
         for mon in monomial_basis(n, d - 2):
             v = 1
-            for x, e in zip(xs, mon.exponents):
+            for x, e in zip(xs, mon):
                 v *= x ** e
-            value[sum(map(mul, mon.exponents, place))] = v % p if p else v
-        for mon, c in zip(form.terms, cs):
-            e = mon.exponents
+            value[sum(map(mul, mon, place))] = v % p if p else v
+        for e, c in zip(form.terms, cs):
             key = sum(map(mul, e, place))
             support = [i for i in range(n) if e[i]]
             for a, i in enumerate(support):

@@ -1,20 +1,26 @@
 """Sparse exact multivariate polynomial arithmetic over Q and prime fields.
 
-Polynomials are stored as maps from monomials (exponent vectors) to nonzero
-coefficients.  Coefficients are `fractions.Fraction` in rational mode and
-plain int residues in [0, p) in prime-field mode; all arithmetic is exact.
+A monomial is its exponent tuple, one int >= 0 per variable, the one key
+used at every layer: a product is `tuple(map(add, a, b))`, a degree is
+`sum`, and `monomial_str` prints one.  Polynomials are stored as maps from
+those tuples to nonzero coefficients; the constructor is where keys from
+outside come in, so it checks each one.  Coefficients are
+`fractions.Fraction` in rational mode and plain int residues in [0, p) in
+prime-field mode; all arithmetic is exact.
 A residue does not know its p: the `FieldSpec` a polynomial carries does,
 and the constructor reduces every coefficient through it, so sums and
 products of residues outside a constructor are reduced by their caller.
-Monomials are ordered graded-lexicographically with x0 > x1 > ... > xn, and
-every basis enumeration and printed form follows that order (largest
-first), which keeps pivot choices and golden outputs reproducible.
+The order on monomials is graded-lex with x0 > x1 > ... > xn, that is the
+key (sum(e), e), and every basis enumeration and printed form follows it
+(largest first), which keeps pivot choices and golden outputs
+reproducible.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 from math import lcm
+from operator import add
 
 
 class PolyError(ValueError):
@@ -161,55 +167,11 @@ class FieldSpec:
 RATIONAL = FieldSpec.rational()
 
 
-@total_ordering
-class Monomial:
-    """Exponent vector of a monomial; ordered graded-lex with x0 > ... > xn."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise PolyError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Monomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise PolyError("variable count mismatch")
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def _key(self):
-        return (self.degree, self.exponents)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def to_string(self, letter: str = "x") -> str:
-        parts = [f"{letter}{i}" + (f"^{e}" if e > 1 else "")
-                 for i, e in enumerate(self.exponents) if e > 0]
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return self.to_string()
+def monomial_str(mon: tuple, letter: str = "x") -> str:
+    """Text of the monomial with exponent tuple mon, as in 'x0^2*x3'."""
+    parts = [f"{letter}{i}" + (f"^{e}" if e > 1 else "")
+             for i, e in enumerate(mon) if e > 0]
+    return "*".join(parts) if parts else "1"
 
 
 def _exponent_tuples(k: int, rem: int):
@@ -224,19 +186,12 @@ def _exponent_tuples(k: int, rem: int):
 
 @cache
 def _monomials(n_vars: int, d: int) -> tuple:
-    """The monomials of `monomial_basis`, built once per (n_vars, d) and
-    without validation: `_exponent_tuples` makes only tuples of ints >= 0."""
-    out = []
-    for t in _exponent_tuples(n_vars, d):
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "exponents", t)
-        out.append(m)
-    return tuple(out)
+    return tuple(_exponent_tuples(n_vars, d))
 
 
-def monomial_basis(n_vars: int, d: int) -> list[Monomial]:
-    """All degree-d monomials in n_vars variables, graded-lex order, largest
-    first, as a fresh list."""
+def monomial_basis(n_vars: int, d: int) -> list[tuple]:
+    """The exponent tuples of all degree-d monomials in n_vars variables,
+    graded-lex order, largest first, as a fresh list."""
     if n_vars < 1:
         raise PolyError("need at least one variable")
     if d < 0:
@@ -252,10 +207,10 @@ class Polynomial:
     def __init__(self, n_vars: int, field: FieldSpec, terms=None):
         clean = {}
         for mon, coeff in (terms or {}).items():
-            if not isinstance(mon, Monomial):
-                mon = Monomial(mon)
-            if len(mon) != n_vars:
-                raise PolyError(f"monomial {mon!r} has wrong variable count")
+            if (type(mon) is not tuple or len(mon) != n_vars
+                    or not all(type(e) is int and e >= 0 for e in mon)):
+                raise PolyError(f"monomial {mon!r} is not a tuple of "
+                                f"{n_vars} exponents, each an int >= 0")
             c = field.coerce(coeff)
             if c:
                 clean[mon] = c
@@ -274,7 +229,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomial":
-        return cls(n_vars, field, {Monomial([0] * n_vars): value})
+        return cls(n_vars, field, {(0,) * n_vars: value})
 
     @classmethod
     def variable(cls, index: int, n_vars: int, field: FieldSpec = RATIONAL,
@@ -283,10 +238,10 @@ class Polynomial:
             raise PolyError(f"variable index {index} out of range")
         exps = [0] * n_vars
         exps[index] = power
-        return cls(n_vars, field, {Monomial(exps): 1})
+        return cls(n_vars, field, {tuple(exps): 1})
 
     @classmethod
-    def from_monomial(cls, mon: Monomial,
+    def from_monomial(cls, mon: tuple,
                       field: FieldSpec = RATIONAL) -> "Polynomial":
         return cls(len(mon), field, {mon: 1})
 
@@ -298,18 +253,18 @@ class Polynomial:
 
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial."""
-        return max((m.degree for m in self.terms), default=None)
+        return max(map(sum, self.terms), default=None)
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None if zero or inhomogeneous."""
-        degs = {m.degree for m in self.terms}
+        degs = set(map(sum, self.terms))
         return degs.pop() if len(degs) == 1 else None
 
     def is_homogeneous(self) -> bool:
         """True for zero and for polynomials whose terms share one degree."""
-        return len({m.degree for m in self.terms}) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
-    def coefficient(self, mon: Monomial):
+    def coefficient(self, mon: tuple):
         return self.terms.get(mon, self.field.zero())
 
     def constant_value(self):
@@ -320,13 +275,14 @@ class Polynomial:
             raise PolyError("polynomial is not constant")
         return next(iter(self.terms.values()))
 
-    def coefficient_vector(self, basis: list[Monomial]):
+    def coefficient_vector(self, basis: list[tuple]):
         """Coefficients read off along an explicit monomial basis."""
         index = {m: i for i, m in enumerate(basis)}
         vec = [self.field.zero()] * len(basis)
         for mon, coeff in self.terms.items():
             if mon not in index:
-                raise PolyError(f"monomial {mon!r} outside the given basis")
+                raise PolyError(
+                    f"monomial {monomial_str(mon)} outside the given basis")
             vec[index[mon]] = coeff
         return vec
 
@@ -361,10 +317,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        acc: dict[Monomial, object] = {}
+        acc: dict[tuple, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mon = m1 * m2
+                mon = tuple(map(add, m1, m2))
                 prod = c1 * c2
                 if mon in acc:
                     acc[mon] = acc[mon] + prod
@@ -380,26 +336,13 @@ class Polynomial:
             result = result * self
         return result
 
-    def eval_at(self, point):
-        """Exact evaluation at a point (length must match the variable count)."""
-        point = list(point)
-        if len(point) != self.n_vars:
-            raise PolyError(
-                f"point has length {len(point)}, expected {self.n_vars}")
-        vals = [self.field.coerce(x) for x in point]
-        total = self.field.zero()
-        for mon, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, mon.exponents):
-                term *= v ** e
-            total += term
-        return self.field.coerce(total)
-
     # -- text ------------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in graded-lex order, largest monomial first."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in graded-lex order, largest monomial first: by degree, then
+        by exponent tuple."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+                      reverse=True)
 
     def to_string(self, letter: str = "x") -> str:
         if self.is_zero:
@@ -409,12 +352,12 @@ class Polynomial:
             sign = "-" if coeff < 0 else "+"
             mag = str(abs(coeff))
             is_one = abs(coeff) == 1
-            if mon.degree == 0:
+            if not any(mon):
                 body = mag
             elif is_one:
-                body = mon.to_string(letter)
+                body = monomial_str(mon, letter)
             else:
-                body = f"{mag}*{mon.to_string(letter)}"
+                body = f"{mag}*{monomial_str(mon, letter)}"
             chunks.append((sign, body))
         first_sign, first_body = chunks[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -494,7 +437,7 @@ def parse_poly(text: str, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomi
         pos += 1
         return tok
 
-    acc: dict[Monomial, object] = {}
+    acc: dict[tuple, object] = {}
 
     def parse_term(sign: int):
         kind, _, at = peek()
@@ -541,7 +484,7 @@ def parse_poly(text: str, n_vars: int, field: FieldSpec = RATIONAL) -> "Polynomi
                 if expect_factor:
                     raise PolyParseError("dangling operator", at)
                 break
-        mon = Monomial(exps)
+        mon = tuple(exps)
         if mon in acc:
             acc[mon] = acc[mon] + coeff
         else:

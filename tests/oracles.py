@@ -33,7 +33,7 @@ import sympy as sp
 from sagakit.apolarity import contract
 from sagakit.exactla import Matrix, echelon_rows
 from sagakit.lefschetz import second_partials
-from sagakit.polyring import Monomial, Polynomial, monomial_basis
+from sagakit.polyring import PolyError, Polynomial, monomial_basis
 from sagakit.seeding import rng_for
 
 
@@ -255,10 +255,27 @@ def stepped_symbolic_matrix(algebra, k, m):
                                 if key in nxt else w)
             stepped.append(nxt)
         columns = stepped
-    return [[Polynomial(h1, algebra.field, {Monomial(mon): vec[r]
+    return [[Polynomial(h1, algebra.field, {mon: vec[r]
                                             for mon, vec in col.items()})
              for col in columns]
             for r in range(algebra.dim(k + m))]
+
+
+def eval_at(poly, point):
+    """Exact value of a polynomial at a point of its field, term by term."""
+    point = list(point)
+    if len(point) != poly.n_vars:
+        raise PolyError(
+            f"point has length {len(point)}, expected {poly.n_vars}")
+    field = poly.field
+    vals = [field.coerce(x) for x in point]
+    total = field.zero()
+    for mon, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(vals, mon):
+            term *= v ** e
+        total += term
+    return field.coerce(total)
 
 
 def echelon_of(m):
@@ -300,7 +317,7 @@ def second_partials_reference(form):
         for j in range(n):
             acc = {}
             for mon, coeff in form.terms.items():
-                e = list(mon.exponents)
+                e = list(mon)
                 scale = e[i]
                 if scale == 0:
                     continue
@@ -309,7 +326,7 @@ def second_partials_reference(form):
                 if scale == 0:
                     continue
                 e[j] -= 1
-                target = Monomial(e)
+                target = tuple(e)
                 val = coeff * field.from_int(scale)
                 acc[target] = acc[target] + val if target in acc else val
             row.append(Polynomial(n, field, acc))
@@ -320,7 +337,7 @@ def second_partials_reference(form):
 def point_hessian_reference(form, point):
     """The second-partial matrix of a form at a point, as field values: each
     `second_partials` polynomial evaluated by `eval_at`."""
-    return [[e.eval_at(point) for e in row] for row in second_partials(form)]
+    return [[eval_at(e, point) for e in row] for row in second_partials(form)]
 
 
 def stepped_ker_coker(algebra, sample):

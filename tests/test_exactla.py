@@ -9,8 +9,8 @@ from sagakit.apolarity import catalecticant
 from sagakit.exactla import (_TYPECODES, Matrix, MatrixError,
                              _echelon_rational, _pack, _residues,
                              _slot_bytes, _unpack, det_ff, echelon_rows)
-from sagakit.polyring import (FieldMismatchError, FieldSpec, Monomial,
-                              Polynomial, RATIONAL, parse_poly)
+from sagakit.polyring import (FieldMismatchError, FieldSpec, Polynomial,
+                              RATIONAL, parse_poly)
 
 from oracles import (boxed, det_by_permutations, echelon_of, rref_mod_p,
                      rref_rational)
@@ -121,7 +121,7 @@ class TestDeterminant:
         for _ in range(3):
             row = []
             for _ in range(3):
-                terms = {Monomial((rng.randint(0, 1), rng.randint(0, 1))):
+                terms = {(rng.randint(0, 1), rng.randint(0, 1)):
                          rng.randint(-2, 2)}
                 row.append(Polynomial(2, RATIONAL, terms))
             entries.append(row)

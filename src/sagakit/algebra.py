@@ -65,7 +65,8 @@ one denominator once, pinned bases included.  A product is then a sum of
 paths of steps through those columns, one variable per step for each term
 of a factor's representatives; a degree-1 factor collapses to one int
 weight per variable, so each of its steps costs the nonzero table entries
-it reads.
+it reads.  Only products, maps, powers and probes read the tables:
+`is_standard` reads the basis monomials alone.
 Each step is reduced mod p once over F_p and not at all over Q (delayed
 reduction; Dumas, Giorgi and Pernet, ACM TOMS 2008), and the result is
 normalized once, to the ints over one denominator that an element holds.
@@ -572,18 +573,34 @@ class GradedAlgebra:
         return ok, rows, den * d * d2
 
     def is_standard(self) -> bool:
-        """Every piece is spanned by products of degree-1 classes."""
+        """Every piece is spanned by products of degree-1 classes, read from
+        the basis monomials alone: for each i < N, every basis monomial b of
+        degree i+1 must have a variable x_j with b / x_j a basis monomial of
+        degree i.
+
+        Precondition: the pieces are those of a homogeneous ideal J, so
+        x_j * J_i lies in J_(i+1), and each echelon's pivots are the
+        graded-lex leading monomials of its piece of J.  Every constructor
+        guarantees this over every field: each piece is the unique reduced
+        echelon of J_i over the graded-lex monomials, with leftmost pivots.
+
+        Proof.  If b = x_j * b' with b' a basis monomial of degree i, the
+        class of b is x_j times the class of b', a class of A_i in any pinned
+        basis, since x_j * J_i lies in J_(i+1).  The classes of the basis
+        monomials span A_(i+1), so the variables times A_i reach all of it.
+        Conversely, the basis monomials are the standard monomials of J,
+        which form an order ideal (Macaulay's basis theorem): if b / x_j
+        were the leading monomial of f in J_i, b would lead x_j * f.  So
+        every algebra the constructors build reads True, and False marks
+        pieces that are no ideal's, such as a hand-made Hilbert vector
+        (1, 0, 1), where x_0 lies in J_1 and x_0^2 does not.
+        """
         for i in range(self.socle_degree):
-            h_next = self.dim(i + 1)
-            # the variables span degree 1, so the (scaled) table columns do
-            stacked = []
-            for col in chain(*self._columns(i)[0]):
-                dense = [0] * h_next
-                for r, t in col:
-                    dense[r] = t
-                stacked.append(dense)
-            if echelon_rows(stacked, h_next, self.field).rank < h_next:
-                return False
+            below = set(self.piece(i).basis_monomials)
+            for b in self.piece(i + 1).basis_monomials:
+                if not any(e and b[:j] + (e - 1,) + b[j + 1:] in below
+                           for j, e in enumerate(b)):
+                    return False
         return True
 
     # -- derived algebras -------------------------------------------------

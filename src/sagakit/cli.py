@@ -79,19 +79,23 @@ def _parse_inputs(args, field: FieldSpec):
     return texts, polys
 
 
-def _build_algebra(polys) -> GradedAlgebra:
+def _load_algebra(args) -> tuple[GradedAlgebra, dict]:
+    """The field, the inputs and the algebra they present, parsed and built
+    in that order, with the report's `input` object: one form gives an
+    inverse-system algebra, several a regular-sequence quotient."""
+    field = FieldSpec.from_string(args.field)
+    texts, polys = _parse_inputs(args, field)
     if len(polys) == 1:
-        return from_inverse_system(polys[0])
-    return from_regular_sequence(polys)
+        return (from_inverse_system(polys[0]),
+                {"kind": "form", "text": texts[0]})
+    return from_regular_sequence(polys), {"kind": "generators", "text": texts}
 
 
 # -- analyze ------------------------------------------------------------------
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
-    field = FieldSpec.from_string(args.field)
-    texts, polys = _parse_inputs(args, field)
-    algebra = _build_algebra(polys)
+    algebra, source = _load_algebra(args)
     N = algebra.socle_degree
     # the pairing of N - s is the transpose of the pairing of s
     half = [algebra.pairing_check(s)[0] for s in range(N // 2 + 1)]
@@ -100,15 +104,14 @@ def cmd_analyze(args) -> tuple[dict, int]:
         "command": "analyze",
         "seed": args.seed,
         "field": str(algebra.field),
-        "input": {"kind": "form" if len(polys) == 1 else "generators",
-                  "text": texts[0] if len(polys) == 1 else texts},
+        "input": source,
         "algebra": algebra.to_json_dict(),
         "duality": [half[min(s, N - s)] for s in range(N + 1)],
         "standard": algebra.is_standard(),
     }
     notes = []
-    if len(polys) == 1:
-        form = polys[0]
+    if source["kind"] == "form":
+        form = algebra.presentation["form"]
         # the partials of a cone are dependent: h_1 < n
         report["cone"] = algebra.dim(1) < form.n_vars
         if form.n_vars <= MAX_SYMBOLIC_DET:
@@ -224,17 +227,14 @@ def _render_fixture_text(report: dict) -> str:
 
 
 def cmd_gamma(args) -> tuple[dict, int]:
-    field = FieldSpec.from_string(args.field)
-    texts, polys = _parse_inputs(args, field)
-    algebra = _build_algebra(polys)
+    algebra, source = _load_algebra(args)
     k = args.k if args.k is not None else algebra.socle_degree - 2
     report = {
         "schema": SCHEMA_VERSION,
         "command": "gamma",
         "seed": args.seed,
         "k": k,
-        "input": {"kind": "form" if len(polys) == 1 else "generators",
-                  "text": texts[0] if len(polys) == 1 else texts},
+        "input": source,
         "samples": [],
         "slp_evidence": False,
     }

@@ -95,17 +95,6 @@ class Matrix:
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int, field: FieldSpec = RATIONAL) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)],
-                   field)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldSpec = RATIONAL) -> "Matrix":
-        zero = field.zero()
-        return cls([[zero] * cols for _ in range(rows)], field)
-
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise MatrixError(f"vector length {len(vec)} != {self.cols} columns")

@@ -19,7 +19,10 @@ arithmetic.  The boxed references take products through the algebra's own
 tables but convert the coordinates to ints and back on every operation, and
 the matrix references read ranks and gamma samples from a Matrix of field
 values boxed from `mul_map`'s int rows, so they check the int elements and
-the int map rows against the field-value boundary they replace.  `boxed` is
+the int map rows against the field-value boundary they replace.  The
+standardness reference ranks the algebra's own variable tables, stacked, so
+it checks `is_standard`'s reading of the basis monomials against the
+definition, that the variables times A_i span A_(i+1).  `boxed` is
 the one place where the tests turn the int rows over one denominator that
 the package hands out (maps, pairings, catalecticants, kernel vectors) into
 field values.
@@ -437,6 +440,24 @@ def boxed_mul_map(algebra, degree, coords, i, m=1):
         algebra, degree, coords,
         [[int(r == c) for r in range(h)] for c in range(h)], i, m)
     return [algebra.field.from_ints(row, factor) for row in zip(*cols)]
+
+
+def is_standard_by_rank(algebra):
+    """Every piece is spanned by products of degree-1 classes, by the
+    definition: x_j times each basis class of degree i, stacked from the
+    variable tables, has rank h_(i+1) for each i < N.  The variables span
+    degree 1, so the (scaled) table columns do."""
+    for i in range(algebra.socle_degree):
+        h_next = algebra.dim(i + 1)
+        stacked = []
+        for col in itertools.chain(*algebra._columns(i)[0]):
+            dense = [0] * h_next
+            for r, t in col:
+                dense[r] = t
+            stacked.append(dense)
+        if echelon_rows(stacked, h_next, algebra.field).rank < h_next:
+            return False
+    return True
 
 
 def matrix_map_rank(algebra, k, m, L):

@@ -29,7 +29,7 @@ from sagakit.polyring import (FieldSpec, Polynomial, RATIONAL,
 
 from oracles import (boxed, boxed_mul_map, boxed_multiply, boxed_power,
                      echelon_of, eval_at, inverse_system_hilbert,
-                     matrix_map_rank)
+                     is_standard_by_rank, matrix_map_rank)
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
@@ -360,10 +360,12 @@ class TestPinnedBasis:
     def test_is_standard_reads_the_table_values(self, field):
         # x0 and x1 are (b0 + b1) / 2 and (b0 - b1) / 2 in this basis, so
         # the degree-0 table columns hold -1 as well as 1: read as 1 they
-        # would be dependent
+        # would be dependent.  `is_standard` reads the basis monomials, and
+        # the rank definition reads the tables
         alg = from_inverse_system(poly("x0^3 + x1^3 + x2^3", 3, field))
         pinned = alg.with_degree_basis(
             1, gens(["x0 + x1", "x0 - x1", "x2"], 3, field))
+        assert is_standard_by_rank(pinned)
         assert pinned.is_standard()
         assert pinned.reduce(poly("x1", 3, field)).coords == tuple(
             field.from_fraction(*v) for v in ((1, 2), (-1, 2), (0, 1)))
@@ -1290,3 +1292,84 @@ class TestNoFieldConversionInProducts:
         assert conversions == {}
         assert y.coords == y.coords
         assert conversions == {"from_ints": 1}
+
+
+def _hand_made_101(field):
+    """Hilbert vector (1, 0, 1) in one variable: x0 lies in J_1 and x0^2
+    does not, so the pieces are no ideal's."""
+    pieces = [_Piece(0, monomial_basis(1, 0),
+                     Echelon(1, field, [], [0], []), field),
+              _Piece(1, monomial_basis(1, 1),
+                     Echelon(1, field, [0], [], [[]]), field),
+              _Piece(2, monomial_basis(1, 2),
+                     Echelon(1, field, [], [0], []), field)]
+    return GradedAlgebra(1, field, pieces, {"kind": "hand_made"})
+
+
+def _random_algebras():
+    """Seeded algebras from every constructor: four inverse systems over
+    each of Q, F_2, F_3 and F_5, exponents >= p allowed, four regular
+    sequences over each of Q and F_32003, and the quotient of each by the
+    annihilator of a random degree-1 class."""
+    rng = random.Random(27)
+    built = []
+    for field in (RATIONAL, FieldSpec.prime(2), FieldSpec.prime(3),
+                  FieldSpec.prime(5)):
+        count = 0
+        while count < 4:
+            n, d = rng.randint(2, 3), rng.randint(2, 4)
+            form = Polynomial(n, field, {m: rng.randint(-3, 3)
+                                         for m in monomial_basis(n, d)})
+            try:
+                built.append(from_inverse_system(form))
+                count += 1
+            except AlgebraError:
+                pass
+    for field in (RATIONAL, FieldSpec.prime(32003)):
+        count = 0
+        while count < 4:
+            n = rng.randint(2, 4)
+            degrees = [rng.randint(1, 3 if n < 4 else 2) for _ in range(n)]
+            try:
+                built.append(from_regular_sequence(
+                    [Polynomial(n, field, {m: rng.randint(-5, 5)
+                                           for m in monomial_basis(n, e)})
+                     for e in degrees]))
+                count += 1
+            except NotRegularSequence:
+                pass
+    for alg in list(built):
+        if alg.socle_degree >= 1 and alg.dim(1):
+            alpha = alg.element(1, [rng.randint(0, 4)
+                                    for _ in range(alg.dim(1))])
+            if not alpha.is_zero:
+                built.append(alg.quotient_by_ann(alpha))
+    return built
+
+
+def test_standardness_equals_the_rank_definition():
+    algebras = [*_oracle_algebras().values(), *_random_algebras()]
+    assert len(algebras) >= 50
+    for alg in algebras:
+        assert alg.is_standard() == is_standard_by_rank(alg)
+    for field in (RATIONAL, FieldSpec.prime(7)):
+        alg = _hand_made_101(field)
+        assert not alg.is_standard() and not is_standard_by_rank(alg)
+
+
+def test_standardness_builds_no_table_and_no_echelon(monkeypatch):
+    # fresh algebras from every constructor, their pieces built first as
+    # `analyze` builds them for the report before it asks
+    ci = from_regular_sequence(monomial_quadric_ci())
+    algebras = [perazzo_algebra(), ci, _quadric_ci_fp(),
+                ci.quotient_by_ann(ci.reduce(poly("x0", 5))),
+                _pin_degree_one(from_regular_sequence(monomial_quadric_ci()))]
+    for alg in algebras:
+        alg.piece(alg.socle_degree)
+
+    def refuse(*args):
+        raise AssertionError("table or echelon inside is_standard")
+
+    monkeypatch.setattr(algebra_module, "echelon_rows", refuse)
+    monkeypatch.setattr(algebra_module.GradedAlgebra, "_columns", refuse)
+    assert all(alg.is_standard() for alg in algebras)

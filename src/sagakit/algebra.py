@@ -40,7 +40,7 @@ reduces mod p), so the Q Hilbert vector is certified without a Q echelon;
 the Q pieces are then built in degree order, from the F5 rows, on first
 read through `piece` (reading degree d builds every lower degree first,
 since its rows need their leading monomials), and the F_p algebra is kept
-as the algebra's `shadow` for the probes in `lefschetz`.  Any miss mod p
+as the algebra's `shadow`, which `map_rank` reads first.  Any miss mod p
 falls back to the eager Q build, from the same F5 rows.
 
 Every piece's echelon holds its reduced rows as ints over one denominator
@@ -73,7 +73,7 @@ normalized once, to the ints over one denominator that an element holds.
 `mul_map(alpha, i, m)` takes m such steps of alpha on the unit vectors of
 degree i, so the map of alpha^m never forms the class alpha^m, and `power`
 steps x's own vector k - 1 times.  A map leaves the algebra as int rows over
-one denominator, which the rank paths hand to the echelon as they are; a
+one denominator, which `map_rank` hands to the echelon as they are; a
 caller that needs field values converts them with `FieldSpec.from_ints`.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
@@ -302,10 +302,6 @@ class GradedAlgebra:
 
     # -- basic structure ----------------------------------------------
 
-    @property
-    def codimension(self) -> int:
-        return self.hilbert[1] if self.socle_degree >= 1 else 0
-
     def piece(self, degree: int) -> _Piece:
         if not 0 <= degree <= self.socle_degree:
             raise DegreeOverflowError(
@@ -318,14 +314,6 @@ class GradedAlgebra:
                     f"{piece.dim}, certified {self.hilbert[piece.degree]}")
             self._pieces.append(piece)
         return self._pieces[degree]
-
-    def shadow_image(self, e: AlgebraElement) -> AlgebraElement | None:
-        """The class of e in the shadow algebra, or None when there is no
-        shadow or a coefficient of e's lift has a denominator divisible by p."""
-        if self.shadow is None:
-            return None
-        poly = _mod_prime(self.lift(e), self.shadow.field)
-        return None if poly is None else self.shadow.reduce(poly, e.degree)
 
     def dim(self, degree: int) -> int:
         """Dimension of the graded piece; zero above the socle degree."""
@@ -534,6 +522,27 @@ class GradedAlgebra:
         p = self.field.p
         return [[v % p for v in row] if p else list(row)
                 for row in zip(*cols)], den
+
+    def map_rank(self, alpha: AlgebraElement, i: int, m: int = 1) -> int:
+        """Rank of multiplication by alpha^m from degree i: the rank of the
+        int rows of `mul_map(alpha, i, m)`.
+
+        With a shadow, the map of alpha's class mod p is ranked first, when
+        alpha's lift reduces mod p.  The ideal has the same dimension in
+        every degree over Q and mod p, so the quotient is free over Z
+        localised at p and the rank mod p is at most the rank over Q: a rank
+        mod p of min(h_i, h_(i + m*deg alpha)) is the rank over Q.  Only a
+        lower rank is recomputed over the algebra's own field.
+        """
+        if self.shadow is not None:
+            poly = _mod_prime(self.lift(alpha), self.shadow.field)
+            if poly is not None:
+                full = min(self.dim(i), self.dim(i + m * alpha.degree))
+                image = self.shadow.reduce(poly, alpha.degree)
+                if self.shadow.map_rank(image, i, m) == full:
+                    return full
+        rows, _ = self.mul_map(alpha, i, m)
+        return echelon_rows(rows, self.dim(i), self.field).rank
 
     # -- duality and structure checks ------------------------------------
 

@@ -100,27 +100,3 @@ def get_entry(name: str, path=None) -> CorpusEntry:
         if entry.name == name:
             return entry
     raise CorpusError(f"no corpus entry named {name!r}")
-
-
-def analysis_matches_expected(report: dict, entry: CorpusEntry) -> bool:
-    """Exact comparison of an analysis report against an expected partial report."""
-    expected = entry.expected
-    if "hilbert" in expected:
-        if report["algebra"]["hilbert"] != expected["hilbert"]:
-            return False
-    if "cone" in expected:
-        if report.get("cone") != expected["cone"]:
-            return False
-    if "hess_zero" in expected:
-        if report.get("hessian_vanishes") != expected["hess_zero"]:
-            return False
-    for probe_name, want in expected.get("probes", {}).items():
-        kind, k = probe_name[:3].upper(), int(probe_name[3:])
-        found = None
-        for probe in report["probes"]:
-            if probe["kind"] == kind and probe["k"] == k:
-                found = probe["holds"]
-                break
-        if found != want:
-            return False
-    return True

@@ -24,7 +24,7 @@ from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_regular_sequence)
 from .apolarity import annihilator_piece
 from .exactla import Matrix, det_ff, echelon_rows
-from .lefschetz import SLP, _map_rank, hessian, lefschetz_probe
+from .lefschetz import SLP, hessian, lefschetz_probe
 from .polyring import (FieldSpec, Polynomial, RATIONAL, monomial_basis,
                        parse_poly, scalar_str)
 from .reporting import Report
@@ -195,7 +195,7 @@ def check_k1_bound(algebra: GradedAlgebra, eta: AlgebraElement) -> bool:
     h = eta.degree
     if not 1 <= h <= algebra.socle_degree - 1:
         raise AlgebraError(f"degree {h} outside 1..{algebra.socle_degree - 1}")
-    return h >= (d - 2) * (algebra.dim(1) - _map_rank(algebra, 1, 1, eta))
+    return h >= (d - 2) * (algebra.dim(1) - algebra.map_rank(eta, 1))
 
 
 def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
@@ -211,7 +211,7 @@ def tangent_kernel_check(algebra: GradedAlgebra, y: AlgebraElement,
     prev = algebra.power(y, a - 1)
     if prev.is_zero:
         raise AlgebraError(f"precondition violated: y^{a - 1} = 0")
-    return (d - 2) * (algebra.dim(1) - _map_rank(algebra, 1, 1, prev)) <= a - 1
+    return (d - 2) * (algebra.dim(1) - algebra.map_rank(prev, 1)) <= a - 1
 
 
 # -- finite-field degenerate-pair search -------------------------------------
@@ -287,8 +287,8 @@ def degenerate_pair_search(algebra: GradedAlgebra, seed: int = DEFAULT_SEED,
                 continue
             q = AlgebraElement(2, kernel[0], ech.den, field)
             return DegeneratePair(
-                x=x, q=q, dim_k1_q=h1 - _map_rank(algebra, 1, 1, q),
-                dim_k2_q=algebra.dim(2) - _map_rank(algebra, 2, 1, q),
+                x=x, q=q, dim_k1_q=h1 - algebra.map_rank(q, 1),
+                dim_k2_q=algebra.dim(2) - algebra.map_rank(q, 2),
                 line=line, root=s)
     return None
 

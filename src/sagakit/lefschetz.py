@@ -13,12 +13,12 @@ map is the sum, over the monomials b^a of degree m in the degree-1 basis,
 of the map of b^a times multinomial(m; a) t^a, its int rows made field
 values there.
 
-An algebra with a shadow (a regular sequence over Q, also built mod a
-prime) is probed mod p first, with the same integer linear form.  The ideal
-has the same dimension in every degree over Q and mod p, so the rank mod p
-is at most the rank over Q: a rank mod p that reaches the largest possible
-rank is the rank over Q.  Only a lower rank is recomputed over Q, so every
-probe returns the Q rank and finds the same first witness.
+A probe ranks its map through `GradedAlgebra.map_rank`, so an algebra with
+a shadow (a regular sequence over Q, also built mod a prime) is probed mod
+p first, with the same integer linear form.  A rank mod p that reaches the
+largest possible rank is the rank over Q, and only a lower rank is
+recomputed over Q, so every probe returns the Q rank and finds the same
+first witness.
 
 The hessian verdict reads the hessian at one seeded integer point first,
 straight from the form's terms as ints over one denominator (residues over
@@ -43,7 +43,7 @@ from operator import add, mul
 from .algebra import (AlgebraElement, AlgebraError, GradedAlgebra,
                       from_inverse_system, socle_contraction_value)
 from .apolarity import contract, is_cone
-from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff, echelon_rows
+from .exactla import MAX_SYMBOLIC_DET, Matrix, det_ff
 from .polyring import PolyError, Polynomial, monomial_basis, scalar_str
 from .seeding import DEFAULT_SEED, random_int_coords, rng_for
 
@@ -88,29 +88,6 @@ def _exponent(algebra: GradedAlgebra, kind: str, k: int) -> int:
     return algebra.socle_degree - 2 * k if kind == SLP else 1
 
 
-def _probe_rank(algebra: GradedAlgebra, k: int, m: int,
-                L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k; mod p first when the
-    algebra has a shadow, and over its own field when the rank mod p falls
-    short of min(h_k, h_(k+m))."""
-    image = algebra.shadow_image(L)
-    if image is not None:
-        full = min(algebra.dim(k), algebra.dim(k + m))
-        if _map_rank(algebra.shadow, k, m, image) == full:
-            return full
-    return _map_rank(algebra, k, m, L)
-
-
-def _map_rank(algebra: GradedAlgebra, k: int, m: int,
-              L: AlgebraElement) -> int:
-    """Rank of multiplication by L^m from degree k: the rank of the int
-    rows of `mul_map(L, k, m)`, m sparse steps of L through the variable
-    tables on each basis vector of degree k, with no class L^m formed first.
-    L may have any degree."""
-    rows, _ = algebra.mul_map(L, k, m)
-    return echelon_rows(rows, algebra.dim(k), algebra.field).rank
-
-
 def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
                     trials: int = 8, seed: int = DEFAULT_SEED) -> ProbeReport:
     """Sample linear forms and report the maximal rank found.
@@ -136,7 +113,7 @@ def lefschetz_probe(algebra: GradedAlgebra, kind: str, k: int,
     for t in range(trials):
         rng = rng_for(seed, t)
         L = algebra.element(1, random_int_coords(rng, algebra.dim(1)))
-        rank = _probe_rank(algebra, k, m, L)
+        rank = algebra.map_rank(L, k, m)
         if rank > best:
             best = rank
             witness = L

@@ -64,37 +64,40 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _check_modulus(p):
+    """Refuse p unless it is a prime int in 2..2^64 - 1."""
+    if not isinstance(p, int) or not 2 <= p < 2 ** 64:
+        raise ValueError("prime modulus must be an integer in "
+                         f"2..2^64 - 1, got {p!r}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: the rationals, or F_p for a prime p.
 
-    Its values are `Fraction`s over Q and plain int residues in [0, p) over
-    F_p; `zero`, `one`, `from_int`, `from_fraction`, `coerce` and
-    `from_ints` make them, and `to_ints` reads them back.
+    The field is its modulus: p is None over Q.  Its values are
+    `Fraction`s over Q and plain int residues in [0, p) over F_p; `zero`,
+    `one`, `from_int`, `from_fraction`, `coerce` and `from_ints` make them,
+    and `to_ints` reads them back.
     """
 
-    kind: str = "rational"
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rational", "prime"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "prime":
-            if not isinstance(self.p, int) or not 2 <= self.p < 2 ** 64:
-                raise ValueError("prime modulus must be an integer in "
-                                 f"2..2^64 - 1, got {self.p!r}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-        elif self.p is not None:
-            raise ValueError("rational field takes no modulus")
+        if self.p is not None:
+            _check_modulus(self.p)
 
     @classmethod
     def rational(cls) -> "FieldSpec":
-        return cls("rational")
+        return cls()
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls("prime", p)
+        if p is None:  # cls(None) is Q
+            _check_modulus(p)
+        return cls(p)
 
     @classmethod
     def from_string(cls, text: str) -> "FieldSpec":
@@ -110,7 +113,7 @@ class FieldSpec:
 
     @property
     def is_rational(self) -> bool:
-        return self.kind == "rational"
+        return self.p is None
 
     def zero(self):
         return Fraction(0) if self.is_rational else 0

@@ -25,7 +25,9 @@ it checks `is_standard`'s reading of the basis monomials against the
 definition, that the variables times A_i span A_(i+1).  `boxed` is
 the one place where the tests turn the int rows over one denominator that
 the package hands out (maps, pairings, catalecticants, kernel vectors) into
-field values.
+field values.  `codimension` and `analysis_matches_expected` are plain
+readers of an algebra and of a report, kept here because only tests call
+them.
 """
 
 import itertools
@@ -492,3 +494,32 @@ def matrix_sample_gamma(algebra, k, seed):
         if any(coords):
             break
     return x.coords, algebra.element(1, coords).coords, len(kernel)
+
+
+def codimension(algebra):
+    """The number h_1 of independent degree-1 classes (0 for a field)."""
+    return algebra.hilbert[1] if algebra.socle_degree >= 1 else 0
+
+
+def analysis_matches_expected(report, entry):
+    """Exact comparison of an analysis report against an expected partial report."""
+    expected = entry.expected
+    if "hilbert" in expected:
+        if report["algebra"]["hilbert"] != expected["hilbert"]:
+            return False
+    if "cone" in expected:
+        if report.get("cone") != expected["cone"]:
+            return False
+    if "hess_zero" in expected:
+        if report.get("hessian_vanishes") != expected["hess_zero"]:
+            return False
+    for probe_name, want in expected.get("probes", {}).items():
+        kind, k = probe_name[:3].upper(), int(probe_name[3:])
+        found = None
+        for probe in report["probes"]:
+            if probe["kind"] == kind and probe["k"] == k:
+                found = probe["holds"]
+                break
+        if found != want:
+            return False
+    return True

@@ -22,7 +22,7 @@ from sagakit.exactla import Echelon, Matrix, det_ff, echelon_rows
 from sagakit.gnlab import (GammaSample, SLPEvidence, check_ggn,
                            check_ker_coker, monomial_quadric_ci,
                            perazzo_algebra, sample_gamma)
-from sagakit.lefschetz import SLP, WLP, _map_rank, lefschetz_probe
+from sagakit.lefschetz import SLP, WLP, lefschetz_probe
 from sagakit.polyring import (FieldSpec, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis,
                               monomial_str, parse_poly)
@@ -750,13 +750,28 @@ class TestModularFirst:
         reps = [poly(t, 3) for t in ("x0", "x1", "x2")]
         assert a.with_degree_basis(1, reps).shadow is None
 
-    def test_shadow_image_of_integral_class(self):
+    def test_map_rank_reads_the_class_mod_p_or_over_q(self, monkeypatch):
+        # the map ranked mod p is that of the class's image there; a class
+        # whose lift has p in a denominator is ranked over Q
         a = from_regular_sequence(gens(MISS_AT_3, 3))
-        e = a.element(1, [-3, 32004, Fraction(1, 2)])
         p = algebra_module.SHADOW_PRIME
-        assert a.shadow_image(e).coords == a.shadow.element(
-            1, [-3, 1, Fraction(1, 2)]).coords
-        assert a.shadow_image(a.element(1, [Fraction(1, p), 0, 0])) is None
+        ranked = []
+        real = GradedAlgebra.mul_map
+
+        def recording(self, alpha, i, m=1):
+            ranked.append((str(self.field), alpha))
+            return real(self, alpha, i, m)
+
+        monkeypatch.setattr(GradedAlgebra, "mul_map", recording)
+        e = a.element(1, [-3, 32004, Fraction(1, 2)])
+        assert a.map_rank(e, 1) == a.dim(1)
+        assert ranked == [(f"fp:{p}", a.shadow.element(
+            1, [-3, 1, Fraction(1, 2)]))]
+        f = a.element(1, [Fraction(1, p), 0, 0])
+        want = matrix_map_rank(a, 1, 1, f)
+        ranked.clear()
+        assert a.map_rank(f, 1) == want
+        assert ranked == [("rational", f)]
 
 
 F32003 = FieldSpec.prime(32003)
@@ -1227,10 +1242,11 @@ def test_int_map_rank_matches_the_matrix_path(data):
     L = alg.element(1, data.draw(_oracle_elements(alg, 1)))
     m = data.draw(st.integers(0, N))
     k = data.draw(st.integers(0, N - m))
-    assert _map_rank(alg, k, m, L) == matrix_map_rank(alg, k, m, L)
-    image = alg.shadow_image(L)
-    if image is not None:
-        assert (_map_rank(alg.shadow, k, m, image)
+    assert alg.map_rank(L, k, m) == matrix_map_rank(alg, k, m, L)
+    if alg.shadow is not None:
+        image = alg.shadow.reduce(Polynomial(
+            alg.n_vars, alg.shadow.field, alg.lift(L).terms), 1)
+        assert (alg.shadow.map_rank(image, k, m)
                 == matrix_map_rank(alg.shadow, k, m, image))
 
 

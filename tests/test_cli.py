@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity_module
 import sagakit.gnlab as gnlab_module
-import sagakit.lefschetz as lefschetz_module
+from sagakit.algebra import GradedAlgebra
+from sagakit.apolarity import is_cone
 from sagakit.cli import main
-from sagakit.polyring import RATIONAL, Polynomial, monomial_basis
+from sagakit.polyring import (FieldSpec, RATIONAL, Polynomial, monomial_basis,
+                              parse_poly)
 
 PERAZZO = "x0*x3^2 + 2*x1*x3*x4 + x2*x4^2"
 
@@ -193,6 +195,24 @@ class TestAnalyze:
         assert code == 0 and report["algebra"]["hilbert"] == [1, 4, 3, 1]
         assert report["duality"] == [True, False, False, True]
 
+    def test_dependent_partials_read_as_cone_in_characteristic_two(
+            self, capsys):
+        # the partials sum to 2*(x0 + x1 + x2) = 0 mod 2, so `cone`, which
+        # reads dependent first partials, is true; but F(x + t*(1, 1, 1))
+        # = F(x) + t^2, so F is not a cone.  The hessian's determinant is
+        # 2 = 0, so hessian_vanishes is right
+        text = "x0*x1 + x0*x2 + x1*x2"
+        code, out, _ = run(capsys, "analyze", text, "--field", "fp:2")
+        report = json.loads(out)
+        f2 = FieldSpec.prime(2)
+        assert code == 0 and report["algebra"]["hilbert"] == [1, 2, 1]
+        assert report["cone"] is True and is_cone(parse_poly(text, 3, f2))
+        assert report["hessian_vanishes"] is True
+        t = Polynomial.variable(3, 4, f2)
+        x = [Polynomial.variable(i, 4, f2) + t for i in range(3)]
+        shifted = x[0] * x[1] + x[0] * x[2] + x[1] * x[2]
+        assert shifted - parse_poly(text, 4, f2) == t * t
+
     def test_corpus_input(self, capsys):
         code, out, _ = run(capsys, "analyze", "--corpus", "binary_product")
         assert code == 0
@@ -232,13 +252,13 @@ class TestAnalyze:
             want = run(capsys, "analyze", QUADRIC_CI4)
         monkeypatch.setattr(algebra_module, "SHADOW_PRIME", prime)
         seen = set()
-        real = lefschetz_module._map_rank
+        real = GradedAlgebra.mul_map
 
-        def rank(algebra, *args):
-            seen.add(str(algebra.field))
-            return real(algebra, *args)
+        def mul_map(self, *args):
+            seen.add(str(self.field))
+            return real(self, *args)
 
-        monkeypatch.setattr(lefschetz_module, "_map_rank", rank)
+        monkeypatch.setattr(GradedAlgebra, "mul_map", mul_map)
         assert run(capsys, "analyze", QUADRIC_CI4) == want
         assert seen == fields
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from sagakit.corpus import (CorpusError, analysis_matches_expected, get_entry,
-                            load_corpus, REQUIRED_ENTRIES, VALID_PROVENANCE)
+from sagakit.corpus import (CorpusError, get_entry, load_corpus,
+                            REQUIRED_ENTRIES, VALID_PROVENANCE)
+
+from oracles import analysis_matches_expected
 
 
 class TestLoad:

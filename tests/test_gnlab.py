@@ -10,15 +10,15 @@ from hypothesis import assume, given, settings, strategies as st
 import sagakit.algebra as algebra_module
 import sagakit.apolarity as apolarity_module
 import sagakit.gnlab as gnlab_module
-import sagakit.lefschetz as lefschetz_module
-from sagakit.algebra import (AlgebraError, from_inverse_system,
-                             from_regular_sequence)
+from sagakit.algebra import (AlgebraError, GradedAlgebra,
+                             from_inverse_system, from_regular_sequence)
 from sagakit.exactla import Matrix, det_ff
 from sagakit.gnlab import (DegenerateAlgebra, GammaSample, SLPEvidence,
                            check_ggn, check_k1_bound,
                            check_ker_coker, composed_gn_map, corrupt_sample,
                            degenerate_pair_search, gn_map_check,
-                           perazzo_fixture, printed_gn_map, sample_gamma,
+                           monomial_quadric_ci, perazzo_fixture,
+                           printed_gn_map, sample_gamma,
                            tangent_kernel_check, theorem_c_experiment,
                            _line_roots, _theorem_c_trial)
 from sagakit.polyring import FieldSpec, RATIONAL, parse_poly
@@ -278,19 +278,50 @@ class TestKernelBounds:
     def test_tangent_kernel_ranks_y_to_the_a_minus_one(self, monomial_ci,
                                                        monkeypatch):
         # ker(y) lies in ker(y^(a-1)), so the verdict alone cannot tell
-        # which class was ranked; here y^2 = 2*x0*x1 != y
+        # which class was ranked; here y^2 = 2*x0*x1 != y.  Its rank 3 mod
+        # p falls short of h_1 = 5, so its map is ranked over Q too
         seen = []
-        real = gnlab_module._map_rank
+        real = GradedAlgebra.mul_map
 
-        def recording(algebra, k, m, L):
-            seen.append(L)
-            return real(algebra, k, m, L)
+        def recording(self, alpha, i, m=1):
+            seen.append(alpha)
+            return real(self, alpha, i, m)
 
-        monkeypatch.setattr(gnlab_module, "_map_rank", recording)
+        monkeypatch.setattr(GradedAlgebra, "mul_map", recording)
         y = monomial_ci.reduce(poly("x0 + x1", 5))
         assert tangent_kernel_check(monomial_ci, y, 3)
-        assert seen == [monomial_ci.power(y, 2)]
-        assert seen[0] != y
+        shadow = monomial_ci.shadow
+        y_mod_p = shadow.reduce(poly("x0 + x1", 5, shadow.field))
+        assert seen == [shadow.power(y_mod_p, 2), monomial_ci.power(y, 2)]
+        assert seen[1] != y
+
+    # (check, class, tangent exponent a, whether the ranked map is full mod
+    # p): a full rank mod p is the Q rank, and a lower one is read over Q;
+    # either way the verdict is that of the algebra built with no shadow
+    @pytest.mark.parametrize("check,text,a,full", [
+        (check_k1_bound, "x0 + x1 + x2 + x3 + x4", None, True),
+        (check_k1_bound, "x0*x1", None, False),
+        (tangent_kernel_check, "x0 + x1 + x2 + x3", 5, True),
+        (tangent_kernel_check, "x0 + x1", 3, False)])
+    def test_kernel_bounds_rank_mod_p_first(self, monomial_ci, monkeypatch,
+                                            check, text, a, full):
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "_modular_shadow", lambda *args: None)
+            over_q = from_regular_sequence(monomial_quadric_ci())
+        args = () if a is None else (a,)
+        want = check(over_q, over_q.reduce(poly(text, 5)), *args)
+        fields = []
+        real = GradedAlgebra.mul_map
+
+        def recording(self, *rest):
+            fields.append(str(self.field))
+            return real(self, *rest)
+
+        monkeypatch.setattr(GradedAlgebra, "mul_map", recording)
+        assert check(monomial_ci, monomial_ci.reduce(poly(text, 5)),
+                     *args) == want
+        assert fields == (["fp:32003"] if full
+                          else ["fp:32003", "rational"])
 
     def test_tangent_kernel_precondition(self, monomial_ci):
         y = monomial_ci.reduce(poly("x0", 5))
@@ -495,20 +526,20 @@ class TestTheoremCModularFirst:
         monkeypatch.setattr(algebra_module, "SHADOW_PRIME", 3)
         shadows, q_probes = [], []
         real_shadow = algebra_module._modular_shadow
-        real_rank = lefschetz_module._map_rank
+        real_map = GradedAlgebra.mul_map
 
         def shadow(*args):
             result = real_shadow(*args)
             shadows.append(result is not None)
             return result
 
-        def rank(algebra, k, m, L):
-            if algebra.field.is_rational:
-                q_probes.append(algebra.presentation["generators"][0])
-            return real_rank(algebra, k, m, L)
+        def mul_map(self, *args):
+            if self.field.is_rational:
+                q_probes.append(self.presentation["generators"][0])
+            return real_map(self, *args)
 
         monkeypatch.setattr(algebra_module, "_modular_shadow", shadow)
-        monkeypatch.setattr(lefschetz_module, "_map_rank", rank)
+        monkeypatch.setattr(GradedAlgebra, "mul_map", mul_map)
         got = theorem_c_experiment(6, seed=42).to_json_dict()
         assert got == want
         assert False in shadows and True in shadows

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 import sagakit.algebra as algebra_module
 import sagakit.exactla as exactla_module
 import sagakit.lefschetz as lefschetz_module
-from sagakit.algebra import from_inverse_system, from_regular_sequence
+from sagakit.algebra import (GradedAlgebra, from_inverse_system,
+                             from_regular_sequence)
 from sagakit.apolarity import is_cone
 from sagakit.exactla import Matrix, det_ff
 from sagakit.lefschetz import (SLP, WLP, HessianReport, _point_hessian,
@@ -21,8 +22,8 @@ from sagakit.polyring import (FieldSpec, PolyError, Polynomial, RATIONAL,
 from sagakit.gnlab import monomial_quadric_ci, perazzo_algebra
 from sagakit.seeding import DEFAULT_SEED, random_int_coords, rng_for
 
-from oracles import (boxed, echelon_of, eval_at, hessian_det,
-                     point_hessian_reference, poly_to_dict,
+from oracles import (boxed, codimension, echelon_of, eval_at, hessian_det,
+                     matrix_map_rank, point_hessian_reference, poly_to_dict,
                      second_partials_reference, stepped_map_rank,
                      stepped_symbolic_matrix)
 from test_cli import QUADRIC_CI4
@@ -155,20 +156,19 @@ class TestModularFirstProbe:
     def test_witness_prints_integer_coordinates(self, monkeypatch):
         a = from_regular_sequence([poly(f"x{i}^2", 5) for i in range(5)])
         assert a.shadow is not None
-        q_ranks = []
-        real = lefschetz_module._map_rank
+        q_maps = []
+        real = GradedAlgebra.mul_map
 
-        def recording(algebra, k, m, L):
-            rank = real(algebra, k, m, L)
-            if algebra.field.is_rational:
-                q_ranks.append(rank)
-            return rank
+        def recording(self, alpha, i, m=1):
+            if self.field.is_rational:
+                q_maps.append((alpha, i, m))
+            return real(self, alpha, i, m)
 
-        monkeypatch.setattr(lefschetz_module, "_map_rank", recording)
+        monkeypatch.setattr(GradedAlgebra, "mul_map", recording)
         monkeypatch.setattr(lefschetz_module, "random_int_coords",
                             lambda rng, n: [-3, 1, 2, 5, 7])
         report = lefschetz_probe(a, SLP, 1, trials=1, seed=0)
-        assert report.holds and q_ranks == []
+        assert report.holds and q_maps == []
         # -3 is 32000 mod p; the report keeps the integer
         assert report.to_json_dict()["witness"] == ["-3", "1", "2", "5", "7"]
 
@@ -194,6 +194,9 @@ PRODUCT_PATH_CASES = {
     "quadric_ci": lambda: from_regular_sequence(
         [poly(t, 4) for t in QUADRIC_CI4.split(";")]),
     "quadric_ci_shadow": lambda: product_path_algebra("quadric_ci").shadow,
+    # the same algebra built with no shadow, so every map is ranked over Q
+    "quadric_ci_no_shadow": lambda: shadowless(
+        [poly(t, 4) for t in QUADRIC_CI4.split(";")]),
     "monomial_ci_f7": lambda: from_regular_sequence(monomial_quadric_ci(F7)),
     # mod 3 some multinomial coefficients of L^m vanish
     "monomial_ci_f3": lambda: from_regular_sequence(
@@ -206,6 +209,12 @@ PRODUCT_PATH_CASES = {
     "cone": lambda: from_inverse_system(linear_change(
         dense_form([1, -2, 3, 1, 2, -1, 1, 1, 2, -3], 3, 3), 5, seed=2)),
 }
+
+
+def shadowless(forms):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebra_module, "_modular_shadow", lambda *args: None)
+        return from_regular_sequence(forms)
 
 
 @cache
@@ -232,11 +241,12 @@ def probed_maps(draw):
 def test_map_rank_matches_stepping(case):
     algebra, k, m, L = case
     want = stepped_map_rank(algebra, k, m, L)
-    assert lefschetz_module._map_rank(algebra, k, m, L) == want
-    assert lefschetz_module._probe_rank(algebra, k, m, L) == want
-    image = algebra.shadow_image(L)
-    if image is not None:
-        assert (lefschetz_module._map_rank(algebra.shadow, k, m, image)
+    assert algebra.map_rank(L, k, m) == want == matrix_map_rank(
+        algebra, k, m, L)
+    if algebra.shadow is not None:
+        image = algebra.shadow.reduce(Polynomial(
+            algebra.n_vars, algebra.shadow.field, algebra.lift(L).terms), 1)
+        assert (algebra.shadow.map_rank(image, k, m)
                 == stepped_map_rank(algebra.shadow, k, m, image))
 
 
@@ -257,7 +267,7 @@ def test_zero_exponent_is_the_identity(name):
     L = algebra.element(1, [0] * h1)
     for k in range(algebra.socle_degree + 1):
         h = algebra.dim(k)
-        assert lefschetz_module._map_rank(algebra, k, 0, L) == h
+        assert algebra.map_rank(L, k, 0) == h
         assert symbolic_multiplication_matrix(algebra, k, 0) == [
             [Polynomial.constant(int(r == c), h1, algebra.field)
              for c in range(h)] for r in range(h)]
@@ -625,7 +635,7 @@ class TestEquivalenceHarness:
                  poly("x0^2*x1 + x1^2*x2 + x2^2*x0", 3)]
         for g in cases:
             algebra = from_inverse_system(g)
-            assert algebra.codimension == g.n_vars  # independent partials
+            assert codimension(algebra) == g.n_vars  # independent partials
             probe = lefschetz_probe(algebra, SLP, 1, trials=16, seed=31)
             vanishes = hessian(g).vanishes
             if vanishes:
@@ -644,7 +654,7 @@ class TestEquivalenceHarness:
             if entry.kind != "form":
                 continue
             algebra = from_inverse_system(entry.polynomials())
-            if algebra.codimension > 4:
+            if codimension(algebra) > 4:
                 continue
             report = lefschetz_probe(algebra, SLP, 1, trials=8, seed=2)
             assert report.holds, entry.name

@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its modules import
+no private name from one another."""
 
 import ast
 import sys
@@ -25,6 +26,17 @@ def test_imports_only_stdlib_and_sagakit(path):
                        if top != "sagakit"
                        and top not in sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_imports_no_private_name_from_a_sibling(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("sagakit"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports {private}"
 
 
 def test_every_exported_name_resolves():

@@ -20,7 +20,11 @@ generators of degree i, gives the piece (`_fp_pieces`; Mourrain, AAECC
 degree i.  Of the products x_j * r with one leading monomial M, only one
 per component of Buchberger's chain criterion in degree one reaches it:
 x_a * r and x_b * r' are joined when M / (x_a * x_b) is a pivot of degree
-i-2 (Buchberger 1979; Gebauer and Moller, JSC 1988).
+i-2 (Buchberger 1979; Gebauer and Moller, JSC 1988).  Those rows are drawn
+lazily, and each degree stops at its certified rank: n forms in n variables
+have h_i >= CI_i, the complete-intersection value, over any field, so the
+echelon has rank at most its width less CI_i, and the first rows of that
+rank span it.
 
 Over Q the reduced rows carry large rationals, so a Q piece is one
 Macaulay matrix that leaves out the rows m * f_g whose multiplier m is a
@@ -56,12 +60,14 @@ x_j times every basis class of degree i, read off the echelon of degree i+1
 (Mourrain, AAECC 1999): x_j times a term c*m of a representative is c times
 the class of the monomial x_j*m, den times a unit vector when x_j*m is a
 basis monomial and minus the `coeffs` row of its pivot otherwise, a lookup
-with no reduction.  Indexing by variables serves cones too, where degree 1
-has fewer classes.  The tables hold ints over one denominator per degree:
-residues over F_p, and over Q every entry times the lcm of the entries'
-denominators; each column keeps only its nonzero (row, value) pairs.  The
-terms of each degree's basis representatives are converted to ints over
-one denominator once, pinned bases included.  A product is then a sum of
+with no reduction.  Only the monomials x_j*m of the representatives' terms
+are looked up, and a pinned piece takes the sums into its basis once.
+Indexing by variables serves cones too, where degree 1 has fewer classes.
+The tables hold ints over one denominator per degree: residues over F_p,
+and over Q every entry times the lcm of the entries' denominators; each
+column keeps only its nonzero (row, value) pairs.  The terms of each
+degree's basis representatives are converted to ints over one denominator
+once, pinned bases included.  A product is then a sum of
 paths of steps through those columns, one variable per step for each term
 of a factor's representatives; a degree-1 factor collapses to one int
 weight per variable, so each of its steps costs the nonzero table entries
@@ -78,10 +84,10 @@ caller that needs field values converts them with `FieldSpec.from_ints`.
 
 Duality pairings read one linear functional: phi, the socle coordinate on
 the degree-N monomials, which the socle echelon gives in closed form as
-ints (its kernel vector).  The pairing of a and b is phi of the product of
-their representatives, so it needs no table step (Macaulay duality); the
-representatives' coefficients are converted to ints once, and the pairing
-is ranked and returned as the int rows it sums.
+ints (its kernel vector), read once per algebra.  The pairing of a and b
+is phi of the product of their representatives, so it needs no table step
+(Macaulay duality); the representatives' coefficients are converted to ints
+once, and the pairing is ranked and returned as the int rows it sums.
 
 A graded piece may be re-coordinatized against a pinned basis of class
 representatives (`with_degree_basis`); reduction then returns coordinates in
@@ -295,10 +301,12 @@ class GradedAlgebra:
         self.hilbert = tuple(hilbert)
         # the same algebra mod SHADOW_PRIME, when a modular-first build kept it
         self.shadow = shadow
-        # the variable tables of each degree, filled by _columns(i), and the
-        # int terms of each degree's representatives, filled by _rep_terms(d)
+        # the variable tables of each degree, filled by _columns(i), the int
+        # terms of each degree's representatives, filled by _rep_terms(d),
+        # and the socle functional, filled by pairing_check
         self._sparse = [None] * self.socle_degree
         self._reps = [None] * (self.socle_degree + 1)
+        self._phi = None
 
     # -- basic structure ----------------------------------------------
 
@@ -388,29 +396,42 @@ class GradedAlgebra:
     def _columns(self, i: int) -> tuple[list, int]:
         """The variable tables of degree i as sparse columns over one
         denominator: cols[j][c] holds the (row, value) pairs of the nonzero
-        coordinates of x_j times basis class c, built once from the classes
+        coordinates of x_j times basis class c, built once from the echelon
         of degree i+1 and divided by their content."""
         if self._sparse[i] is None:
             terms, d = self._rep_terms(i)
             up = self.piece(i + 1)
-            classes, den = up.classes()
+            ech = up.echelon
+            # the class of a monomial of degree i+1 without a pinned basis:
+            # den times unit vector unit[m] for a basis monomial m, minus
+            # the coeffs row of its pivot for any other
+            unit = {up.ambient[c]: t for t, c in enumerate(ech.nonpivots)}
+            row = {up.ambient[c]: r for c, r in zip(ech.pivots, ech.coeffs)}
+            n, h = self.n_vars, up.dim
             cols = []
-            for j in range(self.n_vars):
+            for j in range(n):
+                x_j = tuple(int(k == j) for k in range(n))
                 for rep in terms:
-                    acc = [0] * up.dim
+                    acc = [0] * h
                     for exps, c in rep:
-                        cls = classes[tuple(e + (t == j)
-                                            for t, e in enumerate(exps))]
-                        acc = [a + c * v for a, v in zip(acc, cls)]
+                        m = tuple(map(add, exps, x_j))
+                        if m in unit:
+                            acc[unit[m]] += c * ech.den
+                        else:
+                            acc = [a - c * v for a, v in zip(acc, row[m])]
                     cols.append(acc)
+            cols, factor = up.pin(cols)
+            den = ech.den * factor
             g = gcd(den * d, *chain(*cols))
             p = self.field.p
             # reduced before zeros are dropped: a pinned representative's
             # terms can sum to a nonzero multiple of p
-            scaled = ([v // g % p if p else v // g for v in col]
-                      for col in cols)
+            if g > 1:
+                cols = [[v // g for v in col] for col in cols]
+            if p:
+                cols = [[v % p for v in col] for col in cols]
             cols = iter([[(r, t) for r, t in enumerate(col) if t]
-                         for col in scaled])
+                         for col in cols])
             self._sparse[i] = ([list(islice(cols, len(terms)))
                                 for _ in range(self.n_vars)], den * d // g)
         return self._sparse[i]
@@ -528,21 +549,37 @@ class GradedAlgebra:
         int rows of `mul_map(alpha, i, m)`.
 
         With a shadow, the map of alpha's class mod p is ranked first, when
-        alpha's lift reduces mod p.  The ideal has the same dimension in
-        every degree over Q and mod p, so the quotient is free over Z
-        localised at p and the rank mod p is at most the rank over Q: a rank
-        mod p of min(h_i, h_(i + m*deg alpha)) is the rank over Q.  Only a
-        lower rank is recomputed over the algebra's own field.
+        alpha's lift reduces mod p and its degree has the same basis
+        monomials there.  The ideal has the same dimension in every degree
+        over Q and mod p, so the quotient is free over Z localised at p and
+        the rank mod p is at most the rank over Q: a rank mod p of
+        min(h_i, h_(i + m*deg alpha)) is the rank over Q.  Only a lower rank
+        is recomputed over the algebra's own field.
         """
         if self.shadow is not None:
-            poly = _mod_prime(self.lift(alpha), self.shadow.field)
-            if poly is not None:
+            image = self._shadow_image(alpha)
+            if image is not None:
                 full = min(self.dim(i), self.dim(i + m * alpha.degree))
-                image = self.shadow.reduce(poly, alpha.degree)
                 if self.shadow.map_rank(image, i, m) == full:
                     return full
         rows, _ = self.mul_map(alpha, i, m)
         return echelon_rows(rows, self.dim(i), self.field).rank
+
+    def _shadow_image(self, alpha: AlgebraElement) -> AlgebraElement | None:
+        """The class mod p of alpha's lift in the shadow, or None when the
+        lift does not reduce mod p or alpha's degree has other basis
+        monomials mod p.
+
+        With the same basis monomials, the lift is the sum of ints[t] / den
+        times basis monomial t, whose class mod p has the coordinates ints
+        times den^-1 mod p.  The ints share no content with den, so some
+        coefficient keeps p in its denominator exactly when p divides den.
+        Only a built algebra has a shadow, so no piece is pinned."""
+        d, field = alpha.degree, self.shadow.field
+        if (alpha.den % field.p == 0 or self.piece(d).basis_monomials
+                != self.shadow.piece(d).basis_monomials):
+            return None
+        return AlgebraElement(d, alpha.ints, alpha.den, field)
 
     # -- duality and structure checks ------------------------------------
 
@@ -566,10 +603,12 @@ class GradedAlgebra:
             raise AlgebraError(f"degree {s} outside 0..{N}")
         if self.socle_dim() != 1:
             raise AlgebraError("pairing needs a one-dimensional socle")
-        # phi and the representatives' coefficients as ints over one
-        # denominator each
-        classes, den = self.piece(N).classes()
-        phi = {m: v for m, (v,) in classes.items() if v}
+        # phi, read once per algebra, and the representatives'
+        # coefficients as ints over one denominator each
+        if self._phi is None:
+            classes, den = self.piece(N).classes()
+            self._phi = {m: v for m, (v,) in classes.items() if v}, den
+        phi, den = self._phi
         (left, d), (right, d2) = self._rep_terms(s), self._rep_terms(N - s)
         p = self.field.p
         rows = [[sum(c * c2 * phi.get(tuple(map(add, m, m2)), 0)
@@ -863,6 +902,18 @@ def _root(link, c, j):
     return j
 
 
+def _residue_rows(sparse, width: int, p: int):
+    """Each row of sparse, given as (position, int) pairs, summed into a
+    dense row of residues mod p, drawn lazily; zero rows are left out."""
+    for pairs in sparse:
+        vec = [0] * width
+        for k, v in pairs:
+            vec[k] += v
+        vec = [v % p for v in vec]
+        if any(vec):
+            yield vec
+
+
 def _fp_pieces(forms, degrees):
     """The pieces of the quotient over F_p in degree order, without end, each
     read off the reduced rows of the degree below.
@@ -893,9 +944,26 @@ def _fp_pieces(forms, degrees):
     regular or not, and the reduced echelon is unique, so every piece is
     the one a full Macaulay matrix gives.  Values stay plain residues mod p
     throughout, the form every F_p Echelon holds.
+
+    The kept rows are drawn lazily, in this order: one kept product per
+    monomial x_j * m of S, each leading at its own position with entry 1,
+    so they are independent; then the other kept products; then the
+    generators of degree i.  The first |S| - CI_i rows go to the echelon,
+    CI_i the complete-intersection value of degree i (0 past the socle
+    degree), and the degree stops there when their rank is |S| - CI_i;
+    otherwise one echelon runs over every row.  The stop is exact.  The
+    echelon over S has rank |S| - h_i.  For n forms of degrees d_1..d_n in n
+    variables over any field, each Macaulay matrix has rank at most that of
+    forms with indeterminate coefficients, whose nonzero minors stay nonzero
+    polynomials in the coefficients; those generic forms are a regular
+    sequence, their resultant being nonzero at x_j^(d_j), so their Hilbert
+    function is CI.  So h_i >= CI_i, the rank is at most |S| - CI_i, and rows
+    of that rank span every row; the reduced echelon is unique, so the
+    piece, and any NotRegularSequence its dimension raises, is the same.
     """
     field = forms[0].field
     p, n = field.p, forms[0].n_vars
+    ci = expected_ci_hilbert(degrees)
     units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     pairs = [(a, b, tuple(map(add, units[a], units[b])))
              for a, b in combinations(range(n), 2)]
@@ -939,25 +1007,29 @@ def _fp_pieces(forms, degrees):
                 if ra != rb:
                     link[c, max(ra, rb)] = min(ra, rb)
 
-        rows = []
+        # the kept products x_j * r_m as (monomial, variable, row): first one
+        # per monomial of S, then the others
+        head, rest = {}, []
         for m, row in reduced.items():
             for j, u in enumerate(units):
                 c = index[tuple(map(add, m, u))]
                 if (c, j) in link or first.get(c) == j:
                     continue
-                vec = [0] * len(S)
-                for k, v in chain(reps[c], zip(shift[j], row)):
-                    vec[k] += v
-                rows.append(vec)
-        for terms in generators.get(i, ()):
-            vec = [0] * len(S)
-            for exps, s in terms:
-                for k, v in reps[index[exps]]:
-                    vec[k] += s * v
-            rows.append(vec)
-        rows = [row for row in ([v % p for v in vec] for vec in rows)
-                if any(row)]
-        ech = echelon_rows(rows, len(S), field)
+                if c in pos and c not in head:
+                    head[c] = c, j, row
+                else:
+                    rest.append((c, j, row))
+        rows = _residue_rows(chain(
+            (chain(reps[c], zip(shift[j], row))
+             for c, j, row in chain(head.values(), rest)),
+            ([(k, s * v) for exps, s in terms for k, v in reps[index[exps]]]
+             for terms in generators.get(i, ()))), len(S), p)
+        # the rank is at most bound; rank-many rows span the piece
+        bound = len(S) - (ci[i] if i < len(ci) else 0)
+        kept = list(islice(rows, bound))
+        ech = echelon_rows(kept, len(S), field)
+        if ech.rank < bound and (more := list(rows)):
+            ech = echelon_rows(kept + more, len(S), field)
 
         # negated[k]: minus the normal form of position k of S.  A pivot of
         # S gets its own row back and the non-pivots of S are the basis; a

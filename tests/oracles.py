@@ -22,15 +22,19 @@ values boxed from `mul_map`'s int rows, so they check the int elements and
 the int map rows against the field-value boundary they replace.  The
 standardness reference ranks the algebra's own variable tables, stacked, so
 it checks `is_standard`'s reading of the basis monomials against the
-definition, that the variables times A_i span A_(i+1).  `boxed` is
-the one place where the tests turn the int rows over one denominator that
-the package hands out (maps, pairings, catalecticants, kernel vectors) into
-field values.  `codimension` and `analysis_matches_expected` are plain
+definition, that the variables times A_i span A_(i+1).  The table
+reference builds each variable table from the classes of every monomial of
+the degree above, pinned if the piece is, so it checks `_columns`' lookup of
+only the monomials the representatives reach.  `boxed` is the one place
+where the tests turn the int rows over one denominator that the package
+hands out (maps, pairings, catalecticants, kernel vectors) into field
+values.  `codimension` and `analysis_matches_expected` are plain
 readers of an algebra and of a report, kept here because only tests call
 them.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy as sp
@@ -460,6 +464,32 @@ def is_standard_by_rank(algebra):
         if echelon_rows(stacked, h_next, algebra.field).rank < h_next:
             return False
     return True
+
+
+def columns_from_classes(algebra, i):
+    """The variable tables of degree i as `GradedAlgebra._columns` returns
+    them, built from the classes of degree i+1: x_j times each basis
+    representative of degree i, summed term by term over the classes of the
+    monomials x_j * m, divided by the content and reduced mod p over F_p,
+    nonzero entries only."""
+    terms, d = algebra._rep_terms(i)
+    up = algebra.piece(i + 1)
+    classes, den = up.classes()
+    cols = []
+    for j in range(algebra.n_vars):
+        for rep in terms:
+            acc = [0] * up.dim
+            for exps, c in rep:
+                cls = classes[tuple(e + (t == j) for t, e in enumerate(exps))]
+                acc = [a + c * v for a, v in zip(acc, cls)]
+            cols.append(acc)
+    g = math.gcd(den * d, *itertools.chain(*cols))
+    p = algebra.field.p
+    cols = iter([[(r, t) for r, t in enumerate(v // g % p if p else v // g
+                                               for v in col) if t]
+                 for col in cols])
+    return ([list(itertools.islice(cols, len(terms)))
+             for _ in range(algebra.n_vars)], den * d // g)
 
 
 def matrix_map_rank(algebra, k, m, L):

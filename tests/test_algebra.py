@@ -13,7 +13,7 @@ import sagakit.algebra as algebra_module
 from sagakit.algebra import (AlgebraElement, AlgebraError,
                              DegreeOverflowError, GradedAlgebra,
                              NotRegularSequence, _Piece,
-                             _checked_regular_sequence,
+                             _checked_regular_sequence, _mod_prime,
                              _fp_pieces, _macaulay_rows, expected_ci_hilbert,
                              from_inverse_system, from_regular_sequence)
 from sagakit.apolarity import catalecticant, contract
@@ -28,8 +28,9 @@ from sagakit.polyring import (FieldSpec, Polynomial, RATIONAL,
                               monomial_str, parse_poly)
 
 from oracles import (boxed, boxed_mul_map, boxed_multiply, boxed_power,
-                     echelon_of, eval_at, inverse_system_hilbert,
-                     is_standard_by_rank, matrix_map_rank)
+                     columns_from_classes, echelon_of, eval_at,
+                     inverse_system_hilbert, is_standard_by_rank,
+                     matrix_map_rank)
 from test_cli import PERAZZO_DEN5, QUADRIC_CI5
 
 
@@ -773,6 +774,63 @@ class TestModularFirst:
         assert a.map_rank(f, 1) == want
         assert ranked == [("rational", f)]
 
+    def test_shadow_image_is_the_reduced_lift(self, monkeypatch):
+        # the image read from the class's ints equals the lift reduced mod p
+        # in the shadow, None for a class whose lift has p in a denominator
+        a = from_regular_sequence(gens(MISS_AT_3, 3))
+        p = algebra_module.SHADOW_PRIME
+        rng = random.Random(3)
+        cases = []
+        for d in range(a.socle_degree + 1):
+            h = a.dim(d)
+            coords = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(h)] for _ in range(4)]
+            coords += [[Fraction(1, p)] + [0] * (h - 1),
+                       [Fraction(p + 1, 2 * p)] + [1] * (h - 1),
+                       [p + 1] * h]
+            for c in coords:
+                e = a.element(d, c)
+                poly = _mod_prime(a.lift(e), a.shadow.field)
+                want = None if poly is None else a.shadow.reduce(poly, d)
+                cases.append((e, want))
+        assert sum(want is None for _, want in cases) == 8
+        # the image is read without a lift
+        monkeypatch.setattr(GradedAlgebra, "lift", None)
+        for e, want in cases:
+            assert a._shadow_image(e) == want
+
+    def test_other_basis_monomials_mod_p_rank_over_q(self, monkeypatch):
+        # the minor of x0^2, x0*x1 in degree 2 is p, so degree 2 has the
+        # basis monomial x1^2 over Q and x0*x1 mod p: its classes have no
+        # image, and their maps are ranked over Q
+        p = algebra_module.SHADOW_PRIME
+        a = from_regular_sequence(gens(
+            ["x0^2 + x0*x1", f"x0^2 + {p + 1}*x0*x1 + x1^2"], 2))
+        assert (a.piece(2).basis_monomials, a.shadow.piece(2).basis_monomials
+                ) == ([(0, 2)], [(1, 1)])
+        calls = _count_echelons(monkeypatch)
+        top = a.element(2, [3])
+        assert a._shadow_image(top) is None
+        assert a.map_rank(top, 0) == 1
+        x = a.element(1, [1, 2])
+        assert a._shadow_image(x) == a.shadow.element(1, [1, 2])
+        assert a.map_rank(x, 1) == 1
+        # the degree-2 map is ranked over Q, the degree-1 one mod p only
+        assert [len(calls[flag]) for flag in (False, True)] == [1, 1]
+
+    def test_pinned_and_quotient_algebras_rank_over_q(self):
+        # only a built algebra keeps the shadow: a pinned basis or a quotient
+        # has coordinates of its own, ranked over Q
+        a = from_regular_sequence(gens(MISS_AT_3, 3))
+        p = algebra_module.SHADOW_PRIME
+        pinned = a.with_degree_basis(1, gens(["x0 + 2*x1", "x1", "x2"], 3))
+        for alg in (pinned, a.quotient_by_ann(a.element(1, [1, 2, 3]))):
+            assert alg.shadow is None
+            h = alg.dim(1)
+            for c in ([1] + [0] * (h - 1), [Fraction(1, p)] + [1] * (h - 1)):
+                e = alg.element(1, c)
+                assert alg.map_rank(e, 1) == matrix_map_rank(alg, 1, 1, e)
+
 
 F32003 = FieldSpec.prime(32003)
 
@@ -951,16 +1009,111 @@ def test_fp_echelons_read_off_the_degree_below(monkeypatch, name):
         assert nrows <= n * below.echelon.rank + degrees.count(i)
 
 
+def _fp_echelons_by_degree(calls, forms, top):
+    """(piece, echelons) for each degree 1..top of `_fp_pieces`: the piece
+    and the (rows, rank, columns) of each F_p echelon run while it was built,
+    recorded in calls by `_count_echelons`."""
+    pieces = _fp_pieces(forms, [f.homogeneous_degree() for f in forms])
+    next(pieces)
+    out = []
+    for _ in range(top):
+        calls[False].clear()
+        out.append((next(pieces), list(calls[False])))
+    return out
+
+
 def test_fp_rows_keep_one_per_chain_component(monkeypatch):
     # of the products x_j * r_m, only one row per leading monomial and chain
-    # component reaches the echelon: on six dense quadrics in six variables
-    # degrees 4, 5 and 6 would take 165, 480 and 1045 rows without the
-    # criterion
+    # component is a candidate: on six dense quadrics in six variables
+    # degrees 4, 5 and 6 would have 165, 480 and 1045 candidates without the
+    # criterion.  Each degree stops at its certified rank, so only
+    # rank-many candidates reach the echelon
+    forms = _ci6_fp_style()
     calls = _count_echelons(monkeypatch)
-    from_regular_sequence(_ci6_fp_style())
+    from_regular_sequence(forms)
     pieces = calls[False][:-1]
-    assert [nrows for nrows, _, _ in pieces] == [0, 6, 30, 95, 130, 93]
+    assert [nrows for nrows, _, _ in pieces] == [0, 6, 30, 60, 60, 30]
     assert [rank for _, rank, _ in pieces] == [0, 6, 30, 60, 60, 30]
+    # with every CI value read as 0 no degree can stop below |S|, and the
+    # last echelon of each degree reads every candidate
+    monkeypatch.setattr(algebra_module, "expected_ci_hilbert",
+                        lambda degrees: [])
+    assert [echelons[-1][0] for _, echelons in _fp_echelons_by_degree(
+        calls, forms, 6)] == [0, 6, 30, 95, 130, 93]
+
+
+# a regular sequence over F_7 whose first rank-many candidates of degree 4
+# fall short of the certified rank
+SHORT_HEAD_F7 = ["2*x0*x1", "6*x0^2 + x0*x2 + 3*x1^2 + 5*x1*x2",
+                 "2*x0^2*x1 + 4*x0*x1^2 + 5*x0*x1*x2 + x0*x2^2 + 6*x1*x2^2"
+                 " + 5*x2^3"]
+
+
+@pytest.mark.parametrize("name, fallbacks", [("ci6_fp_style", []),
+                                             ("short_head_f7", [4])])
+def test_fp_degrees_stop_at_the_certified_rank_or_fall_back(monkeypatch, name,
+                                                            fallbacks):
+    # a degree whose first |S| - CI_i candidates have that rank stops there;
+    # any other runs a second echelon over every candidate.  Both give the
+    # echelon of every Macaulay row, through degree N + 1
+    forms = (gens(SHORT_HEAD_F7, 3, FieldSpec.prime(7))
+             if name == "short_head_f7" else _ci6_fp_style())
+    degrees = [f.homogeneous_degree() for f in forms]
+    assert from_regular_sequence(forms).hilbert == tuple(
+        expected_ci_hilbert(degrees))
+    calls = _count_echelons(monkeypatch)
+    N = sum(d - 1 for d in degrees)
+    seen = []
+    for i, (piece, echelons) in enumerate(
+            _fp_echelons_by_degree(calls, forms, N + 1), start=1):
+        got, want = piece.echelon, _all_rows_echelon(forms, degrees, i)
+        assert (got.pivots, got.nonpivots, got.coeffs) == (
+            want.pivots, want.nonpivots, want.coeffs)
+        (nrows, rank, ncols), *fallback = echelons
+        if fallback:
+            # the first rows fell short and the second echelon read more
+            (more, full, _), = fallback
+            assert rank < full == ncols - piece.dim and more > nrows
+            seen.append(i)
+        else:
+            assert nrows == rank == ncols - piece.dim
+    assert seen == fallbacks
+
+
+@pytest.mark.parametrize("name", ["quadric_ci5_shadow", "quadric_ci5_q",
+                                  "ci6_fp_style"])
+def test_tables_are_the_tables_of_the_classes(name):
+    # the tables read off the echelon of the degree above equal those built
+    # from the classes of every monomial there
+    if name == "ci6_fp_style":
+        alg = from_regular_sequence(_ci6_fp_style())
+    else:
+        alg = from_regular_sequence(gens(QUADRIC_CI5.split(";"), 5))
+        alg = alg.shadow if name == "quadric_ci5_shadow" else alg
+    for i in range(alg.socle_degree):
+        assert alg._columns(i) == columns_from_classes(alg, i)
+
+
+def _pin_first_class(alg, d):
+    """alg with degree d's first basis representative b0 pinned as
+    b0 + 2*b1."""
+    reps = list(alg.piece(d).basis_reps)
+    reps[0] = reps[0] + reps[1].scale(2)
+    return alg.with_degree_basis(d, reps)
+
+
+@pytest.mark.parametrize("field", ["fp", "q"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pinned_tables_are_the_tables_of_the_classes(field, d):
+    # pinning degree d changes the tables into and out of it, and every
+    # table equals the one built from the pinned classes
+    built = (_quadric_ci_fp() if field == "fp"
+             else from_regular_sequence(gens(QUADRIC_CI5.split(";"), 5)))
+    alg = _pin_first_class(built, d)
+    for i in range(alg.socle_degree):
+        want = columns_from_classes(alg, i)
+        assert alg._columns(i) == want
+        assert (want == built._columns(i)) == (i not in (d - 1, d))
 
 
 def _pairing_cases(monomial_ci, perazzo_alg):

@@ -9,13 +9,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import resource
 import signal
 import sys
 from pathlib import Path
 
 from sagakit import cli
-from sagakit.polyring import Polynomial, RATIONAL, parse_poly
+from sagakit.polyring import Polynomial, RATIONAL, monomial_basis, parse_poly
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "stress.py"
 
@@ -77,6 +78,17 @@ def test_the_quartics_are_the_named_forms_after_their_change():
     assert (len(q5.terms), len(q6.terms)) == (68, 125)
     assert tool.INPUTS["perazzo_quartic5"][1] == q5.to_string()
     assert tool.INPUTS["perazzo_quartic6"][1] == q6.to_string()
+
+
+def test_ci8_is_the_seeded_draw():
+    rng = random.Random(8)
+    choices = [v for v in range(-9, 10) if v]
+    forms = [Polynomial(8, RATIONAL, {m: rng.choice(choices)
+                                      for m in monomial_basis(8, 2)})
+             for _ in range(8)]
+    argv = tool.INPUTS["ci8_fp"]
+    assert argv[1] == ";".join(f.to_string() for f in forms)
+    assert argv[2:] == ["--nvars", "8", "--field", "fp:32003"]
 
 
 def test_every_input_parses():

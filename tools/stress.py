@@ -74,6 +74,60 @@ _CI6 = (
     " 6*x4^2 + 7*x4*x5 - 9*x5^2",
 )
 
+# Eight dense quadrics in eight variables, analyzed over F_32003: every
+# coefficient drawn by random.Random(8).choice from the nonzero ints in
+# -9..9, monomial_basis(8, 2) order, one form after another.
+_CI8 = (
+    "-2*x0^2 + 3*x0*x1 + 4*x0*x2 - 5*x0*x3 - 3*x0*x4 - 8*x0*x5 -"
+    " 7*x0*x6 - 5*x0*x7 - 2*x1^2 + 8*x1*x2 - 3*x1*x3 + 4*x1*x4 -"
+    " 9*x1*x5 + 6*x1*x6 + 7*x1*x7 + 6*x2^2 + 4*x2*x3 + 7*x2*x4 -"
+    " 3*x2*x5 + 4*x2*x6 - 7*x2*x7 + 7*x3^2 - 2*x3*x4 - 9*x3*x5 -"
+    " x3*x6 + 8*x3*x7 + 5*x4^2 + 7*x4*x5 + 4*x4*x6 - 6*x4*x7 - x5^2"
+    " - 6*x5*x6 - 7*x5*x7 + 4*x6^2 + 4*x6*x7 - 6*x7^2",
+    "-8*x0^2 + 2*x0*x1 - 2*x0*x2 - 7*x0*x3 + 7*x0*x4 + 8*x0*x5 -"
+    " 3*x0*x6 - 5*x0*x7 - 7*x1^2 + 9*x1*x2 - 8*x1*x3 + 7*x1*x4 -"
+    " 3*x1*x5 - 5*x1*x6 + 6*x1*x7 + 6*x2^2 + x2*x3 + 9*x2*x4 +"
+    " 3*x2*x5 + 5*x2*x6 - 5*x2*x7 - 4*x3^2 - 6*x3*x4 + 9*x3*x5 +"
+    " 2*x3*x6 + 3*x3*x7 + 7*x4^2 + 8*x4*x5 - 3*x4*x6 + x4*x7 -"
+    " 5*x5^2 + 3*x5*x6 + 8*x5*x7 + x6^2 + 8*x6*x7 - 7*x7^2",
+    "8*x0^2 + 9*x0*x1 - 2*x0*x2 + 3*x0*x3 - 2*x0*x4 - 9*x0*x5 +"
+    " x0*x6 + 2*x0*x7 - 2*x1^2 - x1*x2 - 8*x1*x3 + 5*x1*x4 - x1*x5 +"
+    " 4*x1*x6 + x1*x7 + 5*x2^2 - 4*x2*x3 + 4*x2*x4 - 6*x2*x5 -"
+    " 4*x2*x6 - 9*x2*x7 - 3*x3^2 - 4*x3*x4 + x3*x5 - 6*x3*x6 -"
+    " 9*x3*x7 + 4*x4^2 + 2*x4*x5 - 4*x4*x6 + 5*x4*x7 - 2*x5^2 -"
+    " 5*x5*x6 + 5*x5*x7 + 6*x6^2 + 5*x6*x7 + 5*x7^2",
+    "-7*x0^2 - 7*x0*x1 + x0*x2 - 6*x0*x3 - 8*x0*x4 - 7*x0*x5 -"
+    " 6*x0*x6 + 8*x0*x7 + 8*x1^2 + 3*x1*x2 - 5*x1*x3 + 8*x1*x4 +"
+    " 7*x1*x5 - 5*x1*x6 - 7*x1*x7 - 3*x2^2 - 9*x2*x3 - 5*x2*x4 +"
+    " 2*x2*x5 + 4*x2*x6 - 6*x2*x7 + x3^2 + 3*x3*x4 + 2*x3*x5 +"
+    " 3*x3*x6 - 9*x3*x7 + 7*x4^2 - 3*x4*x5 - 8*x4*x6 - 8*x4*x7 -"
+    " 4*x5^2 - 4*x5*x6 + 2*x5*x7 + 5*x6^2 + 6*x6*x7 - 6*x7^2",
+    "-7*x0^2 - 3*x0*x1 - 2*x0*x2 + 7*x0*x3 + 7*x0*x4 - 5*x0*x5 +"
+    " 4*x0*x6 - 6*x0*x7 - 6*x1^2 + 6*x1*x2 - 5*x1*x3 + 6*x1*x4 +"
+    " 8*x1*x5 - 7*x1*x6 + 7*x1*x7 + 4*x2^2 + 3*x2*x3 + 6*x2*x4 -"
+    " 2*x2*x5 - 8*x2*x6 - 3*x2*x7 - 8*x3^2 + 6*x3*x4 - 6*x3*x5 -"
+    " 6*x3*x6 - 3*x3*x7 - 9*x4^2 - 9*x4*x5 + 3*x4*x6 + 5*x4*x7 +"
+    " 8*x5^2 - 7*x5*x6 + 8*x5*x7 - 3*x6^2 + 8*x6*x7 - 2*x7^2",
+    "2*x0^2 + 8*x0*x1 + 4*x0*x2 + 8*x0*x3 - 3*x0*x4 - 9*x0*x5 +"
+    " x0*x6 + x0*x7 - 7*x1^2 + 2*x1*x2 + 4*x1*x3 - 2*x1*x4 + x1*x5 -"
+    " 7*x1*x6 + 9*x1*x7 + 5*x2^2 + 3*x2*x3 + 2*x2*x4 + 8*x2*x5 +"
+    " x2*x6 + 3*x2*x7 + x3^2 - 6*x3*x4 - 3*x3*x5 + 7*x3*x6 + 3*x3*x7"
+    " + 4*x4^2 + x4*x5 - 3*x4*x6 + x4*x7 + 4*x5^2 + 4*x5*x6 +"
+    " 8*x5*x7 + 3*x6^2 + 3*x6*x7 + 5*x7^2",
+    "-3*x0^2 + 7*x0*x1 + 8*x0*x2 + 8*x0*x3 - 7*x0*x4 - x0*x5 -"
+    " 4*x0*x6 - 7*x0*x7 + 7*x1^2 - x1*x2 + 5*x1*x3 - 6*x1*x4 - x1*x5"
+    " + x1*x6 - x1*x7 + 8*x2^2 - x2*x3 - x2*x4 + 5*x2*x5 - 2*x2*x6 +"
+    " 3*x2*x7 - 2*x3^2 - 2*x3*x4 + 8*x3*x5 + 6*x3*x6 - 2*x3*x7 -"
+    " 2*x4^2 + 8*x4*x5 - 3*x4*x6 + 3*x4*x7 + 7*x5^2 - 6*x5*x6 -"
+    " 6*x5*x7 + 4*x6^2 - 7*x6*x7 - 4*x7^2",
+    "5*x0^2 - 8*x0*x1 - 5*x0*x2 - 9*x0*x3 - 3*x0*x4 - x0*x5 -"
+    " 7*x0*x6 - 6*x0*x7 + 6*x1^2 + 6*x1*x2 + x1*x3 - 7*x1*x4 -"
+    " 5*x1*x5 + 3*x1*x6 - 7*x1*x7 + 2*x2^2 - 8*x2*x3 - 7*x2*x4 -"
+    " 5*x2*x5 + 3*x2*x6 - 7*x2*x7 - 2*x3^2 - 8*x3*x4 + 2*x3*x5 -"
+    " 2*x3*x6 + x3*x7 + 3*x4^2 + 2*x4*x5 - 7*x4*x6 + 8*x4*x7 -"
+    " 6*x5^2 + 3*x5*x6 + 5*x5*x7 - 4*x6^2 - 4*x6*x7 - x7^2",
+)
+
 # x0*x3^3 + 2*x1*x3^2*x4 + 3*x2*x4^3 under x_i -> sum_j M_ij x_j, with
 # M = [[-1,2,2,-1,0],[2,1,2,-2,2],[-2,1,0,2,-1],[-1,1,2,2,1],[1,-1,-1,-1,2]]
 # (det 29): a Perazzo-type quartic in five variables that is not a cone.
@@ -135,6 +189,8 @@ _QUARTIC6 = (
 
 INPUTS = {
     "ci6_q": ["analyze", ";".join(_CI6), "--nvars", "6"],
+    "ci8_fp": ["analyze", ";".join(_CI8), "--nvars", "8", "--field",
+               "fp:32003"],
     "monomial_ci_q6": _monomial_ci(6),
     "monomial_ci_q7": _monomial_ci(7),
     "monomial_ci_q8": _monomial_ci(8),

@@ -49,10 +49,16 @@ falls back to the eager Q build, from the same F5 rows.
 
 Every piece's echelon holds its reduced rows as ints over one denominator
 (see `exactla`), and the code below reads those ints directly; field values
-are made only where a result leaves the algebra.  Every monomial is an
-exponent tuple, the key of `Polynomial.terms`: in each piece's ambient basis
-(`monomial_basis` order), its basis monomials, the keys of its classes and
-the terms of its representatives.
+are made only where a result leaves the algebra.  Where a monomial meets
+a polynomial it is an exponent tuple, the key of `Polynomial.terms`: in each
+piece's ambient basis (`monomial_basis` order), its basis monomials, the
+keys of its classes and the terms of its representatives.  The F_p build
+and the variable tables address monomials by position in that order, and
+sum no tuple: `monomial_steps(n, i)`, built once per (n, i) and shared by
+every algebra of that shape, holds the position of each degree-i monomial,
+the position of x_j * m for each monomial m of degree i-1, and the first
+variable of each degree-i monomial with the position of its quotient by
+that variable.  Each piece's position dict is that map's.
 
 Products read variable tables instead of multiplying polynomials: for each
 degree i below the socle degree and each variable x_j, the coordinates of
@@ -98,6 +104,7 @@ This is how fixture conventions for distinguished bases are honored without
 touching the underlying reduction data.
 """
 
+from functools import cache
 from itertools import chain, combinations, count, islice
 from math import gcd, lcm, prod
 from operator import add, mul
@@ -141,6 +148,35 @@ def field_ints(field: FieldSpec, values) -> tuple[list, int]:
     if all(type(v) is int for v in values):
         return values, 1
     return field.to_ints([field.coerce(v) for v in values])
+
+
+@cache
+def monomial_steps(n: int, i: int) -> tuple[dict, list, list]:
+    """The positions of the degree-i monomials in n variables, in
+    `monomial_basis` order, built once per (n, i): index[m] is the position
+    of monomial m; up[c][j] is the position of x_j * m for the monomial m at
+    position c of degree i - 1; down[c] is (j, c') with x_j the first
+    variable of the monomial at position c and c' the position of its
+    quotient by x_j.  In degree 0, up and down are empty."""
+    ambient = monomial_basis(n, i)
+    index = dict(zip(ambient, count()))
+    below = monomial_basis(n, i - 1) if i else []
+    # a monomial of degree at most i read as the int with its exponents as
+    # digits in base i + 1 (Kronecker): x_j * m is m's int plus x_j's weight
+    weights = [(i + 1) ** k for k in range(n - 1, -1, -1)]
+    # held for the life of the process: rows are tuples, and every position
+    # is the one int object among index's values
+    at = dict(zip([sum(map(mul, m, weights)) for m in ambient],
+                  index.values()))
+    up = [tuple([at[k + w] for w in weights])
+          for k in [sum(map(mul, m, weights)) for m in below]]
+    down = [None] * len(ambient) if i else []
+    # x_j * m has first variable j exactly when m has none before x_j
+    for c, m in enumerate(below):
+        first = next((j for j, e in enumerate(m) if e), n - 1)
+        for j in range(first + 1):
+            down[up[c][j]] = j, c
+    return index, up, down
 
 
 class AlgebraElement:
@@ -233,7 +269,7 @@ class _Piece:
                  field: FieldSpec):
         self.degree = degree
         self.ambient = ambient
-        self.index = {m: c for c, m in enumerate(ambient)}
+        self.index = monomial_steps(len(ambient[0]), degree)[0]
         self.echelon = ech
         self.basis_monomials = [ambient[c] for c in ech.nonpivots]
         self.basis_reps = [Polynomial.from_monomial(m, field)
@@ -400,27 +436,29 @@ class GradedAlgebra:
         of degree i+1 and divided by their content."""
         if self._sparse[i] is None:
             terms, d = self._rep_terms(i)
-            up = self.piece(i + 1)
-            ech = up.echelon
-            # the class of a monomial of degree i+1 without a pinned basis:
-            # den times unit vector unit[m] for a basis monomial m, minus
-            # the coeffs row of its pivot for any other
-            unit = {up.ambient[c]: t for t, c in enumerate(ech.nonpivots)}
-            row = {up.ambient[c]: r for c, r in zip(ech.pivots, ech.coeffs)}
-            n, h = self.n_vars, up.dim
+            index, above = self.piece(i).index, self.piece(i + 1)
+            up = monomial_steps(self.n_vars, i + 1)[1]
+            ech = above.echelon
+            # the class of the monomial at position c of degree i+1 without
+            # a pinned basis: den times unit vector unit[c] for a basis
+            # monomial, minus the coeffs row of its pivot for any other
+            unit = {c: t for t, c in enumerate(ech.nonpivots)}
+            row = dict(zip(ech.pivots, ech.coeffs))
+            # each term as the positions of its products with the variables
+            terms = [[(up[index[m]], c) for m, c in rep] for rep in terms]
+            h = above.dim
             cols = []
-            for j in range(n):
-                x_j = tuple(int(k == j) for k in range(n))
+            for j in range(self.n_vars):
                 for rep in terms:
                     acc = [0] * h
-                    for exps, c in rep:
-                        m = tuple(map(add, exps, x_j))
+                    for ups, c in rep:
+                        m = ups[j]
                         if m in unit:
                             acc[unit[m]] += c * ech.den
                         else:
                             acc = [a - c * v for a, v in zip(acc, row[m])]
                     cols.append(acc)
-            cols, factor = up.pin(cols)
+            cols, factor = above.pin(cols)
             den = ech.den * factor
             g = gcd(den * d, *chain(*cols))
             p = self.field.p
@@ -888,12 +926,6 @@ def _macaulay_pieces(forms, degrees):
         yield _Piece(i, ambient, ech, field)
 
 
-def _factor(exps) -> tuple[int, tuple]:
-    """(j, m) with x_j * m the monomial and x_j its first variable."""
-    j = next(j for j, e in enumerate(exps) if e)
-    return j, exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-
-
 def _root(link, c, j):
     """The variable that stands for decomposition j of monomial c: its
     component's smallest, following link (see _fp_pieces)."""
@@ -960,69 +992,71 @@ def _fp_pieces(forms, degrees):
     function is CI.  So h_i >= CI_i, the rank is at most |S| - CI_i, and rows
     of that rank span every row; the reduced echelon is unique, so the
     piece, and any NotRegularSequence its dimension raises, is the same.
+
+    Every monomial is addressed by its position in `monomial_basis` order,
+    through `monomial_steps`: the basis, the reduced rows, S, the chain
+    links (x_b * x_a * u is up[up_below[u][a]][b]), the kept products and the
+    normal forms.  M / x_j for the first variable x_j of M is read from
+    down[M], and the representative of a monomial outside S is built only
+    when a drawn row reads it.
     """
     field = forms[0].field
     p, n = field.p, forms[0].n_vars
     ci = expected_ci_hilbert(degrees)
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    pairs = [(a, b, tuple(map(add, units[a], units[b])))
-             for a, b in combinations(range(n), 2)]
+    pairs = list(combinations(range(n), 2))
     generators = {}
     for f, e in zip(forms, degrees):
         generators.setdefault(e, []).append(f.terms.items())
     yield _Piece(0, monomial_basis(n, 0), Echelon(1, field, [], [0], []),
                  field)
-    # the basis monomials of the degree below, its reduced rows (pivot
-    # monomial -> coeffs row) and the pivot monomials of degree i - 2
-    basis, reduced, lower = [(0,) * n], {}, ()
+    # by position: the basis monomials of the degree below, its reduced rows
+    # (pivot -> coeffs row), the pivots of degree i - 2 and the up map from
+    # degree i - 2
+    basis, reduced, lower, up_below = [0], {}, (), []
     for i in count(1):
-        ambient = monomial_basis(n, i)
-        index = {m: c for c, m in enumerate(ambient)}
-        products = [[index[tuple(map(add, b, u))] for b in basis]
-                    for u in units]
+        index, up, down = monomial_steps(n, i)
+        products = [[up[b][j] for b in basis] for j in range(n)]
         S = sorted(set().union(*products))
         pos = {c: k for k, c in enumerate(S)}
         # shift[j][t]: the position in S of x_j * basis[t]
         shift = [[pos[c] for c in row] for row in products]
-        # reps[c]: the representative of monomial c as (position, residue)
-        # pairs, and first[c] the first variable of a monomial outside S
-        reps, first = [], {}
-        for c, mon in enumerate(ambient):
+
+        def rep(c):
+            """The representative of monomial c as (position, residue)
+            pairs: c itself in S, else x_j times minus the row of c / x_j."""
             k = pos.get(c)
-            if k is None:
-                j, below = _factor(mon)
-                first[c] = j
-                reps.append([(q, p - v) for q, v in zip(shift[j],
-                                                        reduced[below]) if v])
-            else:
-                reps.append([(k, 1)])
+            if k is not None:
+                return [(k, 1)]
+            j, m = down[c]
+            return [(q, p - v) for q, v in zip(shift[j], reduced[m]) if v]
+
         # link[c, j]: a smaller variable in the component of decomposition
         # j of monomial c, joined through a pivot u of degree i - 2; only the
         # decompositions missing from link are the rows kept
         link = {}
         for u in lower:
-            for a, b, ab in pairs:
-                c = index[tuple(map(add, u, ab))]
+            for a, b in pairs:
+                c = up[up_below[u][a]][b]
                 ra, rb = _root(link, c, a), _root(link, c, b)
                 if ra != rb:
                     link[c, max(ra, rb)] = min(ra, rb)
 
         # the kept products x_j * r_m as (monomial, variable, row): first one
-        # per monomial of S, then the others
+        # per monomial of S, then the others; outside S, the first variable
+        # gives no row
         head, rest = {}, []
         for m, row in reduced.items():
-            for j, u in enumerate(units):
-                c = index[tuple(map(add, m, u))]
-                if (c, j) in link or first.get(c) == j:
+            for j, c in enumerate(up[m]):
+                if (c, j) in link or (c not in pos and down[c][0] == j):
                     continue
                 if c in pos and c not in head:
                     head[c] = c, j, row
                 else:
                     rest.append((c, j, row))
         rows = _residue_rows(chain(
-            (chain(reps[c], zip(shift[j], row))
+            (chain(rep(c), zip(shift[j], row))
              for c, j, row in chain(head.values(), rest)),
-            ([(k, s * v) for exps, s in terms for k, v in reps[index[exps]]]
+            ([(k, s * v) for exps, s in terms for k, v in rep(index[exps])]
              for terms in generators.get(i, ()))), len(S), p)
         # the rank is at most bound; rank-many rows span the piece
         bound = len(S) - (ci[i] if i < len(ci) else 0)
@@ -1041,24 +1075,22 @@ def _fp_pieces(forms, degrees):
             negated[k] = [p - 1 if r == t else 0 for r in range(h)]
         free = set(ech.nonpivots)
         pivots, coeffs = [], []
-        for c, mon in enumerate(ambient):
+        for c, (j, m) in enumerate(down):
             k = pos.get(c)
             if k in free:
                 continue
             if k is None:
-                j, below = _factor(mon)
-                row = reduced[below]
-                coeffs.append([-sum(map(mul, row, col)) % p for col in
+                coeffs.append([-sum(map(mul, reduced[m], col)) % p for col in
                                zip(*[negated[q] for q in shift[j]])])
             else:
                 coeffs.append(negated[k])
             pivots.append(c)
-        nonpivots = [S[k] for k in ech.nonpivots]
-        yield _Piece(i, ambient, Echelon(len(ambient), field, pivots,
-                                         nonpivots, coeffs), field)
-        basis = [ambient[c] for c in nonpivots]
-        lower = reduced
-        reduced = {ambient[c]: row for c, row in zip(pivots, coeffs)}
+        basis = [S[k] for k in ech.nonpivots]
+        yield _Piece(i, monomial_basis(n, i), Echelon(len(down), field,
+                                                      pivots, basis, coeffs),
+                     field)
+        lower, up_below = reduced, up
+        reduced = dict(zip(pivots, coeffs))
 
 
 def _checked_regular_sequence(forms, degrees, expected) -> GradedAlgebra:

@@ -382,6 +382,9 @@ class Polynomial:
 # -- parsing ------------------------------------------------------------
 
 def _tokenize(text: str):
+    """(kind, value, position) tokens of polynomial text, ending with
+    ("end", None, len(text)).  Integers and variable indices are ASCII
+    digits only; any other digit is an unexpected character."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -389,17 +392,20 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
         elif ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
+                if j < n and text[j].isdigit():
+                    raise PolyParseError(f"unexpected character {text[j]!r}",
+                                         j)
                 raise PolyParseError("expected variable index after 'x'", i)
             tokens.append(("var", int(text[i + 1:j]), i))
             i = j

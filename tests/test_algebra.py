@@ -15,13 +15,14 @@ from sagakit.algebra import (AlgebraElement, AlgebraError,
                              NotRegularSequence, _Piece,
                              _checked_regular_sequence, _mod_prime,
                              _fp_pieces, _macaulay_rows, expected_ci_hilbert,
-                             from_inverse_system, from_regular_sequence)
+                             from_inverse_system, from_regular_sequence,
+                             monomial_steps)
 from sagakit.apolarity import catalecticant, contract
 from sagakit.corpus import get_entry
 from sagakit.exactla import Echelon, Matrix, det_ff, echelon_rows
 from sagakit.gnlab import (GammaSample, SLPEvidence, check_ggn,
                            check_ker_coker, monomial_quadric_ci,
-                           perazzo_algebra, sample_gamma)
+                           perazzo_algebra, perazzo_form, sample_gamma)
 from sagakit.lefschetz import SLP, WLP, lefschetz_probe
 from sagakit.polyring import (FieldSpec, Polynomial, RATIONAL,
                               max_variable_index, monomial_basis,
@@ -1080,16 +1081,56 @@ def test_fp_degrees_stop_at_the_certified_rank_or_fall_back(monkeypatch, name,
     assert seen == fallbacks
 
 
-@pytest.mark.parametrize("name", ["quadric_ci5_shadow", "quadric_ci5_q",
-                                  "ci6_fp_style"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_step_maps_are_the_exponent_arithmetic(n):
+    # up and down read by position what multiplying and dividing by a
+    # variable does to the exponent tuples of monomial_basis
+    assert monomial_steps(n, 0) == ({(0,) * n: 0}, [], [])
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for i in range(1, 7):
+        index, up, down = monomial_steps(n, i)
+        ambient, below = monomial_basis(n, i), monomial_basis(n, i - 1)
+        assert index == {m: c for c, m in enumerate(ambient)}
+        assert up == [tuple(index[tuple(map(add, m, x_j))] for x_j in units)
+                      for m in below]
+        assert len(down) == len(ambient)
+        for c, m in enumerate(ambient):
+            j = min(k for k, e in enumerate(m) if e)
+            quotient = tuple(e - (k == j) for k, e in enumerate(m))
+            assert down[c] == (j, below.index(quotient))
+
+
+def _dense_quartic5(field):
+    # a quartic in five variables with every coefficient nonzero in -3..3
+    rng = random.Random(4)
+    choices = [v for v in range(-3, 4) if v]
+    return from_inverse_system(Polynomial(
+        5, field, {m: rng.choice(choices) for m in monomial_basis(5, 4)}))
+
+
+def _quadric_ci5_ann():
+    alg = from_regular_sequence(gens(QUADRIC_CI5.split(";"), 5))
+    return alg.quotient_by_ann(alg.reduce(poly("x0 + 2*x1 - x4", 5)))
+
+
+CLASS_TABLE_ALGEBRAS = {
+    "quadric_ci5_shadow": lambda: from_regular_sequence(
+        gens(QUADRIC_CI5.split(";"), 5)).shadow,
+    "quadric_ci5_q": lambda: from_regular_sequence(
+        gens(QUADRIC_CI5.split(";"), 5)),
+    "ci6_fp_style": lambda: from_regular_sequence(_ci6_fp_style()),
+    "perazzo": lambda: from_inverse_system(perazzo_form()),
+    "dense_quartic5_q": lambda: _dense_quartic5(RATIONAL),
+    "dense_quartic5_fp": lambda: _dense_quartic5(F32003),
+    "quadric_ci5_q_ann": _quadric_ci5_ann,
+}
+
+
+@pytest.mark.parametrize("name", CLASS_TABLE_ALGEBRAS)
 def test_tables_are_the_tables_of_the_classes(name):
     # the tables read off the echelon of the degree above equal those built
-    # from the classes of every monomial there
-    if name == "ci6_fp_style":
-        alg = from_regular_sequence(_ci6_fp_style())
-    else:
-        alg = from_regular_sequence(gens(QUADRIC_CI5.split(";"), 5))
-        alg = alg.shadow if name == "quadric_ci5_shadow" else alg
+    # from the classes of every monomial there, for every constructor
+    alg = CLASS_TABLE_ALGEBRAS[name]()
     for i in range(alg.socle_degree):
         assert alg._columns(i) == columns_from_classes(alg, i)
 

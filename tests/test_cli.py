@@ -552,6 +552,10 @@ class TestInputErrors:
         ("x0^2;x1^2;x2 x3 +", "expected a coefficient or variable "
                               "(at position 7)"),
         ("x0 +;x1 $", "unexpected character '$' (at position 3)"),
+        # only ASCII digits are integers and variable indices
+        ("x0\u00b2 + x1^2", "unexpected character '\u00b2' (at position 2)"),
+        ("x\u0663^2 + x0^2 + x1^2 + x2^2",
+         "unexpected character '\u0663' (at position 1)"),
     ])
     def test_error_text(self, capsys, text, err):
         assert run(capsys, "analyze", text) == (2, "", f"error: {err}\n")

@@ -71,6 +71,21 @@ class TestParse:
             max_variable_index("x1 $")
         assert err.value.position == 3
 
+    @pytest.mark.parametrize("text,char,position", [
+        ("x0\u00b2 + x1^2", "\u00b2", 2),
+        ("x\u0663^2 + x0^2 + x1^2 + x2^2", "\u0663", 1),
+        ("x0 + \u0663*x1", "\u0663", 5),
+    ])
+    def test_only_ascii_digits_are_read(self, text, char, position):
+        # a superscript or non-ASCII decimal digit is neither an exponent
+        # nor a variable index
+        for read in (max_variable_index, lambda t: parse_poly(t, 4)):
+            with pytest.raises(PolyParseError) as err:
+                read(text)
+            assert err.value.position == position
+            assert str(err.value) == (f"unexpected character {char!r} "
+                                      f"(at position {position})")
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
